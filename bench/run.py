@@ -1,14 +1,14 @@
 """Benchmark of the tritile command line, driven in-process.
 
-    python3 bench/run.py --workload roof_norms --seed 1 --seconds 30 --trace 0
+    python3 bench/run.py --workload roof_norms --seed 1 --seconds 20 --trace 0
 
 Run it from a checkout of the repository; it imports ``tritile`` from the
 checkout's ``src/``.  One client runs a closed loop: each operation is a
 real ``tritile`` argv handed to ``tritile.shell.main`` with stdout and
 stderr captured, and the next starts only after it returns.  A run
-repeats whole passes over the seeded operation list for about
-``--seconds``, then checks every distinct output with the independent
-checks in ``checks.py``.
+makes a fixed number of whole passes over the seeded operation list,
+about ``--seconds`` worth on the baseline host, then checks every
+distinct output with the independent checks in ``checks.py``.
 
 ``--trace 0`` reports the end-to-end metrics, with times calibrated
 against host speed by ``calibrate.py``.  ``--trace 1`` alternates
@@ -49,9 +49,16 @@ WORK = os.path.join(ROOT, ".bench_work")
 
 # op_tail_ms per workload: the percentile, and the fewest operations a run
 # completes, so that at least ten operations lie beyond that percentile.
-TAIL = {"roof_norms": (97, 334), "wide_roofs": (70, 34), "long_walks": (88, 84)}
+TAIL = {"roof_norms": (97, 334), "wide_roofs": (79, 48), "long_walks": (83, 62)}
 
 SETUPS = 10  # set-ups per run; setup_s is their median
+
+# Raw seconds of one pass on the baseline host (bench/README.md, Machine).
+# A run makes a fixed number of passes, about ``--seconds`` worth there,
+# rather than timing itself out: two runs of one seed then attempt exactly
+# the same operations, and fail exactly the same ones, however fast the
+# host happens to be.
+PASS_S = {"roof_norms": 20.0, "wide_roofs": 34.0, "long_walks": 28.0}
 
 # Traced counts for two warm-up operations, worked out by hand from the
 # code paths (bench/README.md gives the derivation).  Any call that
@@ -156,6 +163,13 @@ def exit_codes(samples) -> dict[int, int]:
     return dict(sorted(Counter(rc for _, rc, *_ in samples).items()))
 
 
+def pass_count(workload: str, n_ops: int, seconds: float) -> int:
+    """Passes in an untraced run: about ``seconds`` on the baseline host,
+    and enough operations for the workload's tail percentile."""
+    _, min_ops = TAIL[workload]
+    return max(-(-min_ops // n_ops), round(seconds / PASS_S[workload]))
+
+
 def figures(pct: int, lat_ms: list[float], setups_s: list[float]) -> dict[str, tuple[float, str]]:
     return {
         "setup_s": (statistics.median(setups_s), "s"),
@@ -167,7 +181,7 @@ def figures(pct: int, lat_ms: list[float], setups_s: list[float]) -> dict[str, t
 
 
 def untraced(workload, seed, directory, seconds, problems):
-    pct, min_ops = TAIL[workload]
+    pct = TAIL[workload][0]
     cal = calibrate.Calibration()
     setups = []  # (seconds, calibration sample index)
 
@@ -179,26 +193,22 @@ def untraced(workload, seed, directory, seconds, problems):
 
     su = fresh_set_up()
     problems += su.problems
-    outputs, samples, passes = Outputs(su.ops), [], 0
-    t0 = now = time.perf_counter()
-    while True:
-        p0 = now
-        for i in range(len(su.ops)):
-            # Set-ups are spread evenly over the run, so a burst of load on
-            # the host skews few of them.
-            if len(setups) < SETUPS and now - t0 >= len(setups) * seconds / SETUPS:
-                su = fresh_set_up()
-            j = cal.tick()
-            rc, ns, out = call(su.shell, su.ops[i].argv)
-            samples.append((i, rc, ns, j))
-            outputs.record(i, rc, out)
-            now = time.perf_counter()
-        passes += 1
-        # Whole passes keep the operation mix fixed; stop at the pass
-        # boundary nearest to the requested duration.
-        if len(samples) >= min_ops and now - t0 + (now - p0) / 2 >= seconds:
-            break
-    wall = now - t0
+    passes = pass_count(workload, len(su.ops), seconds)
+    total = passes * len(su.ops)
+    # Set-ups are spread evenly over the run, so a burst of load on the
+    # host skews few of them.
+    fresh_at = {k * total // SETUPS for k in range(1, SETUPS)}
+    outputs, samples = Outputs(su.ops), []
+    t0 = time.perf_counter()
+    for k in range(total):
+        if k in fresh_at:
+            su = fresh_set_up()
+        i = k % len(su.ops)
+        j = cal.tick()
+        rc, ns, out = call(su.shell, su.ops[i].argv)
+        samples.append((i, rc, ns, j))
+        outputs.record(i, rc, out)
+    wall = time.perf_counter() - t0
     while len(setups) < SETUPS:
         fresh_set_up()
     failed = tally(outputs, samples, problems)
@@ -245,8 +255,8 @@ def traced(workload, seed, directory, seconds, problems):
     self_check(shell, warm, problems)
     plain, traced_out, samples = Outputs(ops), Outputs(ops), []
     plain_ms, traced_ms, tracers = [], [], []
-    t0 = time.perf_counter()
-    while not tracers or time.perf_counter() - t0 < seconds:
+    # Half as many untraced and traced pairs as an untraced run has passes.
+    for _ in range(-(-pass_count(workload, len(ops), seconds) // 2)):
         plain_ms.append(run_pass(shell, ops, plain, samples) / 1e6)
         tr = Tracer()
         tr.install()

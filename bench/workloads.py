@@ -134,8 +134,8 @@ def _walk_cone(rng: random.Random, octant: bool) -> tuple[tuple[Triple, ...], st
 
 
 def roof_norms(rng: random.Random, files: Inputs) -> list[Op]:
-    clusters = [pit_cluster(rng, 1 + i % 4) for i in range(36)]
-    groups = [rng.sample(range(len(clusters)), 2 + i % 2) for i in range(48)]
+    clusters = [pit_cluster(rng, 1 + i % 4) for i in range(72)]
+    groups = [rng.sample(range(len(clusters)), 2 + i % 2) for i in range(96)]
     sums = [tuple(sorted({g for j in grp for g in clusters[j]})) for grp in groups]
     ops = [_norm(files, c) for c in clusters + sums]
     ops += [_traj_all(files, c) for c in clusters[::2] + sums[::2]]
@@ -144,12 +144,15 @@ def roof_norms(rng: random.Random, files: Inputs) -> list[Op]:
 
 
 def wide_roofs(rng: random.Random, files: Inputs) -> list[Op]:
+    # Dense size grids: an operation's cost grows with the square of its
+    # size, so on a coarse grid a shift of the median or tail by one rank
+    # moves it by a quarter; here by a few percent.
     ops = []
-    for d in grid(rng, 20, 80, 7, 1):
+    for d in grid(rng, 20, 80, 26, 1):
         p0 = rand_point(rng, 2)
         p1 = (p0[0] + d, p0[1] - d, p0[2] + rng.randint(-2, 2))
         ops.append(_norm(files, (p0, p1)))
-    for k in grid(rng, 20, 60, 6, 1):
+    for k in grid(rng, 20, 60, 22, 1):
         ops.append(_classify(files, rand_point(rng, 2), rand_point(rng, 2), k))
     return ops
 
@@ -157,14 +160,14 @@ def wide_roofs(rng: random.Random, files: Inputs) -> list[Op]:
 def long_walks(rng: random.Random, files: Inputs) -> list[Op]:
     ops = []
     # All but the shortest walk run on octants, whose one-chart cost depends
-    # only on the length; the tail percentile falls on the fourth longest.
+    # only on the length; the four longest lie above the tail percentile.
     for i, steps in enumerate(grid(rng, 300, 1000, 6, 10)):
         ops.append(_traj_start(files, *_walk_cone(rng, octant=i > 0), steps))
     for i in range(5):
         ops.append(_encode(files, *_walk_cone(rng, octant=i % 2 == 0), 3000))
-    # Closely spaced code lengths keep the median inside the decodes, where
-    # a shift by one rank moves it by a few percent.
-    for n in grid(rng, 1000, 3000, 17, 20):
+    # Many closely spaced code lengths keep the median and the tail inside
+    # the decodes, where a shift by one rank moves them by a few percent.
+    for n in grid(rng, 1000, 3000, 51, 20):
         code = "D" + "".join(rng.choice("UD") for _ in range(n - 1))
         ops.append(_decode(code, tile_text(rand_point(rng, 2), 1, 2)))
     return ops
