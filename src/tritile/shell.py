@@ -48,6 +48,8 @@ class _Parser(argparse.ArgumentParser):
 def _load_peaks(path: str) -> tuple[list[QPoint], str]:
     with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise ValueError("peaks file must hold a JSON object")
     peaks = doc.get("peaks")
     kind = doc.get("kind", "roof")
     if kind not in ("cone", "roof"):
@@ -56,7 +58,12 @@ def _load_peaks(path: str) -> tuple[list[QPoint], str]:
         raise ValueError("peaks must be a non-empty list of integer triples")
     points = []
     for p in peaks:
-        if not (isinstance(p, list) and len(p) == 3 and all(isinstance(c, int) for c in p)):
+        # bool is a subclass of int, but true/false are not coordinates
+        if not (
+            isinstance(p, list)
+            and len(p) == 3
+            and all(isinstance(c, int) and not isinstance(c, bool) for c in p)
+        ):
             raise ValueError(f"bad peak {p!r}")
         points.append(QPoint(*p))
     return points, kind
@@ -82,6 +89,16 @@ def _parse_window(text: str) -> Window:
     if u_min > u_max or v_min > v_max:
         raise ValueError(f"empty window {text!r}")
     return Window(u_min, u_max, v_min, v_max)
+
+
+def _max_steps(text: str) -> int:
+    try:
+        steps = int(text)
+        if steps >= 0:
+            return steps
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
 
 
 def _emit(doc: dict) -> None:
@@ -235,13 +252,13 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--peaks", required=True)
     sp.add_argument("--all", action="store_true", help="all closed trajectories of the roof")
     sp.add_argument("--start", help="start tile, e.g. 1,1,0:31")
-    sp.add_argument("--max-steps", type=int, default=1000)
+    sp.add_argument("--max-steps", type=_max_steps, default=1000)
     sp.add_argument("--start-sign", choices=("U", "D"), default="D")
 
     sp = add("encode", _cmd_encode, "U/D code of a traced trajectory")
     sp.add_argument("--peaks", required=True)
     sp.add_argument("--start", required=True)
-    sp.add_argument("--max-steps", type=int, default=1000)
+    sp.add_argument("--max-steps", type=_max_steps, default=1000)
     sp.add_argument("--start-sign", choices=("U", "D"), default="D")
 
     sp = add("decode", _cmd_decode, "tile sequence of a U/D code")

@@ -8,10 +8,19 @@ monotone along the componentwise order.
 ``classify`` splits the surface tiles over a window against a standard
 region: fully inside (In), interior-disjoint (Out), or properly cut
 (Bd).  Touching along edges or vertices does not count as overlap.  The
-test is exact: a tile is a triangle whose plane is never parallel to an
-octant face, so "inside" and "interior-disjoint" reduce to comparing
-rational areas of the tile clipped against axis-aligned cells, computed
-with ``fractions.Fraction`` on doubled l-coordinates.
+test is exact and integer-only.  In doubled l-coordinates, indexed in
+the tile's own order (d1, d2, d3), a slant tile is the triangle (0,0,0),
+(-1,1,1), (0,0,2) relative to its base, in the plane where
+x_d1 + x_d2 is constant.  Every octant face of the region meets that
+plane in an integer grid line, and the grid line one unit above the
+base in x_d3 cuts the tile into two half unit squares.  Each half
+square lies in one open unit grid box, and such a box is either wholly
+inside the octant union or disjoint from it.  So one probe per box
+decides the tile: at quadrupled scale the box centres are
+``2*base + (-1, +1, +1)`` and ``2*base + (-1, +1, +3)`` in (d1, d2, d3)
+order, a probe ``p`` is inside when some generator ``g`` has
+``2*g <= p`` componentwise, and the tile is In, Bd or Out when two, one
+or none of its probes are inside.
 
 Regions are unbounded, so every enumeration runs over a plane window.
 Operations that conceptually need "all" inside-tiles grow the window
@@ -22,13 +31,11 @@ is reached first.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from itertools import product
 from typing import Iterator, NamedTuple, Sequence
 
 from .cones import ConjUpSet, StdUpSet, conj_height, is_roof, std_roof_generators
 from .errors import SectionError, WindowOverflowError
-from .lattice import QPoint, componentwise_le, inverse_embed, project, q_shift
+from .lattice import QPoint, inverse_embed, project, q_shift
 from .tiles import FlatTile, Gradient, SlantTile, flatten, gradient, sigma, vertices
 
 
@@ -95,87 +102,23 @@ def vector_field_at(w: ConjUpSet, t: FlatTile) -> Gradient:
 
 # -- exact tile-vs-standard-region test -------------------------------------
 
-_DBL_UNIT = {1: (-1, 1, 1), 2: (1, -1, 1), 3: (1, 1, -1)}
-
-
-def _cross(a, b):
-    return (
-        a[1] * b[2] - a[2] * b[1],
-        a[2] * b[0] - a[0] * b[2],
-        a[0] * b[1] - a[1] * b[0],
-    )
-
-
-def _poly_measure(poly: Sequence[tuple], normal: tuple[int, int, int]) -> Fraction:
-    # Signed area scale of a planar polygon with the given normal; the
-    # common scale factor cancels because only ratios to the full tile
-    # and to zero are ever compared.
-    total = Fraction(0)
-    n = len(poly)
-    for i in range(n):
-        cx, cy, cz = _cross(poly[i], poly[(i + 1) % n])
-        total += cx * normal[0] + cy * normal[1] + cz * normal[2]
-    return total
-
-
-def _clip_halfspace(poly, axis, bound, keep_ge):
-    if not poly:
-        return poly
-    out = []
-    n = len(poly)
-    for i in range(n):
-        p, q = poly[i], poly[(i + 1) % n]
-        p_in = (p[axis] >= bound) if keep_ge else (p[axis] <= bound)
-        q_in = (q[axis] >= bound) if keep_ge else (q[axis] <= bound)
-        if p_in:
-            out.append(p)
-        if p_in != q_in:
-            lam = (bound - p[axis]) / (q[axis] - p[axis])
-            out.append(tuple(p[k] + lam * (q[k] - p[k]) for k in range(3)))
-    return out
+# Probe offsets at quadrupled l-scale, in (d1, d2, d3) order: the centres
+# of the grid boxes holding the lower and the upper half of a tile.
+_PROBES = ((-1, 1, 1), (-1, 1, 3))
 
 
 def _classify_tile(s: SlantTile, dgens: Sequence[tuple]) -> str:
     """Classify one tile against the union of l-space octants ``dgens``."""
-    if not dgens:
-        return "out"
-    verts = [inverse_embed(v) for v in vertices(s)]
-    if any(all(componentwise_le(g, v) for v in verts) for g in dgens):
-        return "in"  # all three vertices in one octant
-    lo = tuple(min(v[i] for v in verts) for i in range(3))
-    hi = tuple(max(v[i] for v in verts) for i in range(3))
-    touching = [g for g in dgens if componentwise_le(g, hi)]
-    if not touching:
-        return "out"
-
-    bounds = []
-    for i in range(3):
-        cuts = sorted({g[i] for g in touching if lo[i] < g[i] < hi[i]})
-        bounds.append([lo[i], *cuts, hi[i]])
-    normal = _cross(_DBL_UNIT[s.d1], _DBL_UNIT[s.d2])
-    tri = [tuple(Fraction(c) for c in v) for v in verts]
-    covered = Fraction(0)
-    for (x0, x1), (y0, y1), (z0, z1) in product(
-        zip(bounds[0], bounds[0][1:]),
-        zip(bounds[1], bounds[1][1:]),
-        zip(bounds[2], bounds[2][1:]),
-    ):
-        cell_min = (x0, y0, z0)
-        if not any(componentwise_le(g, cell_min) for g in touching):
-            continue
-        piece = tri
-        for axis, (lo_b, hi_b) in enumerate(((x0, x1), (y0, y1), (z0, z1))):
-            piece = _clip_halfspace(piece, axis, lo_b, True)
-            piece = _clip_halfspace(piece, axis, hi_b, False)
-        if piece:
-            covered += _poly_measure(piece, normal)
-
-    full = _poly_measure(tri, normal)
-    if covered == full:
-        return "in"
-    if covered == 0:
-        return "out"
-    return "bd"
+    b = inverse_embed(s.base)
+    axes = (s.d1 - 1, s.d2 - 1, s.d3 - 1)
+    inside = 0
+    for off in _PROBES:
+        p = [0, 0, 0]
+        for axis, o in zip(axes, off):
+            p[axis] = 2 * b[axis] + o
+        if any(2 * g[0] <= p[0] and 2 * g[1] <= p[1] and 2 * g[2] <= p[2] for g in dgens):
+            inside += 1
+    return ("out", "bd", "in")[inside]
 
 
 def classify(w1: ConjUpSet, w2: StdUpSet, window: Window) -> Classification:

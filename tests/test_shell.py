@@ -166,3 +166,30 @@ def test_usage_errors(capsys, tmp_path, hex_peaks):
     assert run(capsys, "norm", "--peaks", str(bad))[0] == 1
     bad.write_text('{"peaks": [[1,1,0]], "kind": "pyramid"}')
     assert run(capsys, "norm", "--peaks", str(bad))[0] == 1
+
+
+def test_boolean_coordinates_are_rejected(capsys, tmp_path):
+    bad = tmp_path / "bool.json"
+    bad.write_text('{"peaks": [[true, 0, 0]]}')
+    code = main(["roof", "add", str(bad)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert "bad peak" in captured.err
+
+
+def test_peaks_file_must_be_an_object(capsys, tmp_path):
+    bad = tmp_path / "list.json"
+    bad.write_text("[[0, 0, 0]]")
+    code = main(["norm", "--peaks", str(bad)])
+    assert code == 1
+    assert "JSON object" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["trajectories", "encode"])
+def test_negative_max_steps_is_rejected(capsys, octant_peaks, command):
+    code = main([command, "--peaks", octant_peaks, "--start", "1,0,0:12", "--max-steps", "-1"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert "--max-steps" in captured.err

@@ -26,7 +26,7 @@ from tritile import (
     surface_tiles,
     vector_field_at,
 )
-from tritile.cones import StdUpSet, conj_roof_generators
+from tritile.cones import StdUpSet, conj_roof_generators, std_roof_generators
 from tritile.surface import _classify_tile, flat_tiles_in, in_tiles_expanded, seed_window
 from tritile.tiles import tile
 
@@ -106,12 +106,26 @@ def test_consistency_examples(hexcone):
     assert is_consistent(hexcone, StdUpSet(), Window(-3, 3, -3, 3))  # all Out
 
 
+def _mixed_parity(dgens) -> bool:
+    return any(len({c % 2 for c in g}) > 1 for g in dgens)
+
+
 def test_classification_against_dense_sampling():
+    # Std regions of three kinds: octants over q-points, roof closures of
+    # q-points, and raw doubled triples of mixed parity (half-integer
+    # l-corners).  Every verdict is judged by rational samples alone.
     rng = random.Random(12)
-    checked = {"in": 0, "out": 0, "bd": 0}
+    regions = []
     for _ in range(12):
+        regions.append(StdUpSet.from_qpoints(rand_antichain(rng, 2, rng.randint(1, 3))))
+        regions.append(std_roof_generators(rand_antichain(rng, 2, rng.randint(2, 4))))
+        regions.append(
+            StdUpSet(tuple(tuple(rng.randrange(-4, 5) for _ in range(3)) for _ in range(rng.randint(1, 3))))
+        )
+    checked = {"in": 0, "out": 0, "bd": 0}
+    mixed = {"in": 0, "out": 0, "bd": 0}
+    for w2 in regions:
         w1 = ConjUpSet(rand_antichain(rng, 2, rng.randint(1, 4)))
-        w2 = StdUpSet.from_qpoints(rand_antichain(rng, 2, rng.randint(1, 3)))
         for t in flat_tiles_in(seed_window(list(w1.generators), 2)):
             s = section_at(w1, t)
             verdict = _classify_tile(s, w2.dgens)
@@ -120,8 +134,14 @@ def test_classification_against_dense_sampling():
                 assert all(sample_in_closed(w2.dgens, p) for p in samples)
             elif verdict == "out":
                 assert not any(sample_in_open(w2.dgens, p) for p in samples)
+            else:
+                assert any(sample_in_open(w2.dgens, p) for p in samples)
+                assert not all(sample_in_closed(w2.dgens, p) for p in samples)
             checked[verdict] += 1
+            if _mixed_parity(w2.dgens):
+                mixed[verdict] += 1
     assert min(checked.values()) > 0, f"oracle never exercised some bucket: {checked}"
+    assert min(mixed.values()) > 0, f"mixed-parity regions missed some bucket: {mixed}"
 
 
 def test_norm_of_single_peaks_is_empty():
