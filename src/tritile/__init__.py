@@ -34,7 +34,6 @@ from .errors import (
     LemmaViolationError,
     NormPartitionError,
     NotOnSurfaceError,
-    SectionError,
     WindowOverflowError,
 )
 from .lattice import (

@@ -79,10 +79,17 @@ def trace(
 ) -> Trajectory:
     """Walk from ``start`` until the starting state recurs or the budget ends.
 
+    ``max_steps`` is a tile budget: an open walk stops holding exactly
+    ``max_steps`` tiles, the start included, and a closed one is
+    returned whole only if it has at most that many.  It must be at
+    least 1.
+
     Closure is detected on the full (tile, exit port) state; the walk is
     reversible, so the first revisited state is necessarily the initial
     one and all tiles of a closed trajectory are distinct.
     """
+    if max_steps < 1:
+        raise ValueError(f"max_steps is a tile budget and must be at least 1, got {max_steps}")
     if not on_surface(w, start):
         raise NotOnSurfaceError(f"{start.text()} is not on the surface")
     tiles = [start]

@@ -19,10 +19,6 @@ class NotOnSurfaceError(GeometryError):
     """A tile handed to a surface walk does not lie on the surface."""
 
 
-class SectionError(GeometryError):
-    """No unique surface tile above a flat tile (zero or several survive)."""
-
-
 class DeadEndError(GeometryError):
     """Neither candidate across a port lies on the surface."""
 

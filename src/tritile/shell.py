@@ -94,11 +94,11 @@ def _parse_window(text: str) -> Window:
 def _max_steps(text: str) -> int:
     try:
         steps = int(text)
-        if steps >= 0:
+        if steps >= 1:
             return steps
     except ValueError:
         pass
-    raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
 
 
 def _emit(doc: dict) -> None:
@@ -252,13 +252,17 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--peaks", required=True)
     sp.add_argument("--all", action="store_true", help="all closed trajectories of the roof")
     sp.add_argument("--start", help="start tile, e.g. 1,1,0:31")
-    sp.add_argument("--max-steps", type=_max_steps, default=1000)
+    sp.add_argument(
+        "--max-steps", type=_max_steps, default=1000, help="tile budget of the walk (default 1000)"
+    )
     sp.add_argument("--start-sign", choices=("U", "D"), default="D")
 
     sp = add("encode", _cmd_encode, "U/D code of a traced trajectory")
     sp.add_argument("--peaks", required=True)
     sp.add_argument("--start", required=True)
-    sp.add_argument("--max-steps", type=_max_steps, default=1000)
+    sp.add_argument(
+        "--max-steps", type=_max_steps, default=1000, help="tile budget of the walk (default 1000)"
+    )
     sp.add_argument("--start-sign", choices=("U", "D"), default="D")
 
     sp = add("decode", _cmd_decode, "tile sequence of a U/D code")

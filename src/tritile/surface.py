@@ -3,7 +3,11 @@
 The boundary surface of a non-empty conjugate up-set carries exactly one
 slant tile over every flat tile (the *section*); a tile is on the
 surface iff both its extreme vertices have height zero, heights being
-monotone along the componentwise order.
+monotone along the componentwise order.  ``section_at`` finds it from
+the heights of the three vertices of the canonical flat tile: a height
+rises by 0 or 1 per unit step and by exactly 1 per diagonal step
+(1,1,1), so those three give the base and top heights of all three
+shift phases, and with them the one phase that lies on the surface.
 
 ``classify`` splits the surface tiles over a window against a standard
 region: fully inside (In), interior-disjoint (Out), or properly cut
@@ -20,7 +24,12 @@ decides the tile: at quadrupled scale the box centres are
 ``2*base + (-1, +1, +1)`` and ``2*base + (-1, +1, +3)`` in (d1, d2, d3)
 order, a probe ``p`` is inside when some generator ``g`` has
 ``2*g <= p`` componentwise, and the tile is In, Bd or Out when two, one
-or none of its probes are inside.
+or none of its probes are inside.  The probe coordinates are odd and
+``2*g`` is even, so each comparison is an integer one on ``g`` and the
+doubled base ``b``: ``g[d1] < b[d1]``, ``g[d2] <= b[d2]``, and
+``g[d3] <= b[d3]`` for the lower probe or ``<= b[d3]+1`` for the upper.
+One pass over the generators takes the least ``g[d3]`` among those
+meeting the first two conditions, and that one number decides.
 
 Regions are unbounded, so every enumeration runs over a plane window.
 Operations that conceptually need "all" inside-tiles grow the window
@@ -34,9 +43,9 @@ from dataclasses import dataclass
 from typing import Iterator, NamedTuple, Sequence
 
 from .cones import ConjUpSet, StdUpSet, conj_height, is_roof, std_roof_generators
-from .errors import SectionError, WindowOverflowError
+from .errors import WindowOverflowError
 from .lattice import QPoint, inverse_embed, project, q_shift
-from .tiles import FlatTile, Gradient, SlantTile, flatten, gradient, sigma, vertices
+from .tiles import FlatTile, Gradient, SlantTile, flatten, gradient, vertices
 
 
 class Window(NamedTuple):
@@ -78,21 +87,28 @@ def on_surface(w: ConjUpSet, s: SlantTile) -> bool:
 def section_at(w: ConjUpSet, t: FlatTile) -> SlantTile:
     """The unique surface tile of ``w`` over the flat tile ``t``.
 
-    Each of the three shift phases of ``t`` is slid along the diagonal
-    to put its base on the surface (heights are translation-linear);
-    exactly one phase then has its top on the surface as well.
+    With ``t = b[1 d2]`` canonical, its three shift phases are
+    ``b[1 d2]``, ``(b+e1)[d2 d3]`` and ``(b+e1+e_d2)[d3 1]``.  A phase
+    slid along the diagonal onto the surface lies on it iff its top and
+    its base have equal height.  Adding (1,1,1) adds 1 to the height, so
+    all six heights follow from the heights A, B, C of the vertices
+    ``b``, ``b+e1``, ``b+e1+e_d2`` of ``t``: the phases qualify when
+    C == A, B == A+1 and C == B+1 respectively.  A unit step raises the
+    height by 0 or 1, and a step of e1+e_d2 by at most 1 (it stays below
+    (1,1,1)), so A <= B <= C <= A+1 and exactly one phase qualifies:
+    B == A+1 gives ``(b+e1-B)[d2 d3]``, B == A < C gives
+    ``(b+e1+e_d2-C)[d3 1]`` and C == A gives ``(b-A)[1 d2]``.  C is
+    read only when B == A, so a section costs two or three heights.
     """
     t = flatten(t)
-    phases = (t, sigma(t), sigma(sigma(t)))
-    hits = []
-    for p in phases:
-        lifted = SlantTile(q_shift(p.base, -conj_height(w, p.base)), p.d1, p.d2)
-        if conj_height(w, vertices(lifted)[2]) == 0:
-            hits.append(lifted)
-    if len(hits) != 1:
-        kind = "no" if not hits else "ambiguous"
-        raise SectionError(f"{kind} section over {t.text()}")
-    return hits[0]
+    base, mid, top = vertices(t)
+    ha, hb = conj_height(w, base), conj_height(w, mid)
+    if hb > ha:
+        return SlantTile(q_shift(mid, -hb), t.d2, t.d3)
+    hc = conj_height(w, top)
+    if hc > ha:
+        return SlantTile(q_shift(top, -hc), t.d3, t.d1)
+    return SlantTile(q_shift(base, -ha), t.d1, t.d2)
 
 
 def vector_field_at(w: ConjUpSet, t: FlatTile) -> Gradient:
@@ -102,23 +118,25 @@ def vector_field_at(w: ConjUpSet, t: FlatTile) -> Gradient:
 
 # -- exact tile-vs-standard-region test -------------------------------------
 
-# Probe offsets at quadrupled l-scale, in (d1, d2, d3) order: the centres
-# of the grid boxes holding the lower and the upper half of a tile.
-_PROBES = ((-1, 1, 1), (-1, 1, 3))
-
-
 def _classify_tile(s: SlantTile, dgens: Sequence[tuple]) -> str:
-    """Classify one tile against the union of l-space octants ``dgens``."""
+    """Classify one tile against the union of l-space octants ``dgens``.
+
+    The two-probe rule of the module docstring in one pass: ``low`` is
+    the least ``g[d3]`` over generators that pass the ``d1`` and ``d2``
+    tests, capped at ``b[d3]+2``, and both, one or neither probe is
+    inside as ``low`` is at most ``b[d3]``, equal to ``b[d3]+1``, or
+    the cap.
+    """
     b = inverse_embed(s.base)
-    axes = (s.d1 - 1, s.d2 - 1, s.d3 - 1)
-    inside = 0
-    for off in _PROBES:
-        p = [0, 0, 0]
-        for axis, o in zip(axes, off):
-            p[axis] = 2 * b[axis] + o
-        if any(2 * g[0] <= p[0] and 2 * g[1] <= p[1] and 2 * g[2] <= p[2] for g in dgens):
-            inside += 1
-    return ("out", "bd", "in")[inside]
+    i, j, k = s.d1 - 1, s.d2 - 1, s.d3 - 1
+    bi, bj, bk = b[i], b[j], b[k]
+    low = bk + 2
+    for g in dgens:
+        if g[i] < bi and g[j] <= bj and g[k] < low:
+            low = g[k]
+    if low <= bk:
+        return "in"
+    return "bd" if low == bk + 1 else "out"
 
 
 def classify(w1: ConjUpSet, w2: StdUpSet, window: Window) -> Classification:

@@ -2,9 +2,10 @@
 
 The oracles here deliberately avoid the library's algorithms: roof
 membership is evaluated straight from its defining condition (every axis
-ray eventually enters the cone), and region containment of a tile is
-probed by dense rational sampling of the triangle.  Tests compare the
-implementation against these, never against itself.
+ray eventually enters the cone), region containment of a tile is probed
+by dense rational sampling of the triangle, and heights and sections are
+found by scanning the diagonal for cone and boundary points.  Tests
+compare the implementation against these, never against itself.
 """
 
 from __future__ import annotations
@@ -104,3 +105,58 @@ def sample_in_closed(dgens, p) -> bool:
 
 def sample_in_open(dgens, p) -> bool:
     return any(all(p[t] > g[t] for t in range(3)) for g in dgens)
+
+
+_E = {1: QPoint(1, 0, 0), 2: QPoint(0, 1, 0), 3: QPoint(0, 0, 1)}
+
+
+def _plus(p, axis: int) -> QPoint:
+    e = _E[axis]
+    return QPoint(p[0] + e[0], p[1] + e[1], p[2] + e[2])
+
+
+def _diag(q, k: int) -> QPoint:
+    return QPoint(q[0] + k, q[1] + k, q[2] + k)
+
+
+def _span(gens, q) -> int:
+    """How far along the diagonal the boundary can lie from ``q``, or from
+    any point within one unit of ``q`` in each coordinate."""
+    return max(abs(q[t] - g[t]) for g in gens for t in range(3)) + 2
+
+
+def brute_in_cone(gens, q) -> bool:
+    return any(all(q[t] >= g[t] for t in range(3)) for g in gens)
+
+
+def brute_boundary(gens, q) -> bool:
+    """In the cone while the point one diagonal step below is not."""
+    return brute_in_cone(gens, q) and not brute_in_cone(gens, _diag(q, -1))
+
+
+def brute_height(gens, q) -> int:
+    """Largest k with q - k*(1,1,1) in the cone, found by scanning k."""
+    span = _span(gens, q)
+    return max(k for k in range(-span, span + 1) if brute_in_cone(gens, _diag(q, -k)))
+
+
+def brute_section(gens, t: SlantTile) -> list[SlantTile]:
+    """Every slant tile over the canonical flat tile ``t`` (base height
+    zero, first direction 1) whose three vertices are boundary points.
+
+    Each of the three shift phases ``b[1 d2]``, ``(b+e1)[d2 d3]`` and
+    ``(b+e1+e_d2)[d3 1]`` is slid over every diagonal offset within the
+    span of the generators; a staircase keeps exactly one survivor.
+    """
+    b, d2 = t.base, t.d2
+    d3 = 5 - d2
+    phases = ((b, 1, d2), (_plus(b, 1), d2, d3), (_plus(_plus(b, 1), d2), d3, 1))
+    span = _span(gens, b)
+    out = []
+    for base, a1, a2 in phases:
+        for k in range(-span, span + 1):
+            v0 = _diag(base, k)
+            v1 = _plus(v0, a1)
+            if all(brute_boundary(gens, v) for v in (v0, v1, _plus(v1, a2))):
+                out.append(SlantTile(v0, a1, a2))
+    return out

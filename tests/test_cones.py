@@ -4,7 +4,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import HEX_GENS, brute_conj_roof_member, brute_std_roof_member, rand_antichain
+from conftest import (
+    HEX_GENS,
+    brute_conj_roof_member,
+    brute_height,
+    brute_std_roof_member,
+    rand_antichain,
+)
 from tritile import (
     ConjUpSet,
     EmptyRegionError,
@@ -59,6 +65,21 @@ def test_height_translation_identity(q, k):
     w = ConjUpSet(HEX_GENS)
     shifted = QPoint(q[0] + k, q[1] + k, q[2] + k)
     assert conj_height(w, shifted) == conj_height(w, q) + k
+
+
+@given(point_sets, qpoints)
+def test_height_unit_step_lemma(points, q):
+    # The lemma behind the three-height section: a unit step raises the
+    # height by 0 or 1, a step along two axes by at most 1.
+    gens = tuple(points)
+    h = brute_height(gens, q)
+    assert conj_height(ConjUpSet(gens), q) == h
+    units = [QPoint(1, 0, 0), QPoint(0, 1, 0), QPoint(0, 0, 1)]
+    for i, ei in enumerate(units):
+        assert 0 <= brute_height(gens, QPoint(*(a + b for a, b in zip(q, ei)))) - h <= 1
+        for ej in units[i + 1 :]:
+            two = QPoint(*(a + b + c for a, b, c in zip(q, ei, ej)))
+            assert brute_height(gens, two) - h <= 1
 
 
 @given(point_sets, qpoints)

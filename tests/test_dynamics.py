@@ -80,6 +80,15 @@ def test_trace_straight_strip_truncates():
     assert_valid_trajectory(traj)
 
 
+def test_trace_max_steps_is_a_tile_budget(hexcone):
+    assert trace(OCTANT, tile(1, 0, 0, 1, 2), max_steps=1).tiles == (tile(1, 0, 0, 1, 2),)
+    assert not trace(hexcone, tile(1, 1, 0, 3, 1), max_steps=5).closed
+    assert trace(hexcone, tile(1, 1, 0, 3, 1), max_steps=6).closed
+    for bad in (0, -1):
+        with pytest.raises(ValueError, match="tile budget"):
+            trace(OCTANT, tile(1, 0, 0, 1, 2), max_steps=bad)
+
+
 def test_trace_rejects_bad_start(hexcone):
     with pytest.raises(NotOnSurfaceError):
         trace(hexcone, tile(0, 0, 0, 1, 2))

@@ -193,3 +193,19 @@ def test_negative_max_steps_is_rejected(capsys, octant_peaks, command):
     assert code == 1
     assert captured.out == ""
     assert "--max-steps" in captured.err
+
+
+@pytest.mark.parametrize("command", ["trajectories", "encode"])
+def test_zero_max_steps_is_rejected(capsys, octant_peaks, command):
+    code = main([command, "--peaks", octant_peaks, "--start", "1,0,0:12", "--max-steps", "0"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert "expected a positive integer" in captured.err
+
+
+def test_max_steps_is_a_tile_budget(capsys, octant_peaks):
+    code, out = run(capsys, "encode", "--peaks", octant_peaks, "--start", "1,0,0:12", "--max-steps", "1")
+    assert (code, out) == (3, "D\n")
+    code, out = run(capsys, "encode", "--peaks", octant_peaks, "--start", "1,0,0:12", "--max-steps", "2")
+    assert (code, out) == (3, "DD\n")

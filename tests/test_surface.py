@@ -4,6 +4,7 @@ import pytest
 
 from conftest import (
     HEX_WALK,
+    brute_section,
     rand_antichain,
     sample_in_closed,
     sample_in_open,
@@ -26,6 +27,7 @@ from tritile import (
     surface_tiles,
     vector_field_at,
 )
+from tritile import surface
 from tritile.cones import StdUpSet, conj_roof_generators, std_roof_generators
 from tritile.surface import _classify_tile, flat_tiles_in, in_tiles_expanded, seed_window
 from tritile.tiles import tile
@@ -48,14 +50,58 @@ def test_section_examples(hexcone):
 
 
 def test_section_is_total_and_unique_on_random_cones():
+    # Judged by the boundary-point oracle: exactly one slant tile over each
+    # flat tile has all three vertices on the boundary, and it is the section.
     rng = random.Random(11)
-    for _ in range(25):
-        w = ConjUpSet(rand_antichain(rng, 3, rng.randint(1, 5)))
-        window = seed_window(list(w.generators), 3)
-        for t in flat_tiles_in(window):
+    regions = []
+    for _ in range(12):
+        regions.append(ConjUpSet(rand_antichain(rng, 3, rng.randint(1, 5))))
+        regions.append(conj_roof_generators(rand_antichain(rng, 3, rng.randint(2, 5))))
+    for d in (19, 20, 21):
+        regions.append(conj_roof_generators([QPoint(0, 0, 0), QPoint(d, -d, rng.randint(-1, 1))]))
+    for w in regions:
+        flats = list(flat_tiles_in(seed_window(list(w.generators), 3)))
+        for t in rng.sample(flats, min(len(flats), 150)):
             s = section_at(w, t)
+            assert brute_section(w.generators, t) == [s]
             assert on_surface(w, s)
             assert flatten(s) == t
+
+
+def test_section_and_classify_work_counts(monkeypatch, hexcone):
+    # Work counts, not timings: a section reads the heights of the flat
+    # tile's vertices (the third only when the second has not decided),
+    # and a classified window takes one section per flat tile.
+    calls = {"height": 0, "section": 0}
+    real_height, real_section = surface.conj_height, surface.section_at
+
+    def counted_height(w, q):
+        calls["height"] += 1
+        return real_height(w, q)
+
+    def counted_section(w, t):
+        calls["section"] += 1
+        return real_section(w, t)
+
+    monkeypatch.setattr(surface, "conj_height", counted_height)
+    monkeypatch.setattr(surface, "section_at", counted_section)
+    wide = conj_roof_generators([QPoint(0, 0, 0), QPoint(6, -6, 1)])
+    for w in (hexcone, wide):
+        window = seed_window(list(w.generators), 3)
+        flats = list(flat_tiles_in(window))
+        heights = 0
+        for t in flats:
+            before = calls["height"]
+            s = real_section(w, t)
+            # two heights when the section is the (b+e1) phase, else three
+            assert calls["height"] - before == (2 if s.d1 == t.d2 else 3)
+            heights += calls["height"] - before
+        assert 2 * len(flats) < heights < 3 * len(flats)
+        assert calls["section"] == 0
+        calls["height"] = 0
+        surface.classify(w, STD_ORIGIN, window)
+        assert calls == {"height": heights, "section": len(flats)}
+        calls.update(height=0, section=0)
 
 
 def test_vector_field_examples(hexcone):
