@@ -29,15 +29,23 @@ Triple = tuple[int, int, int]
 
 
 def _minimal_triples(triples: Iterable[Triple]) -> tuple[Triple, ...]:
-    """Minimal elements of a finite triple set under componentwise order."""
-    pts = sorted(set(triples))
+    """Minimal elements of a finite triple set under componentwise order.
+
+    In lexicographic order no point is followed by one below it, so one
+    ascending pass keeps a point unless a kept one is below it, and the
+    kept list comes out sorted.  A kept point is lexicographically
+    smaller, so its first coordinate is already no larger: only the
+    other two are compared.
+    """
     keep: list[Triple] = []
-    for p in pts:
-        if any(componentwise_le(k, p) for k in keep):
-            continue
-        keep = [k for k in keep if not componentwise_le(p, k)]
-        keep.append(p)
-    return tuple(sorted(keep))
+    for p in sorted(set(triples)):
+        _, y, z = p
+        for _, b, c in keep:
+            if b <= y and c <= z:
+                break
+        else:
+            keep.append(p)
+    return tuple(keep)
 
 
 def minimalize(points: Iterable[QPoint], order: str = "conjugate") -> tuple[QPoint, ...]:
@@ -96,7 +104,7 @@ class ConjUpSet:
 
     def __post_init__(self) -> None:
         gens = _minimal_triples(QPoint(*g) for g in self.generators)
-        object.__setattr__(self, "generators", tuple(QPoint(*g) for g in gens))
+        object.__setattr__(self, "generators", gens)
 
     def __bool__(self) -> bool:
         return bool(self.generators)
@@ -118,7 +126,7 @@ class StdUpSet:
 
     def __post_init__(self) -> None:
         gens = _minimal_triples(LHalf(*g) for g in self.dgens)
-        object.__setattr__(self, "dgens", tuple(LHalf(*g) for g in gens))
+        object.__setattr__(self, "dgens", gens)
 
     @classmethod
     def from_qpoints(cls, points: Iterable[QPoint]) -> "StdUpSet":
@@ -143,10 +151,26 @@ def conj_height(w: ConjUpSet, q: QPoint) -> int:
 
     Non-negative exactly on ``w``; zero exactly on the boundary surface.
     Adding k*(1,1,1) to ``q`` adds k.
+
+    The height is ``max over generators a of min(q - a)``.  It is the
+    innermost kernel of every section and surface test, so it is one
+    plain loop over the unpacked generator triples with ``q`` unpacked
+    once, rather than ``max``/``min`` over a generator expression.
     """
-    if not w.generators:
+    gens = w.generators
+    if not gens:
         raise EmptyRegionError("empty region has no height function")
-    return max(min(q[0] - a[0], q[1] - a[1], q[2] - a[2]) for a in w.generators)
+    x, y, z = q
+    best = None
+    for a, b, c in gens:
+        h = x - a
+        if y - b < h:
+            h = y - b
+        if z - c < h:
+            h = z - c
+        if best is None or h > best:
+            best = h
+    return best
 
 
 def conj_contains(w: ConjUpSet, q: QPoint) -> bool:

@@ -141,13 +141,17 @@ def decode(code: str, start: SlantTile) -> list[SlantTile]:
     return tiles
 
 
-def _chart_cone(tiles: list[SlantTile]) -> ConjUpSet:
-    return ConjUpSet(tuple(t.base for t in tiles))
+def _fits(cone: ConjUpSet, tiles: list[SlantTile]) -> bool:
+    """True iff every tile lies on the surface of ``cone``; stops at the
+    first that does not."""
+    for t in tiles:
+        if not on_surface(cone, t):
+            return False
+    return True
 
 
 def _chart_fits(tiles: list[SlantTile]) -> bool:
-    cone = _chart_cone(tiles)
-    return all(on_surface(cone, t) for t in tiles)
+    return _fits(ConjUpSet(tuple(t.base for t in tiles)), tiles)
 
 
 def chart_cover(tiles: list[SlantTile]) -> list[Chart]:
@@ -158,6 +162,10 @@ def chart_cover(tiles: list[SlantTile]) -> list[Chart]:
     while still covering that tile, so consecutive charts overlap.  Any
     two port-adjacent tiles share a cone, hence the overlap is at least
     one tile.
+
+    The running cone grows by one base per extension: the minimal bases
+    of a segment are the minimal elements of the previous segment's
+    minimal bases plus the new base, so nothing is rebuilt.
     """
     if not tiles:
         return []
@@ -165,12 +173,16 @@ def chart_cover(tiles: list[SlantTile]) -> list[Chart]:
     i = 0
     while True:
         j = i
-        while j + 1 < len(tiles) and _chart_fits(tiles[i : j + 2]):
-            j += 1
-        if not _chart_fits(tiles[i : j + 1]):
+        cone = ConjUpSet((tiles[i].base,))
+        while j + 1 < len(tiles):
+            grown = ConjUpSet(cone.generators + (tiles[j + 1].base,))
+            if not _fits(grown, tiles[i : j + 2]):
+                break
+            cone, j = grown, j + 1
+        if not _fits(cone, tiles[i : j + 1]):
             # j == i here; a lone tile always fits its own base cone.
             raise ChartCoverError(f"tile {tiles[i].text()} fits no cone")
-        charts.append(Chart(_chart_cone(tiles[i : j + 1]), i, j))
+        charts.append(Chart(cone, i, j))
         if j == len(tiles) - 1:
             return charts
         i = next(k for k in range(i + 1, j + 2) if _chart_fits(tiles[k : j + 2]))

@@ -45,9 +45,16 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(f"error: {message}")
 
 
+def _parse_json(text: str):
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise ValueError("JSON document is nested too deeply") from None
+
+
 def _load_peaks(path: str) -> tuple[list[QPoint], str]:
     with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
+        doc = _parse_json(fh.read())
     if not isinstance(doc, dict):
         raise ValueError("peaks file must hold a JSON object")
     peaks = doc.get("peaks")
@@ -196,22 +203,40 @@ def _cmd_classify(args) -> int:
     return EXIT_OK
 
 
-def _doc_tiles(doc: dict) -> list[tuple[SlantTile, str | None]]:
-    """Extract (tile, label) pairs from any emitted document shape."""
-    if "tiles" in doc and isinstance(doc.get("tiles"), list):
-        tiles = [parse_tile(t) for t in doc["tiles"]]
+def _tile_list(doc: dict, key: str) -> list[SlantTile]:
+    texts = doc.get(key, [])
+    if not isinstance(texts, list) or not all(isinstance(t, str) for t in texts):
+        raise ValueError(f"{key!r} must be a list of tile texts")
+    return [parse_tile(t) for t in texts]
+
+
+def _doc_tiles(doc) -> list[tuple[SlantTile, str | None]]:
+    """Extract (tile, label) pairs from any emitted document shape.
+
+    Anything else, including a document of the right kind with a field
+    of the wrong type, is a ``ValueError``.
+    """
+    if not isinstance(doc, dict):
+        raise ValueError("document must be a JSON object")
+    if isinstance(doc.get("tiles"), list):
+        tiles = _tile_list(doc, "tiles")
         code = doc.get("code") or ""
+        if not isinstance(code, str):
+            raise ValueError("'code' must be a string")
         labels = list(code) + [None] * (len(tiles) - len(code))
         return list(zip(tiles, labels))
     if "norm" in doc:
-        pairs = [(parse_tile(t), None) for t in doc["norm"]]
-        for sub in doc.get("trajectories", []):
+        pairs = [(t, None) for t in _tile_list(doc, "norm")]
+        subs = doc.get("trajectories", [])
+        if not isinstance(subs, list):
+            raise ValueError("'trajectories' must be a list of documents")
+        for sub in subs:
             pairs.extend(_doc_tiles(sub))
         return pairs
     if "in" in doc:
-        pairs = [(parse_tile(t), "I") for t in doc["in"]]
-        pairs += [(parse_tile(t), None) for t in doc.get("out", [])]
-        pairs += [(parse_tile(t), "B") for t in doc.get("bd", [])]
+        pairs = [(t, "I") for t in _tile_list(doc, "in")]
+        pairs += [(t, None) for t in _tile_list(doc, "out")]
+        pairs += [(t, "B") for t in _tile_list(doc, "bd")]
         return pairs
     raise ValueError("document has no tiles to draw")
 
@@ -219,9 +244,9 @@ def _doc_tiles(doc: dict) -> list[tuple[SlantTile, str | None]]:
 def _cmd_render(args) -> int:
     if args.input:
         with open(args.input, encoding="utf-8") as fh:
-            doc = json.load(fh)
+            doc = _parse_json(fh.read())
     else:
-        doc = json.loads(sys.stdin.read() or "{}")
+        doc = _parse_json(sys.stdin.read() or "{}")
     if args.format == "json":
         text = json.dumps(doc, sort_keys=True) + "\n"
     else:

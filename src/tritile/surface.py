@@ -35,6 +35,14 @@ Regions are unbounded, so every enumeration runs over a plane window.
 Operations that conceptually need "all" inside-tiles grow the window
 until no inside-tile touches its border, and report overflow if a cap
 is reached first.
+
+``flat_tiles_in`` enumerates flats in canonical order: by ``u``, then
+``v``, then ``[1 2]`` before ``[1 3]``, which is the sort order of the
+flat tiles themselves.  A section flattens back to the flat it was taken
+over, so every tile list built by one pass over the window (the
+``classify`` buckets, ``surface_tiles``, the In set and ``norm``)
+already comes out sorted by flat tile.  Outputs rely on that order and
+are not re-sorted.
 """
 
 from __future__ import annotations
@@ -44,8 +52,8 @@ from typing import Iterator, NamedTuple, Sequence
 
 from .cones import ConjUpSet, StdUpSet, conj_height, is_roof, std_roof_generators
 from .errors import WindowOverflowError
-from .lattice import QPoint, inverse_embed, project, q_shift
-from .tiles import FlatTile, Gradient, SlantTile, flatten, gradient, vertices
+from .lattice import QPoint, project
+from .tiles import FlatTile, Gradient, SlantTile, flatten, gradient
 
 
 class Window(NamedTuple):
@@ -74,14 +82,23 @@ def flat_tiles_in(window: Window) -> Iterator[FlatTile]:
             yield SlantTile(base, 1, 3)
 
 
+# (1,1,1) - e_d3, keyed by d3: the step from a tile's base to its top
+_DIAG_MINUS = {1: (0, 1, 1), 2: (1, 0, 1), 3: (1, 1, 0)}
+
+
 def on_surface(w: ConjUpSet, s: SlantTile) -> bool:
     """True iff the whole tile lies on the boundary surface of ``w``.
 
     Height is monotone, so zero height at the two extreme vertices pins
-    the third vertex (and the whole triangle) to the surface.
+    the third vertex (and the whole triangle) to the surface.  The top
+    vertex ``base + e_d1 + e_d2`` is ``base + (1,1,1) - e_d3``; it is
+    read only when the base has height zero.
     """
-    vs = vertices(s)
-    return conj_height(w, vs[0]) == 0 and conj_height(w, vs[2]) == 0
+    base, d1, d2 = s
+    if conj_height(w, base) != 0:
+        return False
+    a, b, c = _DIAG_MINUS[6 - d1 - d2]
+    return conj_height(w, QPoint(base[0] + a, base[1] + b, base[2] + c)) == 0
 
 
 def section_at(w: ConjUpSet, t: FlatTile) -> SlantTile:
@@ -101,14 +118,19 @@ def section_at(w: ConjUpSet, t: FlatTile) -> SlantTile:
     read only when B == A, so a section costs two or three heights.
     """
     t = flatten(t)
-    base, mid, top = vertices(t)
-    ha, hb = conj_height(w, base), conj_height(w, mid)
+    base, d2 = t.base, t.d2
+    u, v = base[0], base[1]
+    d3 = 5 - d2
+    ha = conj_height(w, base)
+    hb = conj_height(w, QPoint(u + 1, v, 0))
     if hb > ha:
-        return SlantTile(q_shift(mid, -hb), t.d2, t.d3)
-    hc = conj_height(w, top)
+        return SlantTile(QPoint(u + 1 - hb, v - hb, -hb), d2, d3)
+    # top = b + e1 + e_d2, with d2 in {2, 3}
+    tv, tz = (v + 1, 0) if d2 == 2 else (v, 1)
+    hc = conj_height(w, QPoint(u + 1, tv, tz))
     if hc > ha:
-        return SlantTile(q_shift(top, -hc), t.d3, t.d1)
-    return SlantTile(q_shift(base, -ha), t.d1, t.d2)
+        return SlantTile(QPoint(u + 1 - hc, tv - hc, tz - hc), d3, 1)
+    return SlantTile(QPoint(u - ha, v - ha, -ha), 1, d2)
 
 
 def vector_field_at(w: ConjUpSet, t: FlatTile) -> Gradient:
@@ -127,7 +149,8 @@ def _classify_tile(s: SlantTile, dgens: Sequence[tuple]) -> str:
     inside as ``low`` is at most ``b[d3]``, equal to ``b[d3]+1``, or
     the cap.
     """
-    b = inverse_embed(s.base)
+    q1, q2, q3 = s.base
+    b = (q2 + q3 - q1, q1 + q3 - q2, q1 + q2 - q3)  # inverse_embed(s.base)
     i, j, k = s.d1 - 1, s.d2 - 1, s.d3 - 1
     bi, bj, bk = b[i], b[j], b[k]
     low = bk + 2
@@ -146,9 +169,9 @@ def classify(w1: ConjUpSet, w2: StdUpSet, window: Window) -> Classification:
         s = section_at(w1, t)
         buckets[_classify_tile(s, w2.dgens)].append(s)
     return Classification(
-        in_tiles=tuple(sorted(buckets["in"], key=flatten)),
-        out_tiles=tuple(sorted(buckets["out"], key=flatten)),
-        bd_tiles=tuple(sorted(buckets["bd"], key=flatten)),
+        in_tiles=tuple(buckets["in"]),
+        out_tiles=tuple(buckets["out"]),
+        bd_tiles=tuple(buckets["bd"]),
     )
 
 
@@ -201,7 +224,7 @@ def in_tiles_expanded(
             if _classify_tile(s := section_at(w, t), w2.dgens) == "in"
         ]
         if not any(_touches_border(flatten(s), window) for s in hits):
-            return tuple(sorted(hits, key=flatten))
+            return tuple(hits)
         if pad >= cap:
             raise WindowOverflowError(f"In-region still open at pad {pad}")
         pad = min(cap, pad + 8)
@@ -217,9 +240,9 @@ def norm(w: ConjUpSet, pad: int = 8, cap: int = 64) -> tuple[FlatTile, ...]:
         raise ValueError("norm is defined for roof-closed regions only")
     w2 = std_roof_generators(w.generators)
     hits = in_tiles_expanded(w, w2, w.generators, pad=pad, cap=cap)
-    return tuple(sorted(flatten(s) for s in hits))
+    return tuple(flatten(s) for s in hits)
 
 
 def surface_tiles(w: ConjUpSet, window: Window) -> tuple[SlantTile, ...]:
     """The section over every flat tile of the window, in canonical order."""
-    return tuple(sorted((section_at(w, t) for t in flat_tiles_in(window)), key=flatten))
+    return tuple(section_at(w, t) for t in flat_tiles_in(window))

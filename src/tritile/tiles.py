@@ -103,7 +103,12 @@ def gradient(s: SlantTile) -> Gradient:
 
 
 def flatten(s: SlantTile) -> FlatTile:
-    """Canonical representative of the shift class of ``s``."""
+    """Canonical representative of the shift class of ``s``.
+
+    A tile that is already canonical is returned as it is.
+    """
+    if s.d1 == 1 and s.base[2] == 0:
+        return s
     while s.d1 != 1:
         s = sigma(s)
     return SlantTile(q_shift(s.base, -s.base[2]), s.d1, s.d2)

@@ -6,17 +6,28 @@ ray eventually enters the cone), region containment of a tile is probed
 by dense rational sampling of the triangle, and heights and sections are
 found by scanning the diagonal for cone and boundary points.  Tests
 compare the implementation against these, never against itself.
+
+``reference_chart_cover`` is the chart cover as it was first written,
+rebuilding the cone of the whole segment for every check; it is kept
+as the oracle of the incremental cover.  ``count_public_calls`` counts
+the public calls an operation makes, the way the benchmark's tracer
+does, so that a change of call path shows up in the tests.
 """
 
 from __future__ import annotations
 
+import functools
 import random
+import sys
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 from tritile import ConjUpSet, QPoint, SlantTile, inverse_embed, vertices
+from tritile import dynamics, surface
 from tritile.cones import minimalize
+from tritile.errors import ChartCoverError
 
 # The six-tile closed walk around the three-peak pit, in walk order.
 HEX_GENS = (QPoint(1, 1, 0), QPoint(0, 1, 1), QPoint(1, 0, 1))
@@ -160,3 +171,72 @@ def brute_section(gens, t: SlantTile) -> list[SlantTile]:
             if all(brute_boundary(gens, v) for v in (v0, v1, _plus(v1, a2))):
                 out.append(SlantTile(v0, a1, a2))
     return out
+
+
+def brute_minimal(points) -> tuple[QPoint, ...]:
+    """Sorted points of ``points`` that no other point lies below."""
+    pts = set(points)
+    return tuple(sorted(
+        QPoint(*p) for p in pts
+        if not any(o != p and all(o[t] <= p[t] for t in range(3)) for o in pts)
+    ))
+
+
+# -- the chart cover as first written, and public call counts ---------------
+
+def _reference_fits(tiles) -> bool:
+    cone = ConjUpSet(brute_minimal(t.base for t in tiles))
+    # Looked up on the module at call time, so count_public_calls sees it.
+    return all(surface.on_surface(cone, t) for t in tiles)
+
+
+def reference_chart_cover(tiles) -> list[dynamics.Chart]:
+    """Greedy maximal single-cone segments, rebuilding every cone from the
+    bases of its whole segment: the oracle of ``chart_cover``.
+
+    It makes the same checks in the same order as the library cover, so
+    the two also agree on the number of ``on_surface`` calls.
+    """
+    if not tiles:
+        return []
+    charts = []
+    i = 0
+    while True:
+        j = i
+        while j + 1 < len(tiles) and _reference_fits(tiles[i : j + 2]):
+            j += 1
+        if not _reference_fits(tiles[i : j + 1]):
+            raise ChartCoverError(f"tile {tiles[i].text()} fits no cone")
+        cone = ConjUpSet(brute_minimal(t.base for t in tiles[i : j + 1]))
+        charts.append(dynamics.Chart(cone, i, j))
+        if j == len(tiles) - 1:
+            return charts
+        i = next(k for k in range(i + 1, j + 2) if _reference_fits(tiles[k : j + 2]))
+
+
+# The public functions whose call counts the benchmark's tracer self-check
+# pins for two warm-up operations.
+COUNTED = (surface.section_at, surface.on_surface, dynamics.step)
+
+
+def count_public_calls(monkeypatch, funcs=COUNTED) -> Counter:
+    """Count calls of ``funcs`` by name until the test ends.
+
+    Each function is wrapped in every ``tritile`` namespace that bound
+    it: the modules call each other through ``from ... import`` names,
+    so patching only the defining module would miss most calls.
+    """
+    counts: Counter = Counter({fn.__name__: 0 for fn in funcs})
+    for fn in funcs:
+        @functools.wraps(fn)
+        def counted(*args, _fn=fn, **kwargs):
+            counts[_fn.__name__] += 1
+            return _fn(*args, **kwargs)
+
+        for name, module in list(sys.modules.items()):
+            if name != "tritile" and not name.startswith("tritile."):
+                continue
+            for attr, value in list(vars(module).items()):
+                if value is fn:
+                    monkeypatch.setattr(module, attr, counted)
+    return counts

@@ -8,6 +8,7 @@ from conftest import (
     HEX_GENS,
     brute_conj_roof_member,
     brute_height,
+    brute_minimal,
     brute_std_roof_member,
     rand_antichain,
 )
@@ -58,6 +59,28 @@ def test_conj_height_hand_values(hexcone):
     assert conj_height(hexcone, QPoint(2, 2, 2)) == 1
     with pytest.raises(EmptyRegionError):
         conj_height(ConjUpSet(), QPoint(0, 0, 0))
+
+
+wide = st.integers(min_value=-40, max_value=40)
+wide_points = st.builds(QPoint, wide, wide, wide)
+
+
+@given(wide_points, wide_points)
+def test_conj_height_of_one_generator(g, q):
+    assert conj_height(ConjUpSet((g,)), q) == min(q[0] - g[0], q[1] - g[1], q[2] - g[2])
+    assert conj_height(ConjUpSet((g,)), q) == brute_height((g,), q)
+
+
+@given(st.lists(qpoints, min_size=1, max_size=12), qpoints)
+def test_conj_height_against_brute_height(points, q):
+    # includes points below every generator (negative heights)
+    assert conj_height(ConjUpSet(tuple(points)), q) == brute_height(points, q)
+
+
+@given(st.lists(st.tuples(coords, coords, coords), max_size=25))
+def test_upset_generators_are_the_minimal_points(points):
+    assert ConjUpSet(tuple(points)).generators == brute_minimal(points)
+    assert StdUpSet(tuple(LHalf(*p) for p in points)).dgens == brute_minimal(points)
 
 
 @given(qpoints, st.integers(min_value=-5, max_value=5))

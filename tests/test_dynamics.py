@@ -1,8 +1,17 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import DECODE_DUDUDD, HEX_WALK, rand_antichain, rand_pit_gens
+from conftest import (
+    DECODE_DUDUDD,
+    HEX_WALK,
+    count_public_calls,
+    rand_antichain,
+    rand_pit_gens,
+    reference_chart_cover,
+)
 from tritile import (
     conj_contains,
     ConjUpSet,
@@ -183,6 +192,49 @@ def test_chart_cover_is_sound_on_random_codes():
         for c in charts:
             for s in tiles[c.start : c.stop + 1]:
                 assert on_surface(c.cone, s)
+
+
+coords = st.integers(min_value=-5, max_value=5)
+dirpairs = st.sampled_from([(a, b) for a in (1, 2, 3) for b in (1, 2, 3) if a != b])
+starts = st.builds(lambda q1, q2, q3, d: SlantTile(QPoint(q1, q2, q3), *d), coords, coords, coords, dirpairs)
+
+
+def assert_cover_matches_reference(monkeypatch, tiles):
+    counts = count_public_calls(monkeypatch, (on_surface,))
+    charts = chart_cover(tiles)
+    checks = counts["on_surface"]
+    expected = reference_chart_cover(tiles)
+    assert charts == expected  # cone generators, start and stop
+    assert checks == counts["on_surface"] - checks
+    monkeypatch.undo()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.text(alphabet="UD", min_size=1, max_size=200), starts)
+def test_chart_cover_matches_reference_on_decoded_codes(code, start):
+    with pytest.MonkeyPatch.context() as mp:
+        assert_cover_matches_reference(mp, decode(code, start))
+
+
+@settings(max_examples=15, deadline=None)
+@given(starts, st.integers(min_value=1, max_value=120))
+def test_chart_cover_matches_reference_on_octant_walks(start, length):
+    # A walk on one octant is a single long chart: the cover's worst case.
+    octant = ConjUpSet((start.base,))
+    traj = trace(octant, start, max_steps=length)
+    with pytest.MonkeyPatch.context() as mp:
+        assert_cover_matches_reference(mp, list(traj.tiles))
+
+
+def test_chart_cover_matches_reference_on_long_walks(monkeypatch):
+    rng = random.Random(7)
+    walks = [trace(OCTANT, tile(0, 0, 0, 1, 2), max_steps=200).tiles]
+    for _ in range(3):
+        code = "D" + "".join(rng.choice("UD") for _ in range(199))
+        walks.append(decode(code, tile(0, 0, 0, 1, 2)))
+    for tiles in walks:
+        assert len(tiles) == 200
+        assert_cover_matches_reference(monkeypatch, list(tiles))
 
 
 def test_closed_trajectory_roofs_hexagon(hexcone):

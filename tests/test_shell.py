@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from conftest import DECODE_DUDUDD, HEX_WALK
+from conftest import DECODE_DUDUDD, HEX_WALK, count_public_calls
 from tritile.shell import main
 
 
@@ -209,3 +209,55 @@ def test_max_steps_is_a_tile_budget(capsys, octant_peaks):
     assert (code, out) == (3, "D\n")
     code, out = run(capsys, "encode", "--peaks", octant_peaks, "--start", "1,0,0:12", "--max-steps", "2")
     assert (code, out) == (3, "DD\n")
+
+
+def test_pinned_public_call_counts(capsys, monkeypatch, tmp_path):
+    # The benchmark's tracer self-check expects exactly these counts for
+    # its hexagon `norm` and `decode DUDUDD` warm-ups; a change of call
+    # path that moves them has to re-derive them there first.
+    hexagon = tmp_path / "hexagon.json"
+    hexagon.write_text(json.dumps({"peaks": [[0, 1, 1], [1, 0, 1], [1, 1, 0]], "kind": "roof"}))
+    counts = count_public_calls(monkeypatch)
+    assert main(["norm", "--peaks", str(hexagon)]) == 0
+    assert counts == {"step": 6, "on_surface": 39, "section_at": 1450}
+    counts.update({name: -n for name, n in counts.items()})
+    assert main(["decode", "DUDUDD", "--start=1,1,0:31"]) == 0
+    assert counts == {"step": 0, "on_surface": 49, "section_at": 0}
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        ["tiles"],
+        None,
+        {"tiles": [1]},
+        {"tiles": "0,0,0:12"},
+        {"in": [], "out": 5},
+        {"in": [None]},
+        {"tiles": ["0,0,0:12"], "code": 5},
+        {"norm": ["0,0,0:12"], "trajectories": 3},
+        {"norm": [], "trajectories": [7]},
+        {"tiles": ["0,0,0:1"]},
+    ],
+)
+@pytest.mark.parametrize("fmt", ["svg", "ascii"])
+def test_render_rejects_malformed_documents(capsys, tmp_path, doc, fmt):
+    src = tmp_path / "doc.json"
+    src.write_text(json.dumps(doc))
+    code = main(["render", "-i", str(src), "--format", fmt])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
+@pytest.mark.parametrize("command", ["render", "norm"])
+def test_deeply_nested_json_is_a_usage_error(capsys, tmp_path, command):
+    src = tmp_path / "deep.json"
+    src.write_text("[" * 100_000 + "]" * 100_000)
+    argv = ["render", "-i", str(src)] if command == "render" else ["norm", "--peaks", str(src)]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 1
+    assert "nested too deeply" in captured.err

@@ -4,8 +4,10 @@ import pytest
 
 from conftest import (
     HEX_WALK,
+    brute_boundary,
     brute_section,
     rand_antichain,
+    rand_pit_gens,
     sample_in_closed,
     sample_in_open,
     tile_samples,
@@ -26,6 +28,7 @@ from tritile import (
     section_at,
     surface_tiles,
     vector_field_at,
+    vertices,
 )
 from tritile import surface
 from tritile.cones import StdUpSet, conj_roof_generators, std_roof_generators
@@ -40,6 +43,25 @@ def test_on_surface_examples(hexcone):
     assert on_surface(hexcone, tile(1, 1, 0, 3, 1))
     assert not on_surface(hexcone, tile(1, 1, 1, 1, 3))  # top pokes inside
     assert not on_surface(hexcone, tile(0, 0, 0, 1, 2))  # base below
+
+
+def test_on_surface_against_boundary_oracle():
+    # A tile is on the surface iff all three vertices are boundary points.
+    rng = random.Random(5)
+    dirs = [(a, b) for a in (1, 2, 3) for b in (1, 2, 3) if a != b]
+    for _ in range(40):
+        gens = rand_antichain(rng, 4, rng.randint(1, 6))
+        w = ConjUpSet(gens)
+        tiles = [tile(*gens[0], *d) for d in dirs]  # every tile at a generator
+        tiles += [
+            tile(*(rng.randint(-5, 5) for _ in range(3)), *rng.choice(dirs)) for _ in range(60)
+        ]
+        hits = 0
+        for s in tiles:
+            expected = all(brute_boundary(gens, v) for v in vertices(s))
+            assert on_surface(w, s) == expected
+            hits += expected
+        assert hits >= 2
 
 
 def test_section_examples(hexcone):
@@ -221,3 +243,34 @@ def test_surface_tiles_deterministic(hexcone):
     again = surface_tiles(hexcone, window)
     assert once == again
     assert len(once) == 2 * 5 * 5
+
+
+def _is_flat_sorted(tiles) -> bool:
+    return list(tiles) == sorted(tiles, key=flatten)
+
+
+def test_outputs_come_in_canonical_flat_order():
+    # Nothing re-sorts these: the window is enumerated in flat order and a
+    # section flattens back to its flat.
+    rng = random.Random(17)
+    for _ in range(25):
+        w = ConjUpSet(rand_antichain(rng, 4, rng.randint(1, 5)))
+        u0, v0 = rng.randint(-6, 2), rng.randint(-6, 2)
+        window = Window(u0, u0 + rng.randint(0, 6), v0, v0 + rng.randint(0, 6))
+        tiles = surface_tiles(w, window)
+        assert _is_flat_sorted(tiles)
+        assert [flatten(s) for s in tiles] == list(flat_tiles_in(window))
+        std = std_roof_generators(rand_antichain(rng, 3, rng.randint(1, 4)))
+        cl = classify(w, std, window)
+        for bucket in (cl.in_tiles, cl.out_tiles, cl.bd_tiles):
+            assert _is_flat_sorted(bucket)
+        assert sorted(cl.in_tiles + cl.out_tiles + cl.bd_tiles, key=flatten) == list(tiles)
+    nonempty = 0
+    for _ in range(25):
+        gens = rand_antichain(rng, 3, rng.randint(2, 5)) + tuple(rand_pit_gens(rng, rng.randint(0, 2)))
+        w = conj_roof_generators(gens)
+        assert _is_flat_sorted(in_tiles_expanded(w, std_roof_generators(w.generators), gens))
+        flats = norm(w)
+        assert list(flats) == sorted(flats, key=flatten) == sorted(flats)
+        nonempty += bool(flats)
+    assert nonempty >= 5

@@ -55,6 +55,24 @@ def test_flatten_is_orbit_invariant_and_canonical(s):
     assert flatten(f) == f
 
 
+def _flatten_by_sigma(s: SlantTile) -> SlantTile:
+    while s.d1 != 1:
+        s = sigma(s)
+    b = s.base
+    return SlantTile(QPoint(b[0] - b[2], b[1] - b[2], 0), 1, s.d2)
+
+
+@given(coords, coords, st.sampled_from((2, 3)), st.integers(min_value=-30, max_value=30))
+def test_flatten_fast_path_and_sigma_loop(u, v, d2, k):
+    t = tile(u, v, 0, 1, d2)
+    assert flatten(t) is t  # canonical: the same object back
+    phases = (t, sigma(t), sigma(sigma(t)))
+    for p in phases:
+        b = p.base
+        shifted = SlantTile(QPoint(b[0] + k, b[1] + k, b[2] + k), p.d1, p.d2)
+        assert flatten(shifted) == _flatten_by_sigma(shifted) == t
+
+
 def test_tangent_examples():
     te = tangent(tile(1, 1, 0, 3, 1))
     assert te.flat == tile(0, 0, 0, 1, 2)
