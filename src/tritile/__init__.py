@@ -25,7 +25,6 @@ from .dynamics import (
     trace,
 )
 from .errors import (
-    BudgetExceeded,
     ChartCoverError,
     DeadEndError,
     EmptyRegionError,
@@ -34,7 +33,6 @@ from .errors import (
     LemmaViolationError,
     NormPartitionError,
     NotOnSurfaceError,
-    WindowOverflowError,
 )
 from .lattice import (
     LHalf,

@@ -200,12 +200,13 @@ def closed_trajectory_roofs(w: ConjUpSet, traj: Trajectory) -> tuple[StdUpSet, S
         raise ValueError("roof reconstruction needs a closed trajectory")
     bases = sorted({t.base for t in traj.tiles})
     w1 = std_roof_generators(bases)
-    in1 = in_tiles_expanded(w, w1, bases)
+    in1 = in_tiles_expanded(w, bases)
     traj_set = set(traj.tiles)
     residue = [s for s in in1 if s not in traj_set]
     if residue:
-        w2 = std_roof_generators(sorted({s.base for s in residue}))
-        in2 = in_tiles_expanded(w, w2, bases)
+        residue_bases = sorted({s.base for s in residue})
+        w2 = std_roof_generators(residue_bases)
+        in2 = in_tiles_expanded(w, residue_bases)
     else:
         w2 = StdUpSet()
         in2 = ()
@@ -217,13 +218,13 @@ def closed_trajectory_roofs(w: ConjUpSet, traj: Trajectory) -> tuple[StdUpSet, S
     return w1, w2
 
 
-def closed_trajectories_of_roof(w: ConjUpSet, pad: int = 8, cap: int = 64) -> list[Trajectory]:
+def closed_trajectories_of_roof(w: ConjUpSet) -> list[Trajectory]:
     """Partition the norm tiles of a roof into closed trajectories.
 
     Every trace must close and stay inside the norm region; an escape or
     an open walk is reported rather than silently accepted.
     """
-    flats = norm(w, pad=pad, cap=cap)
+    flats = norm(w)
     remaining = {section_at(w, t) for t in flats}
     budget = len(remaining) + 2
     out = []

@@ -1,9 +1,10 @@
 """Exceptions raised by the geometry core.
 
 ``GeometryError`` covers inputs that are geometrically inconsistent
-(malformed regions, broken trajectories); ``BudgetExceeded`` covers
-computations that were cut off by a configured limit rather than being
-wrong.  The CLI maps the two families to distinct exit codes.
+(malformed regions, broken trajectories); the CLI maps it to exit 2.
+Running out of a budget is not an error: a walk that does not close
+within its step budget comes back as an open trajectory, and the CLI
+exits 3 for it.
 """
 
 
@@ -37,11 +38,3 @@ class NormPartitionError(GeometryError):
 
 class ChartCoverError(GeometryError):
     """A tile could not be covered by any chart cone (defensive)."""
-
-
-class BudgetExceeded(Exception):
-    """A configured cap (window size, step count) was exhausted."""
-
-
-class WindowOverflowError(BudgetExceeded):
-    """Window auto-expansion hit its cap before the region closed off."""

@@ -7,8 +7,8 @@ as one JSON document per line with fields ``closed``, ``length``,
 ``tiles`` (text form ``q1,q2,q3:d1d2``), ``code`` and ``charts``.
 
 Exit codes: 0 success; 1 usage or malformed input; 2 geometric
-inconsistency (fork, dead end, failed reconstruction); 3 a window or
-step budget was exhausted (truncated output is still emitted).
+inconsistency (fork, dead end, failed reconstruction); 3 a walk did not
+close within ``--max-steps`` (the truncated walk is still emitted).
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from .dynamics import (
     encode,
     trace,
 )
-from .errors import BudgetExceeded, GeometryError
+from .errors import GeometryError
 from .lattice import QPoint
 from .render import ascii_picture, svg_picture
 from .surface import Window, classify, norm, seed_window, surface_tiles
@@ -172,8 +172,7 @@ def _cmd_roof_add(args) -> int:
 
 
 def _cmd_norm(args) -> int:
-    points, _ = _load_peaks(args.peaks)
-    w = conj_roof_generators(points)
+    w = _conj_region(args.peaks)
     flats = norm(w)
     docs = []
     for traj in closed_trajectories_of_roof(w):
@@ -221,8 +220,8 @@ def _doc_tiles(doc) -> list[tuple[SlantTile, str | None]]:
     if isinstance(doc.get("tiles"), list):
         tiles = _tile_list(doc, "tiles")
         code = doc.get("code") or ""
-        if not isinstance(code, str):
-            raise ValueError("'code' must be a string")
+        if not isinstance(code, str) or set(code) - {"U", "D"}:
+            raise ValueError("'code' must be a string of U and D")
         labels = list(code) + [None] * (len(tiles) - len(code))
         return list(zip(tiles, labels))
     if "norm" in doc:
@@ -331,9 +330,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     except GeometryError as exc:
         sys.stderr.write(f"geometry error: {exc}\n")
         return EXIT_GEOMETRY
-    except BudgetExceeded as exc:
-        sys.stderr.write(f"budget exhausted: {exc}\n")
-        return EXIT_BUDGET
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE

@@ -32,9 +32,18 @@ One pass over the generators takes the least ``g[d3]`` among those
 meeting the first two conditions, and that one number decides.
 
 Regions are unbounded, so every enumeration runs over a plane window.
-Operations that conceptually need "all" inside-tiles grow the window
-until no inside-tile touches its border, and report overflow if a cap
-is reached first.
+The In-tiles of ``w`` against the standard roof of points ``P`` that lie
+in ``w`` need no search for a window: they project into the bounding
+box of ``P``, so one scan of that box, padded, finds them all.  Work in
+q-coordinates with ``u = q1-q3`` and ``v = q2-q3``, take a point ``p``
+of an open half square of a surface tile with ``u(p) > max u(P)``, and
+write ``d = p-g`` for ``g`` in ``P``.  Every ``g`` gives
+``min(d) <= 0``, since ``p`` is on the surface and ``g`` is in ``w``.
+Roof membership along l-axis 3 needs some ``g`` with
+``d3 >= |d1-d2|``, and with ``d1-d3 > 0`` that forces
+``d = (s,s,0)``: a ray, so no open half square past the bound lies in
+the roof.  l-axis 3 bounds ``v > max`` the same way, l-axis 1
+``u < min`` and l-axis 2 ``v < min``.
 
 ``flat_tiles_in`` enumerates flats in canonical order: by ``u``, then
 ``v``, then ``[1 2]`` before ``[1 3]``, which is the sort order of the
@@ -51,7 +60,6 @@ from dataclasses import dataclass
 from typing import Iterator, NamedTuple, Sequence
 
 from .cones import ConjUpSet, StdUpSet, conj_height, is_roof, std_roof_generators
-from .errors import WindowOverflowError
 from .lattice import QPoint, project
 from .tiles import FlatTile, Gradient, SlantTile, flatten, gradient
 
@@ -61,9 +69,6 @@ class Window(NamedTuple):
     u_max: int
     v_min: int
     v_max: int
-
-    def pad(self, k: int) -> "Window":
-        return Window(self.u_min - k, self.u_max + k, self.v_min - k, self.v_max + k)
 
 
 @dataclass(frozen=True)
@@ -191,46 +196,23 @@ def seed_window(points: Sequence[QPoint], pad: int = 8) -> Window:
     return Window(min(us) - pad, max(us) + pad, min(vs) - pad, max(vs) + pad)
 
 
-def _touches_border(flat: FlatTile, window: Window) -> bool:
-    u, v = flat.base[0], flat.base[1]
-    return (
-        u <= window.u_min + 1
-        or u >= window.u_max - 1
-        or v <= window.v_min + 1
-        or v >= window.v_max - 1
-    )
+def in_tiles_expanded(w: ConjUpSet, points: Sequence[QPoint]) -> tuple[SlantTile, ...]:
+    """All In-tiles of the surface of ``w`` against the standard roof of
+    ``points``, which must lie in ``w``.
 
-
-def in_tiles_expanded(
-    w: ConjUpSet,
-    w2: StdUpSet,
-    seeds: Sequence[QPoint],
-    pad: int = 8,
-    cap: int = 64,
-) -> tuple[SlantTile, ...]:
-    """All In-tiles of ``classify(w, w2)``, on a self-sizing window.
-
-    The window starts at the seed bounding box and grows until no
-    In-tile sits within one cell of the border, so the returned set is
-    window-independent.  Growth past ``cap`` raises
-    :class:`WindowOverflowError`.
+    By the box bound of the module docstring one scan of
+    ``seed_window(points)`` holds them all.
     """
-    base = seed_window(seeds, 0)
-    while True:
-        window = base.pad(pad)
-        hits = [
-            s
-            for t in flat_tiles_in(window)
-            if _classify_tile(s := section_at(w, t), w2.dgens) == "in"
-        ]
-        if not any(_touches_border(flatten(s), window) for s in hits):
-            return tuple(hits)
-        if pad >= cap:
-            raise WindowOverflowError(f"In-region still open at pad {pad}")
-        pad = min(cap, pad + 8)
+    dgens = std_roof_generators(points).dgens
+    hits = [
+        s
+        for t in flat_tiles_in(seed_window(points))
+        if _classify_tile(s := section_at(w, t), dgens) == "in"
+    ]
+    return tuple(hits)
 
 
-def norm(w: ConjUpSet, pad: int = 8, cap: int = 64) -> tuple[FlatTile, ...]:
+def norm(w: ConjUpSet) -> tuple[FlatTile, ...]:
     """Flat tiles of the surface of ``w`` inside the l-space roof of its
     own generators: the closed-trajectory content of a roof.
 
@@ -238,9 +220,7 @@ def norm(w: ConjUpSet, pad: int = 8, cap: int = 64) -> tuple[FlatTile, ...]:
     """
     if not is_roof(w):
         raise ValueError("norm is defined for roof-closed regions only")
-    w2 = std_roof_generators(w.generators)
-    hits = in_tiles_expanded(w, w2, w.generators, pad=pad, cap=cap)
-    return tuple(flatten(s) for s in hits)
+    return tuple(flatten(s) for s in in_tiles_expanded(w, w.generators))
 
 
 def surface_tiles(w: ConjUpSet, window: Window) -> tuple[SlantTile, ...]:

@@ -1,0 +1,68 @@
+"""Every error type is raised somewhere, so none lingers in the API.
+
+A class of ``errors.py`` passes when some module of the package raises
+it, or when it is the base of a class that passes.  Every module is
+parsed, not imported.
+"""
+
+import ast
+from pathlib import Path
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "tritile"
+
+
+def _parse(path: Path) -> ast.AST:
+    return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+
+
+def _classes(tree: ast.AST) -> dict[str, list[str]]:
+    """Class name -> the names of its bases."""
+    return {
+        node.name: [b.id for b in node.bases if isinstance(b, ast.Name)]
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef)
+    }
+
+
+def _raised(tree: ast.AST) -> set[str]:
+    """Names raised as ``raise E``, ``raise E(...)`` or ``raise m.E(...)``."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if isinstance(exc, ast.Name):
+                names.add(exc.id)
+            elif isinstance(exc, ast.Attribute):
+                names.add(exc.attr)
+    return names
+
+
+def _unraised(classes: dict[str, list[str]], raised: set[str]) -> list[str]:
+    live: set[str] = set()
+    todo = [c for c in classes if c in raised]
+    while todo:
+        c = todo.pop()
+        if c in classes and c not in live:
+            live.add(c)
+            todo.extend(classes[c])
+    return sorted(set(classes) - live)
+
+
+def test_every_error_type_is_raised():
+    classes = _classes(_parse(PACKAGE / "errors.py"))
+    assert "GeometryError" in classes
+    raised = set().union(*(_raised(_parse(p)) for p in PACKAGE.glob("*.py")))
+    assert _unraised(classes, raised) == []
+
+
+def test_guard_catches_an_unraised_error_type():
+    src = (
+        "class A(Exception): pass\n"
+        "class B(A): pass\n"
+        "class C(Exception): pass\n"
+        "class D(C): pass\n"
+        "def f():\n"
+        "    raise B('x')\n"
+    )
+    tree = ast.parse(src)
+    assert _unraised(_classes(tree), _raised(tree)) == ["C", "D"]

@@ -104,6 +104,18 @@ def test_norm_command(capsys, hex_peaks, octant_peaks):
     assert json.loads(out) == {"norm": [], "trajectories": []}
 
 
+@pytest.mark.parametrize("argv", [["norm"], ["trajectories", "--all"]])
+def test_norm_of_open_cone_file_is_a_usage_error(capsys, tmp_path, argv):
+    # kind "cone" keeps the peaks as listed; these three are not roof-closed
+    p = tmp_path / "cone.json"
+    p.write_text(json.dumps({"peaks": [[2, 0, 0], [0, 2, 0], [0, 0, 2]], "kind": "cone"}))
+    code = main([*argv, "--peaks", str(p)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert "roof-closed" in captured.err
+
+
 def test_classify_command(capsys, hex_peaks, tmp_path):
     std = tmp_path / "std.json"
     std.write_text(json.dumps({"peaks": [[0, 0, 0]], "kind": "cone"}))
@@ -239,6 +251,7 @@ def test_pinned_public_call_counts(capsys, monkeypatch, tmp_path):
         {"norm": ["0,0,0:12"], "trajectories": 3},
         {"norm": [], "trajectories": [7]},
         {"tiles": ["0,0,0:1"]},
+        {"tiles": ["0,0,0:12", "1,0,0:23"], "code": "<&"},
     ],
 )
 @pytest.mark.parametrize("fmt", ["svg", "ascii"])

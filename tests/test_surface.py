@@ -6,6 +6,7 @@ from conftest import (
     HEX_WALK,
     brute_boundary,
     brute_section,
+    brute_std_roof_member,
     rand_antichain,
     rand_pit_gens,
     sample_in_closed,
@@ -15,7 +16,6 @@ from conftest import (
 from tritile import (
     ConjUpSet,
     QPoint,
-    WindowOverflowError,
     Window,
     classify,
     embed,
@@ -25,6 +25,7 @@ from tritile import (
     norm,
     on_surface,
     parse_tile,
+    project,
     section_at,
     surface_tiles,
     vector_field_at,
@@ -228,13 +229,51 @@ def test_norm_requires_roof():
         norm(open_cone)
 
 
-def test_window_overflow_reported():
-    # a standard region far below the staircase makes every tile In,
-    # so the In-set never stops touching the border
-    w = ConjUpSet((QPoint(0, 0, 0),))
-    low = StdUpSet.from_qpoints([embed(-40, -40, -40)])
-    with pytest.raises(WindowOverflowError):
-        in_tiles_expanded(w, low, [QPoint(0, 0, 0)], pad=2, cap=8)
+def _brute_in_tiles(w, points, window) -> list:
+    """In-tiles over the window against the standard roof of ``points``,
+    from the brute section and sampled roof membership.  Four parts per
+    edge already put samples inside both half squares of a tile; each
+    doubled l-sample goes back to q-coordinates as ``embed`` of its
+    halves."""
+    hits = []
+    for t in flat_tiles_in(window):
+        (s,) = brute_section(w.generators, t)
+        samples = tile_samples(s, denom=4)
+        if all(brute_std_roof_member(points, embed(*(c / 2 for c in p))) for p in samples):
+            hits.append(s)
+    return hits
+
+
+def test_in_tiles_lie_in_the_box_of_their_points():
+    # The In-tiles against the roof of points P lying in w project into
+    # the plane box of P, so one scan of that box finds them all.  P is
+    # the generators of a roof, or points of a cone one unit step or none
+    # above its generators.
+    rng = random.Random(23)
+    units = [QPoint(0, 0, 0), QPoint(1, 0, 0), QPoint(0, 1, 0), QPoint(0, 0, 1)]
+    cases = []
+    for i in range(6):
+        gens = rand_antichain(rng, 2, rng.randint(2, 4)) if i % 2 else rand_pit_gens(rng, rng.randint(0, 1))
+        w = conj_roof_generators(gens)
+        cases.append(("roof", w, w.generators))
+    for _ in range(10):
+        w = ConjUpSet(rand_antichain(rng, 2, rng.randint(2, 5)))
+        points = []
+        for _ in range(rng.randint(2, 5)):
+            g, e = rng.choice(w.generators), rng.choice(units)
+            points.append(QPoint(g[0] + e[0], g[1] + e[1], g[2] + e[2]))
+        cases.append(("cone", w, points))
+    nonempty = {"roof": 0, "cone": 0}
+    for kind, w, points in cases:
+        box = seed_window(points, 0)
+        hits = _brute_in_tiles(w, points, seed_window(points, 6))
+        for s in hits:
+            for x in vertices(s):
+                u, v = project(x)
+                assert box.u_min <= u <= box.u_max and box.v_min <= v <= box.v_max, (points, s)
+        assert in_tiles_expanded(w, points) == tuple(hits)
+        nonempty[kind] += bool(hits)
+    assert nonempty["roof"] >= 3 and nonempty["cone"] >= 2, nonempty
 
 
 def test_surface_tiles_deterministic(hexcone):
@@ -269,7 +308,7 @@ def test_outputs_come_in_canonical_flat_order():
     for _ in range(25):
         gens = rand_antichain(rng, 3, rng.randint(2, 5)) + tuple(rand_pit_gens(rng, rng.randint(0, 2)))
         w = conj_roof_generators(gens)
-        assert _is_flat_sorted(in_tiles_expanded(w, std_roof_generators(w.generators), gens))
+        assert _is_flat_sorted(in_tiles_expanded(w, w.generators))
         flats = norm(w)
         assert list(flats) == sorted(flats, key=flatten) == sorted(flats)
         nonempty += bool(flats)
