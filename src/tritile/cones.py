@@ -98,12 +98,19 @@ def _roof_closure(triples: Iterable[Triple]) -> tuple[Triple, ...]:
 
 @dataclass(frozen=True)
 class ConjUpSet:
-    """Up-set of q-space octants, normalized to its sorted antichain."""
+    """Up-set of q-space octants, normalized to its sorted antichain.
+
+    Generators may be given as any integer triples; they come out as
+    ``QPoint``s.  Only the minimal ones are wrapped, and a generator that
+    is already a ``QPoint`` is kept as it is.
+    """
 
     generators: tuple[QPoint, ...] = ()
 
     def __post_init__(self) -> None:
-        gens = _minimal_triples(QPoint(*g) for g in self.generators)
+        gens = tuple(
+            g if type(g) is QPoint else QPoint(*g) for g in _minimal_triples(self.generators)
+        )
         object.__setattr__(self, "generators", gens)
 
     def __bool__(self) -> bool:
@@ -146,7 +153,7 @@ class StdUpSet:
         return bool(self.dgens)
 
 
-def conj_height(w: ConjUpSet, q: QPoint) -> int:
+def conj_height(w: ConjUpSet, q: Triple) -> int:
     """Signed staircase height of ``q`` over ``w``.
 
     Non-negative exactly on ``w``; zero exactly on the boundary surface.

@@ -92,9 +92,11 @@ def _parse_window(text: str) -> Window:
         u_min, u_max = (int(x) for x in upart.split(":"))
         v_min, v_max = (int(x) for x in vpart.split(":"))
     except ValueError as exc:
-        raise ValueError(f"bad window {text!r}, expected uMIN:uMAX,vMIN:vMAX") from exc
+        raise argparse.ArgumentTypeError(
+            f"bad window {text!r}, expected uMIN:uMAX,vMIN:vMAX"
+        ) from exc
     if u_min > u_max or v_min > v_max:
-        raise ValueError(f"empty window {text!r}")
+        raise argparse.ArgumentTypeError(f"empty window {text!r}")
     return Window(u_min, u_max, v_min, v_max)
 
 
@@ -139,10 +141,13 @@ def _cmd_trajectories(args) -> int:
     if args.all == (args.start is not None):
         raise ValueError("exactly one of --all and --start is required")
     if args.all:
+        if args.max_steps is not None:
+            raise ValueError("--max-steps applies to --start only")
         for traj in closed_trajectories_of_roof(w):
             _emit(_traj_doc(traj.tiles, traj.closed, encode(traj, args.start_sign)))
         return EXIT_OK
-    traj = trace(w, parse_tile(args.start), max_steps=args.max_steps)
+    steps = 1000 if args.max_steps is None else args.max_steps
+    traj = trace(w, parse_tile(args.start), max_steps=steps)
     _emit(_traj_doc(traj.tiles, traj.closed, encode(traj, args.start_sign)))
     return EXIT_OK if traj.closed else EXIT_BUDGET
 
@@ -277,7 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--all", action="store_true", help="all closed trajectories of the roof")
     sp.add_argument("--start", help="start tile, e.g. 1,1,0:31")
     sp.add_argument(
-        "--max-steps", type=_max_steps, default=1000, help="tile budget of the walk (default 1000)"
+        "--max-steps", type=_max_steps, help="tile budget of the --start walk (default 1000)"
     )
     sp.add_argument("--start-sign", choices=("U", "D"), default="D")
 

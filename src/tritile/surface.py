@@ -60,7 +60,8 @@ from dataclasses import dataclass
 from typing import Iterator, NamedTuple, Sequence
 
 from .cones import ConjUpSet, StdUpSet, conj_height, is_roof, std_roof_generators
-from .lattice import QPoint, project
+from .errors import EmptyRegionError
+from .lattice import UNIT, QPoint, project
 from .tiles import FlatTile, Gradient, SlantTile, flatten, gradient
 
 
@@ -87,23 +88,35 @@ def flat_tiles_in(window: Window) -> Iterator[FlatTile]:
             yield SlantTile(base, 1, 3)
 
 
-# (1,1,1) - e_d3, keyed by d3: the step from a tile's base to its top
-_DIAG_MINUS = {1: (0, 1, 1), 2: (1, 0, 1), 3: (1, 1, 0)}
-
-
 def on_surface(w: ConjUpSet, s: SlantTile) -> bool:
     """True iff the whole tile lies on the boundary surface of ``w``.
 
-    Height is monotone, so zero height at the two extreme vertices pins
-    the third vertex (and the whole triangle) to the surface.  The top
-    vertex ``base + e_d1 + e_d2`` is ``base + (1,1,1) - e_d3``; it is
-    read only when the base has height zero.
+    Height is monotone, so the tile is on the surface iff its two
+    extreme vertices, the base and the top ``base + (1,1,1) - e_d3``,
+    both have height zero.  Both heights are read in one pass over the
+    generators, without ``conj_height``.  A generator ``g`` gives the
+    top a positive height iff ``g <= top - (1,1,1) = base - e_d3``, and
+    then the answer is False at once.  If none does, the top height is
+    at most zero and, the top lying above the base, at least the base
+    height, so both are zero iff the base height is at least zero: iff
+    some generator lies at or below the base.  So the two-height
+    definition ``height(base) == 0 == height(top)`` is the same as
+    ``base`` in ``w`` and ``base - e_d3`` not in ``w``.
     """
+    gens = w.generators
+    if not gens:
+        raise EmptyRegionError("empty region has no height function")
     base, d1, d2 = s
-    if conj_height(w, base) != 0:
-        return False
-    a, b, c = _DIAG_MINUS[6 - d1 - d2]
-    return conj_height(w, QPoint(base[0] + a, base[1] + b, base[2] + c)) == 0
+    x, y, z = base
+    ex, ey, ez = UNIT[6 - d1 - d2]
+    tx, ty, tz = x - ex, y - ey, z - ez  # top - (1,1,1)
+    base_in = False
+    for a, b, c in gens:
+        if a <= x and b <= y and c <= z:
+            if a <= tx and b <= ty and c <= tz:
+                return False
+            base_in = True
+    return base_in
 
 
 def section_at(w: ConjUpSet, t: FlatTile) -> SlantTile:
@@ -127,12 +140,12 @@ def section_at(w: ConjUpSet, t: FlatTile) -> SlantTile:
     u, v = base[0], base[1]
     d3 = 5 - d2
     ha = conj_height(w, base)
-    hb = conj_height(w, QPoint(u + 1, v, 0))
+    hb = conj_height(w, (u + 1, v, 0))
     if hb > ha:
         return SlantTile(QPoint(u + 1 - hb, v - hb, -hb), d2, d3)
     # top = b + e1 + e_d2, with d2 in {2, 3}
     tv, tz = (v + 1, 0) if d2 == 2 else (v, 1)
-    hc = conj_height(w, QPoint(u + 1, tv, tz))
+    hc = conj_height(w, (u + 1, tv, tz))
     if hc > ha:
         return SlantTile(QPoint(u + 1 - hc, tv - hc, tz - hc), d3, 1)
     return SlantTile(QPoint(u - ha, v - ha, -ha), 1, d2)

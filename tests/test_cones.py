@@ -54,6 +54,27 @@ def test_upset_normalizes_on_construction():
     assert w == ConjUpSet((QPoint(1, 1, 0),))
 
 
+def test_upset_wraps_plain_triples_as_qpoints():
+    w = ConjUpSet(((1, 0, 1), (0, 1, 1), (1, 1, 0), (2, 2, 2)))
+    assert w.generators == tuple(sorted(HEX_GENS))
+    assert all(type(g) is QPoint for g in w.generators)
+
+
+@given(st.lists(st.tuples(coords, coords, coords), max_size=12))
+def test_upset_from_qpoints_equals_upset_from_tuples(points):
+    from_tuples = ConjUpSet(tuple(points))
+    from_qpoints = ConjUpSet(tuple(QPoint(*p) for p in points))
+    assert from_qpoints == from_tuples
+    assert hash(from_qpoints) == hash(from_tuples)
+    assert all(type(g) is QPoint for g in from_tuples.generators + from_qpoints.generators)
+
+
+@given(point_sets, qpoints)
+def test_conj_height_of_tuple_and_qpoint_probes(points, q):
+    w = ConjUpSet(tuple(points))
+    assert conj_height(w, tuple(q)) == conj_height(w, q)
+
+
 def test_conj_height_hand_values(hexcone):
     assert conj_height(hexcone, QPoint(1, 1, 1)) == 0
     assert conj_height(hexcone, QPoint(2, 2, 2)) == 1

@@ -180,6 +180,41 @@ def test_usage_errors(capsys, tmp_path, hex_peaks):
     assert run(capsys, "norm", "--peaks", str(bad))[0] == 1
 
 
+@pytest.mark.parametrize(
+    "window, message",
+    [
+        ("5:-5,0:1", "empty window '5:-5,0:1'"),
+        ("0:1,3:2", "empty window '0:1,3:2'"),
+        ("1:2,3", "bad window '1:2,3', expected uMIN:uMAX,vMIN:vMAX"),
+        ("a:b,0:1", "bad window 'a:b,0:1', expected uMIN:uMAX,vMIN:vMAX"),
+    ],
+)
+@pytest.mark.parametrize("command", ["surface", "classify"])
+def test_bad_window_message_reaches_stderr(capsys, hex_peaks, command, window, message):
+    argv = [command, "--peaks", hex_peaks, f"--window={window}"]
+    if command == "classify":
+        argv += ["--std-peaks", hex_peaks]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert f"argument --window: {message}\n" in captured.err
+
+
+def test_max_steps_with_all_is_rejected(capsys, hex_peaks):
+    code = main(["trajectories", "--peaks", hex_peaks, "--all", "--max-steps", "5"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert "--max-steps applies to --start only" in captured.err
+
+
+def test_trajectories_start_budget_defaults_to_1000(capsys, octant_peaks):
+    code, out = run(capsys, "trajectories", "--peaks", octant_peaks, "--start", "1,0,0:12")
+    assert code == 3
+    assert json.loads(out)["length"] == 1000
+
+
 def test_boolean_coordinates_are_rejected(capsys, tmp_path):
     bad = tmp_path / "bool.json"
     bad.write_text('{"peaks": [[true, 0, 0]]}')

@@ -1,10 +1,13 @@
 import random
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from conftest import (
     HEX_WALK,
     brute_boundary,
+    brute_height,
     brute_section,
     brute_std_roof_member,
     rand_antichain,
@@ -15,9 +18,11 @@ from conftest import (
 )
 from tritile import (
     ConjUpSet,
+    EmptyRegionError,
     QPoint,
     Window,
     classify,
+    conj_height,
     embed,
     flatten,
     gradient,
@@ -63,6 +68,54 @@ def test_on_surface_against_boundary_oracle():
             assert on_surface(w, s) == expected
             hits += expected
         assert hits >= 2
+
+
+small = st.integers(min_value=-4, max_value=4)
+small_points = st.builds(QPoint, small, small, small)
+DIRS = [(a, b) for a in (1, 2, 3) for b in (1, 2, 3) if a != b]
+
+
+@st.composite
+def regions(draw):
+    """A random antichain, a one-generator cone or a roof closure."""
+    points = draw(st.lists(small_points, min_size=1, max_size=6))
+    kind = draw(st.sampled_from(["antichain", "one", "roof"]))
+    if kind == "one":
+        return ConjUpSet(tuple(points[:1]))
+    if kind == "roof":
+        return conj_roof_generators(points)
+    return ConjUpSet(tuple(points))
+
+
+# Both exits of on_surface, on the octant at the origin: (0,0,1):12 has
+# base height 0 and top height 1 (the early exit), (-1,0,0):12 has base
+# height -1 and top height 0, and (0,0,0):12 lies on the surface.
+OCTANT0 = ConjUpSet((QPoint(0, 0, 0),))
+
+
+@given(regions(), small_points, st.sampled_from(DIRS), st.integers(min_value=-1, max_value=2))
+@example(OCTANT0, QPoint(0, 0, 1), (1, 2), 0)
+@example(OCTANT0, QPoint(-1, 0, 0), (1, 2), 1)
+@example(OCTANT0, QPoint(0, 0, 0), (1, 2), 0)
+def test_on_surface_one_pass_against_heights(w, p, dirs, depth):
+    # The tile's base is slid to height -depth, from -2 to 1, so tiles on,
+    # next to and below the surface are drawn; the top is as high or one
+    # higher.  Judged by the brute oracles and by the two heights.
+    gens = w.generators
+    k = conj_height(w, p) + depth
+    s = tile(p[0] - k, p[1] - k, p[2] - k, *dirs)
+    base, top = s.base, vertices(s)[2]
+    hb, ht = conj_height(w, base), conj_height(w, top)
+    assert (hb, ht) == (brute_height(gens, base), brute_height(gens, top))
+    assert hb == -depth and 0 <= ht - hb <= 1
+    expected = hb == 0 == ht
+    assert expected == all(brute_boundary(gens, v) for v in vertices(s))
+    assert on_surface(w, s) == expected
+
+
+def test_on_surface_of_empty_region_raises():
+    with pytest.raises(EmptyRegionError, match="^empty region has no height function$"):
+        on_surface(ConjUpSet(), tile(0, 0, 0, 1, 2))
 
 
 def test_section_examples(hexcone):
