@@ -8,7 +8,6 @@ from .cones import (
     conj_height,
     conj_roof_generators,
     is_roof,
-    minimalize,
     roof_add,
     std_contains,
     std_roof_generators,
@@ -24,16 +23,7 @@ from .dynamics import (
     step,
     trace,
 )
-from .errors import (
-    ChartCoverError,
-    DeadEndError,
-    EmptyRegionError,
-    ForkError,
-    GeometryError,
-    LemmaViolationError,
-    NormPartitionError,
-    NotOnSurfaceError,
-)
+from .errors import GeometryError
 from .lattice import (
     LHalf,
     PlanePoint,

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Iterable, Iterator
 
-from .errors import EmptyRegionError
+from .errors import GeometryError
 from .lattice import LHalf, QPoint, componentwise_le, inverse_embed
 
 Triple = tuple[int, int, int]
@@ -46,21 +46,6 @@ def _minimal_triples(triples: Iterable[Triple]) -> tuple[Triple, ...]:
         else:
             keep.append(p)
     return tuple(keep)
-
-
-def minimalize(points: Iterable[QPoint], order: str = "conjugate") -> tuple[QPoint, ...]:
-    """Reduce ``points`` to the antichain of its minimal elements.
-
-    ``order`` selects the comparison frame: ``"conjugate"`` compares
-    q-coordinates directly, ``"standard"`` compares l-coordinates.
-    """
-    pts = [QPoint(*p) for p in points]
-    if order == "conjugate":
-        return tuple(QPoint(*t) for t in _minimal_triples(pts))
-    if order == "standard":
-        by_dbl = {inverse_embed(p): p for p in pts}
-        return tuple(sorted(by_dbl[t] for t in _minimal_triples(by_dbl)))
-    raise ValueError(f"unknown order {order!r}")
 
 
 def _pareto_pairs(items: list[Triple], i: int, j: int) -> list[Triple]:
@@ -166,7 +151,7 @@ def conj_height(w: ConjUpSet, q: Triple) -> int:
     """
     gens = w.generators
     if not gens:
-        raise EmptyRegionError("empty region has no height function")
+        raise GeometryError("empty region has no height function")
     x, y, z = q
     best = None
     for a, b, c in gens:

@@ -20,14 +20,7 @@ from dataclasses import dataclass
 from itertools import pairwise
 
 from .cones import ConjUpSet, StdUpSet, std_roof_generators
-from .errors import (
-    ChartCoverError,
-    DeadEndError,
-    ForkError,
-    LemmaViolationError,
-    NormPartitionError,
-    NotOnSurfaceError,
-)
+from .errors import GeometryError
 from .surface import in_tiles_expanded, norm, on_surface, section_at
 from .tiles import Port, SlantTile, flatten, gradient, port_candidates
 
@@ -63,9 +56,9 @@ def step(w: ConjUpSet, s: SlantTile, exit_port: Port) -> tuple[SlantTile, Port]:
     flip_on = on_surface(w, pair.flip)
     keep_on = on_surface(w, pair.keep)
     if flip_on and keep_on:
-        raise ForkError(f"both candidates on surface at {s.text()}/{exit_port.value}")
+        raise GeometryError(f"both candidates on surface at {s.text()}/{exit_port.value}")
     if not flip_on and not keep_on:
-        raise DeadEndError(f"no candidate on surface at {s.text()}/{exit_port.value}")
+        raise GeometryError(f"no candidate on surface at {s.text()}/{exit_port.value}")
     if flip_on:
         return pair.flip, exit_port.other
     return pair.keep, exit_port
@@ -91,7 +84,7 @@ def trace(
     if max_steps < 1:
         raise ValueError(f"max_steps is a tile budget and must be at least 1, got {max_steps}")
     if not on_surface(w, start):
-        raise NotOnSurfaceError(f"{start.text()} is not on the surface")
+        raise GeometryError(f"{start.text()} is not on the surface")
     tiles = [start]
     port = start_port
     while True:
@@ -181,7 +174,7 @@ def chart_cover(tiles: list[SlantTile]) -> list[Chart]:
             cone, j = grown, j + 1
         if not _fits(cone, tiles[i : j + 1]):
             # j == i here; a lone tile always fits its own base cone.
-            raise ChartCoverError(f"tile {tiles[i].text()} fits no cone")
+            raise GeometryError(f"tile {tiles[i].text()} fits no cone")
         charts.append(Chart(cone, i, j))
         if j == len(tiles) - 1:
             return charts
@@ -211,7 +204,7 @@ def closed_trajectory_roofs(w: ConjUpSet, traj: Trajectory) -> tuple[StdUpSet, S
         w2 = StdUpSet()
         in2 = ()
     if set(in1) - set(in2) != traj_set:
-        raise LemmaViolationError(
+        raise GeometryError(
             f"reconstruction mismatch: |In1|={len(in1)}, |In2|={len(in2)}, "
             f"trajectory length {len(traj)}"
         )
@@ -232,9 +225,9 @@ def closed_trajectories_of_roof(w: ConjUpSet) -> list[Trajectory]:
         start = min(remaining, key=flatten)
         traj = trace(w, start, max_steps=budget)
         if not traj.closed:
-            raise NormPartitionError(f"open trajectory in norm from {start.text()}")
+            raise GeometryError(f"open trajectory in norm from {start.text()}")
         if not set(traj.tiles) <= remaining:
-            raise NormPartitionError(f"trajectory from {start.text()} leaves the norm")
+            raise GeometryError(f"trajectory from {start.text()} leaves the norm")
         remaining -= set(traj.tiles)
         out.append(traj)
     return out

@@ -16,6 +16,7 @@ from .lattice import QPoint
 from .tiles import SlantTile, flatten, vertices
 
 _SQ3 = math.sqrt(3.0) / 2.0
+_SCALE = 40.0  # SVG pixels per unit of the drawing basis
 
 
 def _xy(q: QPoint) -> tuple[float, float]:
@@ -23,7 +24,7 @@ def _xy(q: QPoint) -> tuple[float, float]:
     return (q[0] - 0.5 * q[1] - 0.5 * q[2], -_SQ3 * (q[1] - q[2]))
 
 
-def svg_picture(tiles: list[tuple[SlantTile, str | None]], scale: float = 40.0) -> str:
+def svg_picture(tiles: list[tuple[SlantTile, str | None]]) -> str:
     """An SVG drawing of labelled tiles; empty input gives an empty canvas."""
     polys = []
     for s, label in tiles:
@@ -36,14 +37,14 @@ def svg_picture(tiles: list[tuple[SlantTile, str | None]], scale: float = 40.0) 
         y0, y1 = min(ys) - 0.5, max(ys) + 0.5
     else:
         x0, x1, y0, y1 = -1.0, 1.0, -1.0, 1.0
-    width = (x1 - x0) * scale
-    height = (y1 - y0) * scale
+    width = (x1 - x0) * _SCALE
+    height = (y1 - y0) * _SCALE
 
     def sx(x: float) -> str:
-        return f"{(x - x0) * scale:.2f}"
+        return f"{(x - x0) * _SCALE:.2f}"
 
     def sy(y: float) -> str:
-        return f"{(y - y0) * scale:.2f}"
+        return f"{(y - y0) * _SCALE:.2f}"
 
     out = [
         '<?xml version="1.0" encoding="UTF-8"?>',
@@ -62,7 +63,7 @@ def svg_picture(tiles: list[tuple[SlantTile, str | None]], scale: float = 40.0) 
         cx = sum(x for x, _ in pts) / 3.0
         cy = sum(y for _, y in pts) / 3.0
         out.append(
-            f'<text x="{sx(cx)}" y="{sy(cy)}" font-size="{scale * 0.35:.1f}" '
+            f'<text x="{sx(cx)}" y="{sy(cy)}" font-size="{_SCALE * 0.35:.1f}" '
             f'text-anchor="middle" dominant-baseline="middle">{label}</text>'
         )
     out.append("</svg>")

@@ -130,7 +130,7 @@ def _traj_doc(tiles: Sequence[SlantTile], closed: bool, code: str) -> dict:
 
 def _cmd_surface(args) -> int:
     w = _conj_region(args.peaks)
-    window = args.window or seed_window(list(w.generators), 8)
+    window = args.window or seed_window(list(w.generators))
     tiles = surface_tiles(w, window)
     _emit({"tiles": [s.text() for s in tiles]})
     return EXIT_OK
@@ -189,7 +189,7 @@ def _cmd_norm(args) -> int:
 def _cmd_classify(args) -> int:
     w1 = _conj_region(args.peaks)
     w2 = _std_region(args.std_peaks)
-    window = args.window or seed_window(list(w1.generators), 8)
+    window = args.window or seed_window(list(w1.generators))
     cl = classify(w1, w2, window)
     _emit(
         {
@@ -227,7 +227,9 @@ def _doc_tiles(doc) -> list[tuple[SlantTile, str | None]]:
         code = doc.get("code") or ""
         if not isinstance(code, str) or set(code) - {"U", "D"}:
             raise ValueError("'code' must be a string of U and D")
-        labels = list(code) + [None] * (len(tiles) - len(code))
+        if code and len(code) != len(tiles):
+            raise ValueError(f"'code' has {len(code)} letters for {len(tiles)} tiles")
+        labels = list(code) or [None] * len(tiles)
         return list(zip(tiles, labels))
     if "norm" in doc:
         pairs = [(t, None) for t in _tile_list(doc, "norm")]

@@ -60,7 +60,7 @@ from dataclasses import dataclass
 from typing import Iterator, NamedTuple, Sequence
 
 from .cones import ConjUpSet, StdUpSet, conj_height, is_roof, std_roof_generators
-from .errors import EmptyRegionError
+from .errors import GeometryError
 from .lattice import UNIT, QPoint, project
 from .tiles import FlatTile, Gradient, SlantTile, flatten, gradient
 
@@ -105,7 +105,7 @@ def on_surface(w: ConjUpSet, s: SlantTile) -> bool:
     """
     gens = w.generators
     if not gens:
-        raise EmptyRegionError("empty region has no height function")
+        raise GeometryError("empty region has no height function")
     base, d1, d2 = s
     x, y, z = base
     ex, ey, ez = UNIT[6 - d1 - d2]

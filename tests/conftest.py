@@ -26,8 +26,7 @@ import pytest
 
 from tritile import ConjUpSet, QPoint, SlantTile, inverse_embed, vertices
 from tritile import dynamics, surface
-from tritile.cones import minimalize
-from tritile.errors import ChartCoverError
+from tritile.errors import GeometryError
 
 # The six-tile closed walk around the three-peak pit, in walk order.
 HEX_GENS = (QPoint(1, 1, 0), QPoint(0, 1, 1), QPoint(1, 0, 1))
@@ -45,7 +44,7 @@ def rand_antichain(rng: random.Random, box: int, npts: int) -> tuple[QPoint, ...
         QPoint(rng.randrange(-box, box + 1), rng.randrange(-box, box + 1), rng.randrange(-box, box + 1))
         for _ in range(npts)
     }
-    return minimalize(pts)
+    return ConjUpSet(tuple(pts)).generators
 
 
 def pit(c: QPoint) -> list[QPoint]:
@@ -206,7 +205,7 @@ def reference_chart_cover(tiles) -> list[dynamics.Chart]:
         while j + 1 < len(tiles) and _reference_fits(tiles[i : j + 2]):
             j += 1
         if not _reference_fits(tiles[i : j + 1]):
-            raise ChartCoverError(f"tile {tiles[i].text()} fits no cone")
+            raise GeometryError(f"tile {tiles[i].text()} fits no cone")
         cone = ConjUpSet(brute_minimal(t.base for t in tiles[i : j + 1]))
         charts.append(dynamics.Chart(cone, i, j))
         if j == len(tiles) - 1:

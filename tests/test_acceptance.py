@@ -246,7 +246,7 @@ def test_criterion_11_step_determinism():
         for t in flat_tiles_in(seed_window(list(w.generators), 3)):
             s = section_at(w, t)
             for port in (Port.UP, Port.DOWN):
-                step(w, s, port)  # ForkError/DeadEndError would fail the suite
+                step(w, s, port)  # a fork or dead end raises GeometryError
                 checked += 1
     report(11, True, f"exactly one admissible candidate at {checked} tile/port states, 100 cones")
 

@@ -14,7 +14,7 @@ from conftest import (
 )
 from tritile import (
     ConjUpSet,
-    EmptyRegionError,
+    GeometryError,
     QPoint,
     conj_contains,
     conj_height,
@@ -24,7 +24,7 @@ from tritile import (
     std_contains,
     std_roof_generators,
 )
-from tritile.cones import StdUpSet, minimalize
+from tritile.cones import StdUpSet
 from tritile.lattice import LHalf
 
 coords = st.integers(min_value=-6, max_value=6)
@@ -33,19 +33,22 @@ point_sets = st.sets(qpoints, min_size=1, max_size=6)
 
 
 def test_minimalize_examples():
-    assert minimalize([QPoint(1, 1, 0), QPoint(1, 1, 1)]) == (QPoint(1, 1, 0),)
+    # Constructing an up-set keeps the sorted minimal generators.
+    assert ConjUpSet((QPoint(1, 1, 0), QPoint(1, 1, 1))).generators == (QPoint(1, 1, 0),)
     unchanged = (QPoint(0, 0, 1), QPoint(0, 1, 0), QPoint(1, 0, 0))
-    assert minimalize(unchanged) == unchanged
-    four = [QPoint(1, 0, 1), QPoint(1, 1, 1), QPoint(0, 1, 1), QPoint(1, 1, 0)]
-    assert minimalize(four) == (QPoint(0, 1, 1), QPoint(1, 0, 1), QPoint(1, 1, 0))
+    assert ConjUpSet(unchanged).generators == unchanged
+    four = (QPoint(1, 0, 1), QPoint(1, 1, 1), QPoint(0, 1, 1), QPoint(1, 1, 0))
+    assert ConjUpSet(four).generators == (QPoint(0, 1, 1), QPoint(1, 0, 1), QPoint(1, 1, 0))
 
 
 def test_minimalize_standard_order_differs():
     # (1,0,0) dominates (0,0,0) in q-order but its l-coordinates
     # (-1/2,1/2,1/2) are incomparable with the origin's.
     pts = [QPoint(1, 0, 0), QPoint(0, 0, 0)]
-    assert minimalize(pts, "conjugate") == (QPoint(0, 0, 0),)
-    assert minimalize(pts, "standard") == (QPoint(0, 0, 0), QPoint(1, 0, 0))
+    assert ConjUpSet(tuple(pts)).generators == (QPoint(0, 0, 0),)
+    std = StdUpSet.from_qpoints(pts)
+    assert std.dgens == (LHalf(-1, 1, 1), LHalf(0, 0, 0))
+    assert sorted(std.qpoints()) == [QPoint(0, 0, 0), QPoint(1, 0, 0)]
 
 
 def test_upset_normalizes_on_construction():
@@ -78,7 +81,7 @@ def test_conj_height_of_tuple_and_qpoint_probes(points, q):
 def test_conj_height_hand_values(hexcone):
     assert conj_height(hexcone, QPoint(1, 1, 1)) == 0
     assert conj_height(hexcone, QPoint(2, 2, 2)) == 1
-    with pytest.raises(EmptyRegionError):
+    with pytest.raises(GeometryError, match="^empty region has no height function$"):
         conj_height(ConjUpSet(), QPoint(0, 0, 0))
 
 

@@ -15,9 +15,7 @@ from conftest import (
 from tritile import (
     conj_contains,
     ConjUpSet,
-    DeadEndError,
-    NormPartitionError,
-    NotOnSurfaceError,
+    GeometryError,
     QPoint,
     Trajectory,
     chart_cover,
@@ -71,7 +69,7 @@ def test_step_on_straight_slope():
 
 
 def test_step_off_surface_dead_ends():
-    with pytest.raises(DeadEndError):
+    with pytest.raises(GeometryError, match="^no candidate on surface at 0,0,5:12/UP$"):
         step(OCTANT, tile(0, 0, 5, 1, 2), Port.UP)
 
 
@@ -99,7 +97,7 @@ def test_trace_max_steps_is_a_tile_budget(hexcone):
 
 
 def test_trace_rejects_bad_start(hexcone):
-    with pytest.raises(NotOnSurfaceError):
+    with pytest.raises(GeometryError, match="^0,0,0:12 is not on the surface$"):
         trace(hexcone, tile(0, 0, 0, 1, 2))
 
 
@@ -296,7 +294,7 @@ def test_closed_trajectories_of_roof(hexcone):
 def test_norm_partition_violation_is_reported():
     # this roof's norm leaks into open trajectories; it must not pass silently
     w = ConjUpSet((QPoint(-3, -2, 0), QPoint(0, -3, -2), QPoint(2, 1, -3)))
-    with pytest.raises(NormPartitionError):
+    with pytest.raises(GeometryError, match="^open trajectory in norm from -1,0,0:12$"):
         closed_trajectories_of_roof(w)
 
 

@@ -201,6 +201,35 @@ def test_bad_window_message_reaches_stderr(capsys, hex_peaks, command, window, m
     assert f"argument --window: {message}\n" in captured.err
 
 
+# Every geometry failure exits 2 with its message on stderr and nothing on
+# stdout: a start tile off the hexagon's surface, and the smallest roof
+# whose norm holds an open walk.
+REPRO_PEAKS = {"peaks": [[-1, 0, 0], [0, -1, -1], [1, -2, 0]]}
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["encode", "--peaks", "HEX", "--start", "0,0,0:12"], "0,0,0:12 is not on the surface"),
+        (
+            ["trajectories", "--peaks", "HEX", "--start", "0,0,0:12"],
+            "0,0,0:12 is not on the surface",
+        ),
+        (["norm", "--peaks", "REPRO"], "open trajectory in norm from 0,-1,0:23"),
+        (["trajectories", "--peaks", "REPRO", "--all"], "open trajectory in norm from 0,-1,0:23"),
+    ],
+)
+def test_geometry_errors_exit_2_with_their_message(capsys, tmp_path, hex_peaks, argv, message):
+    repro = tmp_path / "repro.json"
+    repro.write_text(json.dumps(REPRO_PEAKS))
+    files = {"HEX": hex_peaks, "REPRO": str(repro)}
+    code = main([files.get(a, a) for a in argv])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"geometry error: {message}\n"
+
+
 def test_max_steps_with_all_is_rejected(capsys, hex_peaks):
     code = main(["trajectories", "--peaks", hex_peaks, "--all", "--max-steps", "5"])
     captured = capsys.readouterr()
@@ -287,6 +316,8 @@ def test_pinned_public_call_counts(capsys, monkeypatch, tmp_path):
         {"norm": [], "trajectories": [7]},
         {"tiles": ["0,0,0:1"]},
         {"tiles": ["0,0,0:12", "1,0,0:23"], "code": "<&"},
+        {"tiles": ["0,0,0:12"], "code": "UUU"},
+        {"tiles": ["0,0,0:12", "1,0,0:23"], "code": "U"},
     ],
 )
 @pytest.mark.parametrize("fmt", ["svg", "ascii"])

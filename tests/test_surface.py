@@ -18,7 +18,7 @@ from conftest import (
 )
 from tritile import (
     ConjUpSet,
-    EmptyRegionError,
+    GeometryError,
     QPoint,
     Window,
     classify,
@@ -114,7 +114,7 @@ def test_on_surface_one_pass_against_heights(w, p, dirs, depth):
 
 
 def test_on_surface_of_empty_region_raises():
-    with pytest.raises(EmptyRegionError, match="^empty region has no height function$"):
+    with pytest.raises(GeometryError, match="^empty region has no height function$"):
         on_surface(ConjUpSet(), tile(0, 0, 0, 1, 2))
 
 
