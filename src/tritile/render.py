@@ -71,19 +71,28 @@ def svg_picture(tiles: list[tuple[SlantTile, str | None]]) -> str:
 
 
 def ascii_picture(tiles: list[tuple[SlantTile, str | None]]) -> str:
-    """One character cell per flat tile, two orientations per plane cell."""
-    cells: dict[tuple[int, int], list[str]] = {}
+    """One character cell per flat tile, two orientations per plane cell.
+
+    Rows run from the highest v down, each starting at the least u of the
+    picture; a row is built from its occupied cells only, so the work
+    grows with the tiles and the output, not with the area between them.
+    """
+    rows: dict[int, dict[int, list[str]]] = {}
     for s, label in tiles:
         f = flatten(s)
         slot = 0 if f.d2 == 2 else 1
-        cell = cells.setdefault((f.base[0], f.base[1]), [" ", " "])
+        cell = rows.setdefault(f.base[1], {}).setdefault(f.base[0], [" ", " "])
         cell[slot] = label or ("/" if slot == 0 else "\\")
-    if not cells:
+    if not rows:
         return "\n"
-    us = [u for u, _ in cells]
-    vs = [v for _, v in cells]
-    lines = []
-    for v in range(max(vs), min(vs) - 1, -1):
-        row = "".join("".join(cells.get((u, v), [" ", " "])) for u in range(min(us), max(us) + 1))
-        lines.append(row.rstrip())
+    u_min = min(min(row) for row in rows.values())
+    v_max = max(rows)
+    lines = [""] * (v_max - min(rows) + 1)
+    for v, row in rows.items():
+        parts, u_next = [], u_min
+        for u, cell in sorted(row.items()):
+            parts.append("  " * (u - u_next))
+            parts.extend(cell)
+            u_next = u + 1
+        lines[v_max - v] = "".join(parts).rstrip()
     return "\n".join(lines) + "\n"

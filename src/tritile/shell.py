@@ -14,6 +14,7 @@ close within ``--max-steps`` (the truncated walk is still emitted).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import Sequence
@@ -224,7 +225,7 @@ def _doc_tiles(doc) -> list[tuple[SlantTile, str | None]]:
         raise ValueError("document must be a JSON object")
     if isinstance(doc.get("tiles"), list):
         tiles = _tile_list(doc, "tiles")
-        code = doc.get("code") or ""
+        code = doc.get("code", "")
         if not isinstance(code, str) or set(code) - {"U", "D"}:
             raise ValueError("'code' must be a string of U and D")
         if code and len(code) != len(tiles):
@@ -266,7 +267,15 @@ def _cmd_render(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``tritile`` argument parser, built once per process.
+
+    A build makes about thirty help formatters and costs more than a
+    small command, so every ``main`` call reuses this one parser;
+    ``parse_args`` keeps no state between calls.  Callers share it and
+    must not add to it.
+    """
     p = _Parser(prog="tritile", description="staircase tile geometry toolkit")
     sub = p.add_subparsers(dest="command", required=True)
 

@@ -9,9 +9,11 @@ compare the implementation against these, never against itself.
 
 ``reference_chart_cover`` is the chart cover as it was first written,
 rebuilding the cone of the whole segment for every check; it is kept
-as the oracle of the incremental cover.  ``count_public_calls`` counts
-the public calls an operation makes, the way the benchmark's tracer
-does, so that a change of call path shows up in the tests.
+as the oracle of the incremental cover, and ``dense_ascii_picture`` is
+the ASCII picture as first written, visiting every cell of the u x v
+box.  ``count_public_calls`` counts the public calls an operation
+makes, the way the benchmark's tracer does, so that a change of call
+path shows up in the tests.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from fractions import Fraction
 
 import pytest
 
-from tritile import ConjUpSet, QPoint, SlantTile, inverse_embed, vertices
+from tritile import ConjUpSet, QPoint, SlantTile, flatten, inverse_embed, vertices
 from tritile import dynamics, surface
 from tritile.errors import GeometryError
 
@@ -239,3 +241,25 @@ def count_public_calls(monkeypatch, funcs=COUNTED) -> Counter:
                 if value is fn:
                     monkeypatch.setattr(module, attr, counted)
     return counts
+
+
+# -- the ASCII picture as first written ---------------------------------------
+
+def dense_ascii_picture(tiles) -> str:
+    """Every cell of the u x v box of the tiles, row by row from the top:
+    the oracle of ``render.ascii_picture``."""
+    cells: dict[tuple[int, int], list[str]] = {}
+    for s, label in tiles:
+        f = flatten(s)
+        slot = 0 if f.d2 == 2 else 1
+        cell = cells.setdefault((f.base[0], f.base[1]), [" ", " "])
+        cell[slot] = label or ("/" if slot == 0 else "\\")
+    if not cells:
+        return "\n"
+    us = [u for u, _ in cells]
+    vs = [v for _, v in cells]
+    lines = []
+    for v in range(max(vs), min(vs) - 1, -1):
+        row = "".join("".join(cells.get((u, v), [" ", " "])) for u in range(min(us), max(us) + 1))
+        lines.append(row.rstrip())
+    return "\n".join(lines) + "\n"

@@ -1,9 +1,16 @@
+import argparse
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from conftest import DECODE_DUDUDD, HEX_WALK, count_public_calls
 from tritile.shell import main
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 @pytest.fixture
@@ -312,6 +319,12 @@ def test_pinned_public_call_counts(capsys, monkeypatch, tmp_path):
         {"in": [], "out": 5},
         {"in": [None]},
         {"tiles": ["0,0,0:12"], "code": 5},
+        {"tiles": ["0,0,0:12"], "code": 0},
+        {"tiles": ["0,0,0:12"], "code": False},
+        {"tiles": ["0,0,0:12"], "code": []},
+        {"tiles": ["0,0,0:12"], "code": {}},
+        {"tiles": ["0,0,0:12"], "code": None},
+        {"norm": [], "trajectories": [{"tiles": ["0,0,0:12"], "code": False}]},
         {"norm": ["0,0,0:12"], "trajectories": 3},
         {"norm": [], "trajectories": [7]},
         {"tiles": ["0,0,0:1"]},
@@ -340,3 +353,69 @@ def test_deeply_nested_json_is_a_usage_error(capsys, tmp_path, command):
     captured = capsys.readouterr()
     assert code == 1
     assert "nested too deeply" in captured.err
+
+
+def _sequence(hex_peaks):
+    return [
+        ["no-such-command"],
+        ["--help"],
+        ["surface", "--peaks", hex_peaks, "--window=5:-5,0:1"],
+        ["trajectories", "--peaks", hex_peaks, "--all", "--max-steps", "5"],
+        ["norm", "--peaks", hex_peaks],
+        ["decode", "DUDUDD", "--start=1,1,0:31"],
+        ["encode", "--peaks", hex_peaks, "--start", "0,0,0:12"],
+    ]
+
+
+def _results(capsys, argvs):
+    results = []
+    for argv in argvs:
+        code = main(argv)
+        captured = capsys.readouterr()
+        results.append((code, captured.out, captured.err))
+    return results
+
+
+def test_shared_parser_leaks_no_state_between_calls(capsys, hex_peaks):
+    first = _results(capsys, _sequence(hex_peaks))
+    assert [r[0] for r in first] == [1, 0, 1, 1, 0, 0, 2]
+    assert _results(capsys, _sequence(hex_peaks)) == first
+
+
+def test_parser_is_built_once_per_process(capsys, monkeypatch, hex_peaks):
+    main(["norm", "--peaks", hex_peaks])
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    _results(capsys, _sequence(hex_peaks))
+    assert built == []
+
+
+@pytest.mark.parametrize(
+    "argv, rc",
+    [
+        (["norm", "--peaks", "HEX"], 0),
+        (["decode", "DUDUDD", "--start=1,1,0:31"], 0),
+        (["no-such-command"], 1),
+        (["encode", "--peaks", "HEX", "--start", "0,0,0:12"], 2),
+    ],
+)
+def test_module_entry_point_matches_main(capsys, monkeypatch, tmp_path, hex_peaks, argv, rc):
+    argv = [hex_peaks if a == "HEX" else a for a in argv]
+    # The usage text wraps at the terminal width; fix it on both sides.
+    monkeypatch.setenv("COLUMNS", "80")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "tritile.shell", *argv],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+    )
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == rc
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, captured.out, captured.err)
