@@ -144,10 +144,11 @@ def conj_height(w: ConjUpSet, q: Triple) -> int:
     Non-negative exactly on ``w``; zero exactly on the boundary surface.
     Adding k*(1,1,1) to ``q`` adds k.
 
-    The height is ``max over generators a of min(q - a)``.  It is the
-    innermost kernel of every section and surface test, so it is one
-    plain loop over the unpacked generator triples with ``q`` unpacked
-    once, rather than ``max``/``min`` over a generator expression.
+    The height is ``max over generators a of min(q - a)``, one plain
+    loop over the unpacked generator triples.  This is the one-point
+    height of the public API.  ``section_at`` and ``on_surface`` read
+    the heights they need in their own passes over the generators, so
+    nothing on the package's hot path calls it.
     """
     gens = w.generators
     if not gens:

@@ -59,7 +59,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple, Sequence
 
-from .cones import ConjUpSet, StdUpSet, conj_height, is_roof, std_roof_generators
+from .cones import ConjUpSet, StdUpSet, is_roof, std_roof_generators
 from .errors import GeometryError
 from .lattice import UNIT, QPoint, project
 from .tiles import FlatTile, Gradient, SlantTile, flatten, gradient
@@ -132,22 +132,51 @@ def section_at(w: ConjUpSet, t: FlatTile) -> SlantTile:
     height by 0 or 1, and a step of e1+e_d2 by at most 1 (it stays below
     (1,1,1)), so A <= B <= C <= A+1 and exactly one phase qualifies:
     B == A+1 gives ``(b+e1-B)[d2 d3]``, B == A < C gives
-    ``(b+e1+e_d2-C)[d3 1]`` and C == A gives ``(b-A)[1 d2]``.  C is
-    read only when B == A, so a section costs two or three heights.
+    ``(b+e1+e_d2-C)[d3 1]`` and C == A gives ``(b-A)[1 d2]``.
+
+    The heights are read here, without ``conj_height``.  With
+    ``b = (u, v, 0)``, a generator ``g`` gives A and B the terms
+    ``min(x, m)`` and ``min(x+1, m)``, where ``x = u-g1`` and
+    ``m = min(v-g2, -g3)`` is shared, so one pass over the generators
+    reads both: if ``x < m`` the terms are x and x+1, else both are m.
+    Only when B == A is there a second pass.  C is A or A+1, and a
+    height is at least A+1 iff the point lowered by A+1 along the
+    diagonal lies in ``w``, so that pass looks for a generator at or
+    below ``b+e1+e_d2-(A+1)``, the base of the third phase.
     """
-    t = flatten(t)
-    base, d2 = t.base, t.d2
-    u, v = base[0], base[1]
+    gens = w.generators
+    if not gens:
+        raise GeometryError("empty region has no height function")
+    base, d1, d2 = t
+    if d1 != 1 or base[2] != 0:
+        base, d1, d2 = flatten(t)
+    u, v, _ = base
     d3 = 5 - d2
-    ha = conj_height(w, base)
-    hb = conj_height(w, (u + 1, v, 0))
+    a, b, c = gens[0]
+    ha = hb = min(u - a, v - b, -c)  # a lower bound of A, and so of B
+    for a, b, c in gens:
+        m = v - b
+        if -c < m:
+            m = -c
+        x = u - a
+        if x < m:
+            if x > ha:
+                ha = x
+            if x >= hb:
+                hb = x + 1
+        else:
+            if m > ha:
+                ha = m
+            if m > hb:
+                hb = m
     if hb > ha:
         return SlantTile(QPoint(u + 1 - hb, v - hb, -hb), d2, d3)
-    # top = b + e1 + e_d2, with d2 in {2, 3}
-    tv, tz = (v + 1, 0) if d2 == 2 else (v, 1)
-    hc = conj_height(w, (u + 1, tv, tz))
-    if hc > ha:
-        return SlantTile(QPoint(u + 1 - hc, tv - hc, tz - hc), d3, 1)
+    # b + e1 + e_d2 - (A+1), with d2 in {2, 3}
+    x = u - ha
+    y, z = (v - ha, -1 - ha) if d2 == 2 else (v - 1 - ha, -ha)
+    for a, b, c in gens:
+        if a <= x and b <= y and c <= z:
+            return SlantTile(QPoint(x, y, z), d3, 1)
     return SlantTile(QPoint(u - ha, v - ha, -ha), 1, d2)
 
 
@@ -167,9 +196,10 @@ def _classify_tile(s: SlantTile, dgens: Sequence[tuple]) -> str:
     inside as ``low`` is at most ``b[d3]``, equal to ``b[d3]+1``, or
     the cap.
     """
-    q1, q2, q3 = s.base
+    (q1, q2, q3), d1, d2 = s
     b = (q2 + q3 - q1, q1 + q3 - q2, q1 + q2 - q3)  # inverse_embed(s.base)
-    i, j, k = s.d1 - 1, s.d2 - 1, s.d3 - 1
+    i, j = d1 - 1, d2 - 1
+    k = 3 - i - j  # d3 - 1
     bi, bj, bk = b[i], b[j], b[k]
     low = bk + 2
     for g in dgens:

@@ -1,15 +1,18 @@
 import random
+import sys
 
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    HEX_GENS,
     HEX_WALK,
     brute_boundary,
     brute_height,
     brute_section,
     brute_std_roof_member,
+    count_public_calls,
     rand_antichain,
     rand_pit_gens,
     sample_in_closed,
@@ -20,6 +23,7 @@ from tritile import (
     ConjUpSet,
     GeometryError,
     QPoint,
+    SlantTile,
     Window,
     classify,
     conj_height,
@@ -32,12 +36,15 @@ from tritile import (
     parse_tile,
     project,
     section_at,
+    sigma,
     surface_tiles,
     vector_field_at,
     vertices,
 )
-from tritile import surface
+import tritile
+from tritile import cones, surface
 from tritile.cones import StdUpSet, conj_roof_generators, std_roof_generators
+from tritile.lattice import q_shift
 from tritile.surface import _classify_tile, flat_tiles_in, in_tiles_expanded, seed_window
 from tritile.tiles import tile
 
@@ -144,40 +151,108 @@ def test_section_is_total_and_unique_on_random_cones():
             assert flatten(s) == t
 
 
+def _three_height_section(w, t):
+    """The section over the canonical flat ``t`` by the three-height rule,
+    with every height read by ``conj_height``."""
+    (u, v, _), _, d2 = t
+    d3 = 5 - d2
+    top = (u + 1, v + 1, 0) if d2 == 2 else (u + 1, v, 1)
+    ha, hb, hc = conj_height(w, (u, v, 0)), conj_height(w, (u + 1, v, 0)), conj_height(w, top)
+    assert ha <= hb <= hc <= ha + 1
+    if hb == ha + 1:
+        return tile(u + 1 - hb, v - hb, -hb, d2, d3)
+    if hc == ha + 1:
+        return tile(top[0] - hc, top[1] - hc, top[2] - hc, d3, 1)
+    return tile(u - ha, v - ha, -ha, 1, d2)
+
+
+@st.composite
+def section_cases(draw):
+    """A region and a canonical flat tile near one of its generators.
+
+    The region is a random antichain, the roof of one to four pits, or a
+    two-peak roof up to 30 apart."""
+    kind = draw(st.sampled_from(["antichain", "pits", "wide"]))
+    if kind == "wide":
+        d = draw(st.integers(min_value=1, max_value=30))
+        w = conj_roof_generators([QPoint(0, 0, 0), QPoint(d, -d, draw(st.integers(-1, 1)))])
+    else:
+        rng = random.Random(draw(st.integers(min_value=0, max_value=2**16)))
+        if kind == "pits":
+            w = conj_roof_generators(rand_pit_gens(rng, rng.randint(0, 3)))
+        else:
+            w = ConjUpSet(rand_antichain(rng, 4, rng.randint(1, 6)))
+    u, v = project(draw(st.sampled_from(w.generators)))
+    du, dv = draw(st.integers(-4, 4)), draw(st.integers(-4, 4))
+    return w, tile(u + du, v + dv, 0, 1, draw(st.sampled_from((2, 3))))
+
+
+# One example per phase of the section: (0,0,0):12 over the octant, (0,0,0):23
+# over the octant from (-1,0,0):12, and (1,1,0):31 over the hexagon pit.
+@settings(deadline=None)
+@given(section_cases(), st.integers(min_value=0, max_value=2), st.integers(min_value=-3, max_value=3))
+@example((OCTANT0, tile(0, 0, 0, 1, 2)), 0, 0)
+@example((OCTANT0, tile(-1, 0, 0, 1, 2)), 1, 2)
+@example((ConjUpSet(HEX_GENS), tile(0, 0, 0, 1, 2)), 2, -1)
+def test_section_at_against_oracles(case, shifts, k):
+    # The flat is handed over in canonical form, or as one of its other
+    # shift phases, slid along the diagonal by k.  Judged by the brute
+    # section and by the three-height rule read with conj_height.
+    w, flat = case
+    t = flat
+    for _ in range(shifts):
+        t = sigma(t)
+    t = SlantTile(q_shift(t.base, k), t.d1, t.d2)
+    assert flatten(t) == flat
+    s = section_at(w, t)
+    assert brute_section(w.generators, flat) == [s]
+    assert s == _three_height_section(w, flat)
+
+
+def test_section_and_classify_of_empty_region_raise():
+    t = tile(0, 0, 0, 1, 2)
+    with pytest.raises(GeometryError, match="^empty region has no height function$"):
+        section_at(ConjUpSet(), t)
+    with pytest.raises(GeometryError, match="^empty region has no height function$"):
+        classify(ConjUpSet(), STD_ORIGIN, Window(-1, 1, -1, 1))
+
+
 def test_section_and_classify_work_counts(monkeypatch, hexcone):
-    # Work counts, not timings: a section reads the heights of the flat
-    # tile's vertices (the third only when the second has not decided),
-    # and a classified window takes one section per flat tile.
-    calls = {"height": 0, "section": 0}
-    real_height, real_section = surface.conj_height, surface.section_at
+    # Work counts, not timings: a classified window and the In scan take
+    # one section per flat tile, and nothing on the section path reads a
+    # height through conj_height, which raises here in every tritile
+    # namespace that binds it.
+    def no_height(w, q):
+        raise AssertionError("conj_height called")
 
-    def counted_height(w, q):
-        calls["height"] += 1
-        return real_height(w, q)
-
-    def counted_section(w, t):
-        calls["section"] += 1
-        return real_section(w, t)
-
-    monkeypatch.setattr(surface, "conj_height", counted_height)
-    monkeypatch.setattr(surface, "section_at", counted_section)
+    real_height = cones.conj_height
+    for name, module in list(sys.modules.items()):
+        if name == "tritile" or name.startswith("tritile."):
+            for attr, value in list(vars(module).items()):
+                if value is real_height:
+                    monkeypatch.setattr(module, attr, no_height)
+    for height in (tritile.conj_height, cones.conj_height):
+        with pytest.raises(AssertionError, match="conj_height called"):
+            height(hexcone, (0, 0, 0))
+    calls = count_public_calls(monkeypatch, (surface.section_at,))
     wide = conj_roof_generators([QPoint(0, 0, 0), QPoint(6, -6, 1)])
     for w in (hexcone, wide):
         window = seed_window(list(w.generators), 3)
         flats = list(flat_tiles_in(window))
-        heights = 0
+        calls["section_at"] = 0
         for t in flats:
-            before = calls["height"]
-            s = real_section(w, t)
-            # two heights when the section is the (b+e1) phase, else three
-            assert calls["height"] - before == (2 if s.d1 == t.d2 else 3)
-            heights += calls["height"] - before
-        assert 2 * len(flats) < heights < 3 * len(flats)
-        assert calls["section"] == 0
-        calls["height"] = 0
+            surface.section_at(w, t)
+        assert calls["section_at"] == len(flats)  # no nested sections
+        calls["section_at"] = 0
         surface.classify(w, STD_ORIGIN, window)
-        assert calls == {"height": heights, "section": len(flats)}
-        calls.update(height=0, section=0)
+        assert calls["section_at"] == len(flats)
+        scanned = len(list(flat_tiles_in(seed_window(w.generators))))
+        calls["section_at"] = 0
+        surface.in_tiles_expanded(w, w.generators)
+        assert calls["section_at"] == scanned
+        calls["section_at"] = 0
+        surface.norm(w)
+        assert calls["section_at"] == scanned
 
 
 def test_vector_field_examples(hexcone):
