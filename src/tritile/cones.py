@@ -8,19 +8,22 @@ minimal generators, so value equality is equality of the normalized
 generator tuple.
 
 A *roof* enlarges a cone by every point whose three axis rays all
-eventually enter the cone.  Equivalently (in monomial-ideal terms) it is
-the saturation of the cone's ideal, which is why the closure below is
-computed as an intersection of three single-axis relaxations: one
-candidate corner per triple of generators, then minimalization.  The
-construction is idempotent, and it is validated against a brute-force
-membership oracle in the test suite.
+eventually enter the cone.  The ray along axis i enters it iff some
+generator lies below the point in the other two coordinates, so the
+roof is the intersection of three cylinders, each over the staircase of
+the generators projected to one coordinate plane.  Its corners are the
+componentwise maxima of one staircase corner per plane, as the
+generators of an intersection of monomial ideals are lcms; in
+monomial-ideal terms the roof is the saturation of the cone's ideal.
+The candidate corners are minimalized once, by the up-set that holds
+them.  The construction is idempotent, and it is validated against a
+brute-force membership oracle in the test suite.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .errors import GeometryError
 from .lattice import LHalf, QPoint, componentwise_le, inverse_embed
@@ -28,14 +31,16 @@ from .lattice import LHalf, QPoint, componentwise_le, inverse_embed
 Triple = tuple[int, int, int]
 
 
-def _minimal_triples(triples: Iterable[Triple]) -> tuple[Triple, ...]:
-    """Minimal elements of a finite triple set under componentwise order.
+def _antichain(triples: Iterable[Triple], point_type: type) -> tuple:
+    """Minimal elements of a finite triple set under componentwise order,
+    sorted, as ``point_type``s.
 
     In lexicographic order no point is followed by one below it, so one
     ascending pass keeps a point unless a kept one is below it, and the
     kept list comes out sorted.  A kept point is lexicographically
     smaller, so its first coordinate is already no larger: only the
-    other two are compared.
+    other two are compared.  Only the kept points are wrapped, and one
+    that is already a ``point_type`` is kept as it is.
     """
     keep: list[Triple] = []
     for p in sorted(set(triples)):
@@ -45,40 +50,43 @@ def _minimal_triples(triples: Iterable[Triple]) -> tuple[Triple, ...]:
                 break
         else:
             keep.append(p)
-    return tuple(keep)
+    return tuple(p if type(p) is point_type else point_type(*p) for p in keep)
 
 
-def _pareto_pairs(items: list[Triple], i: int, j: int) -> list[Triple]:
-    # Keep one representative per minimal (coord i, coord j) pair; entries
-    # dominated in those two coordinates only produce dominated candidates.
-    best: list[Triple] = []
-    for t in sorted(items, key=lambda t: (t[i], t[j])):
-        if any(b[i] <= t[i] and b[j] <= t[j] for b in best):
-            continue
-        best.append(t)
-    return best
+def _front(pairs: Iterable[tuple[int, int]]) -> list[tuple[int, int]]:
+    """Minimal pairs of a finite pair set: a staircase in the plane.
 
-
-def _roof_closure(triples: Iterable[Triple]) -> tuple[Triple, ...]:
-    """Generator antichain of the roof over octants based at ``triples``.
-
-    A point lies in the roof iff for each axis some generator is below
-    it in the other two coordinates.  Picking one witness per axis pins
-    the point into the octant whose corner takes, per coordinate, the
-    max over the two witnesses that constrain it; the roof is the union
-    of those octants over all witness triples.
+    In ascending order every earlier pair has a first coordinate no
+    larger, so a pair is dominated iff some kept pair has a second
+    coordinate no larger.  The kept second coordinates fall, so the
+    last kept one is their minimum.
     """
-    pts = sorted(set(triples))
-    if not pts:
-        return ()
-    slot1 = _pareto_pairs(pts, 1, 2)  # witness for the +axis1 ray
-    slot2 = _pareto_pairs(pts, 0, 2)
-    slot3 = _pareto_pairs(pts, 0, 1)
-    cands = {
-        (max(b[0], c[0]), max(a[1], c[1]), max(a[2], b[2]))
-        for a, b, c in product(slot1, slot2, slot3)
+    keep: list[tuple[int, int]] = []
+    for a, b in sorted(pairs):
+        if not keep or b < keep[-1][1]:
+            keep.append((a, b))
+    return keep
+
+
+def _roof_closure(triples: Iterable[Triple]) -> set[Triple]:
+    """Candidate corners of the roof over octants based at ``triples``.
+
+    A point lies in the roof iff each of the three coordinate-plane
+    staircases has a corner below it in that plane.  One corner per
+    plane pins the point into the octant whose corner takes, per
+    coordinate, the max over the two planes that hold it; the roof is
+    the union of those octants.  The corners are not minimalized here.
+    """
+    pts = list(triples)
+    front1 = _front((y, z) for _, y, z in pts)  # witnesses of the +axis1 ray
+    front2 = _front((x, z) for x, _, z in pts)
+    front3 = _front((x, y) for x, y, _ in pts)
+    return {
+        (max(x2, x3), max(y1, y3), max(z1, z2))
+        for y1, z1 in front1
+        for x2, z2 in front2
+        for x3, y3 in front3
     }
-    return _minimal_triples(cands)
 
 
 @dataclass(frozen=True)
@@ -93,16 +101,7 @@ class ConjUpSet:
     generators: tuple[QPoint, ...] = ()
 
     def __post_init__(self) -> None:
-        gens = tuple(
-            g if type(g) is QPoint else QPoint(*g) for g in _minimal_triples(self.generators)
-        )
-        object.__setattr__(self, "generators", gens)
-
-    def __bool__(self) -> bool:
-        return bool(self.generators)
-
-    def __iter__(self) -> Iterator[QPoint]:
-        return iter(self.generators)
+        object.__setattr__(self, "generators", _antichain(self.generators, QPoint))
 
 
 @dataclass(frozen=True)
@@ -117,12 +116,11 @@ class StdUpSet:
     dgens: tuple[LHalf, ...] = ()
 
     def __post_init__(self) -> None:
-        gens = _minimal_triples(LHalf(*g) for g in self.dgens)
-        object.__setattr__(self, "dgens", gens)
+        object.__setattr__(self, "dgens", _antichain(self.dgens, LHalf))
 
     @classmethod
     def from_qpoints(cls, points: Iterable[QPoint]) -> "StdUpSet":
-        return cls(tuple(inverse_embed(QPoint(*p)) for p in points))
+        return cls(tuple(map(inverse_embed, points)))
 
     def qpoints(self) -> tuple[QPoint, ...]:
         """Generators as q-points; fails if any corner is off-lattice."""
@@ -133,9 +131,6 @@ class StdUpSet:
                 raise ValueError(f"generator {t} is not a lattice point")
             out.append(QPoint(q2[0] // 2, q2[1] // 2, q2[2] // 2))
         return tuple(out)
-
-    def __bool__(self) -> bool:
-        return bool(self.dgens)
 
 
 def conj_height(w: ConjUpSet, q: Triple) -> int:
@@ -172,8 +167,7 @@ def conj_contains(w: ConjUpSet, q: QPoint) -> bool:
 
 def conj_roof_generators(points: Iterable[QPoint]) -> ConjUpSet:
     """Roof closure of the q-space cone over ``points``."""
-    closed = _roof_closure(tuple(QPoint(*p) for p in points))
-    return ConjUpSet(tuple(QPoint(*t) for t in closed))
+    return ConjUpSet(_roof_closure(points))
 
 
 def std_contains(w: StdUpSet, q: QPoint) -> bool:
@@ -183,8 +177,7 @@ def std_contains(w: StdUpSet, q: QPoint) -> bool:
 
 def std_roof_generators(points: Iterable[QPoint]) -> StdUpSet:
     """Roof closure of the l-space cone over ``points`` (doubled frame)."""
-    closed = _roof_closure(tuple(inverse_embed(QPoint(*p)) for p in points))
-    return StdUpSet(tuple(LHalf(*t) for t in closed))
+    return StdUpSet(_roof_closure(map(inverse_embed, points)))
 
 
 def roof_add(w1: ConjUpSet, w2: ConjUpSet) -> ConjUpSet:

@@ -195,14 +195,10 @@ def closed_trajectory_roofs(w: ConjUpSet, traj: Trajectory) -> tuple[StdUpSet, S
     w1 = std_roof_generators(bases)
     in1 = in_tiles_expanded(w, bases)
     traj_set = set(traj.tiles)
-    residue = [s for s in in1 if s not in traj_set]
-    if residue:
-        residue_bases = sorted({s.base for s in residue})
-        w2 = std_roof_generators(residue_bases)
-        in2 = in_tiles_expanded(w, residue_bases)
-    else:
-        w2 = StdUpSet()
-        in2 = ()
+    residue_bases = sorted({s.base for s in in1 if s not in traj_set})
+    w2 = std_roof_generators(residue_bases)
+    # No residue, no second scan: seed_window pads an empty point set.
+    in2 = in_tiles_expanded(w, residue_bases) if residue_bases else ()
     if set(in1) - set(in2) != traj_set:
         raise GeometryError(
             f"reconstruction mismatch: |In1|={len(in1)}, |In2|={len(in2)}, "

@@ -26,7 +26,7 @@ from fractions import Fraction
 
 import pytest
 
-from tritile import ConjUpSet, QPoint, SlantTile, flatten, inverse_embed, vertices
+from tritile import ConjUpSet, QPoint, SlantTile, embed, flat_tiles_in, flatten, inverse_embed, vertices
 from tritile import dynamics, surface
 from tritile.errors import GeometryError
 
@@ -181,6 +181,21 @@ def brute_minimal(points) -> tuple[QPoint, ...]:
         QPoint(*p) for p in pts
         if not any(o != p and all(o[t] <= p[t] for t in range(3)) for o in pts)
     ))
+
+
+def brute_in_tiles(w, points, window) -> list:
+    """In-tiles over the window against the standard roof of ``points``,
+    from the brute section and sampled roof membership.  Four parts per
+    edge already put samples inside both half squares of a tile; each
+    doubled l-sample goes back to q-coordinates as ``embed`` of its
+    halves."""
+    hits = []
+    for t in flat_tiles_in(window):
+        (s,) = brute_section(w.generators, t)
+        samples = tile_samples(s, denom=4)
+        if all(brute_std_roof_member(points, embed(*(c / 2 for c in p))) for p in samples):
+            hits.append(s)
+    return hits
 
 
 # -- the chart cover as first written, and public call counts ---------------

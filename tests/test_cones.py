@@ -164,6 +164,24 @@ def test_std_qpoints_rejects_off_lattice_corner():
         StdUpSet((LHalf(0, 1, 1),)).qpoints()
 
 
+@given(st.lists(st.tuples(coords, coords, coords), max_size=12))
+def test_roof_generators_accept_lists_tuples_and_qpoints(points):
+    def forms():  # fresh each time: the generator form is used up once read
+        return (
+            [list(p) for p in points],
+            points,
+            tuple(QPoint(*p) for p in points),
+            (QPoint(*p) for p in points),
+        )
+
+    conj = {conj_roof_generators(f) for f in forms()}
+    std = {std_roof_generators(f) for f in forms()}
+    assert len(conj) == 1 and len(std) == 1
+    (w,), (v,) = conj, std
+    assert all(type(g) is QPoint for g in w.generators)
+    assert all(type(g) is LHalf for g in v.dgens)
+
+
 def test_roof_add_identities():
     vx, vy, vz = (ConjUpSet((q,)) for q in (QPoint(1, 0, 0), QPoint(0, 1, 0), QPoint(0, 0, 1)))
     assert roof_add(roof_add(vx, vy), vz).generators == (QPoint(0, 0, 0),)

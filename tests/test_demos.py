@@ -1,6 +1,8 @@
-"""Smoke test: every demo script runs to completion."""
+"""Smoke test: every demo script runs to completion, and so does the
+README's library quick start."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -9,6 +11,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
+README_PYTHON = re.findall(r"^```python\n(.*?)^```$", (ROOT / "README.md").read_text(), re.M | re.S)
 
 
 def test_demos_found():
@@ -24,3 +27,9 @@ def test_demo_runs(demo, tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout
+
+
+def test_readme_quick_start_runs():
+    # The one fenced python block of the README; its asserts are the check.
+    (block,) = README_PYTHON
+    exec(compile(block, "README.md", "exec"), {})

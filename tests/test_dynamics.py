@@ -1,4 +1,5 @@
 import random
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -7,6 +8,8 @@ from hypothesis import strategies as st
 from conftest import (
     DECODE_DUDUDD,
     HEX_WALK,
+    brute_in_tiles,
+    brute_std_roof_member,
     count_public_calls,
     rand_antichain,
     rand_pit_gens,
@@ -29,10 +32,12 @@ from tritile import (
     on_surface,
     parse_tile,
     section_at,
+    std_contains,
     step,
     trace,
 )
 from tritile.cones import StdUpSet, conj_roof_generators
+from tritile.lattice import LHalf
 from tritile.surface import flat_tiles_in, seed_window
 from tritile.tiles import Port, SlantTile, port_candidates, tile
 
@@ -240,6 +245,26 @@ def test_closed_trajectory_roofs_hexagon(hexcone):
     w1, w2 = closed_trajectory_roofs(hexcone, traj)
     assert w1.qpoints() == (QPoint(0, 0, 0),)
     assert w2 == StdUpSet()
+
+
+def test_closed_trajectory_roofs_with_a_residue():
+    # In1 holds ten tiles off the walk here, so the second roof is not
+    # empty.  The oracle finds both In-sets from the brute section and
+    # sampled roof membership over a window padded past the box bound.
+    w = conj_roof_generators([(-3, 2, 0), (1, -3, 2), (1, -2, -1), (1, 1, -3)])
+    traj = trace(w, parse_tile("1,1,1:23"), max_steps=100)
+    assert traj.closed and len(traj) == 22
+    w1, w2 = closed_trajectory_roofs(w, traj)
+    assert w2.dgens == (LHalf(-2, -2, 2),)
+    bases = sorted({s.base for s in traj.tiles})
+    in1 = brute_in_tiles(w, bases, seed_window(bases, 4))
+    assert len(in1) == 32
+    residue = sorted({s.base for s in in1 if s not in traj.tiles})
+    in2 = brute_in_tiles(w, residue, seed_window(bases, 4))
+    assert set(in1) - set(in2) == set(traj.tiles)
+    for roof, points in ((w1, bases), (w2, residue)):
+        for q in product(range(-4, 5), repeat=3):
+            assert std_contains(roof, QPoint(*q)) == brute_std_roof_member(points, q), (roof, q)
 
 
 def test_closed_trajectory_roofs_requires_closed(hexcone):

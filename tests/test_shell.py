@@ -1,13 +1,20 @@
 import argparse
+import functools
+import io
 import json
 import os
+import random
 import subprocess
 import sys
+from collections import Counter
+from itertools import product
 from pathlib import Path
+from xml.parsers import expat
 
 import pytest
 
-from conftest import DECODE_DUDUDD, HEX_WALK, count_public_calls
+from conftest import DECODE_DUDUDD, HEX_WALK, brute_conj_roof_member, count_public_calls, rand_pit_gens
+from tritile import conj_contains, conj_roof_generators, roof_add
 from tritile.shell import main
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -90,6 +97,32 @@ def test_roof_add(capsys, tmp_path):
     assert json.loads(out) == {"peaks": [[0, 0, 0]], "kind": "roof"}
 
 
+def test_roof_add_is_the_fold_of_the_files_roofs(capsys, tmp_path):
+    # `roof add a b c` closes all the files' peaks at once; as roof closure
+    # is a closure operator, that equals roof_add(roof_add(A, B), C) of
+    # the files' roofs.  Each case repeats a file and adds a `kind: cone`
+    # file that is not roof-closed, which `roof add` closes like any other.
+    rng = random.Random(29)
+    cone = tmp_path / "cone.json"
+    cone.write_text(json.dumps({"peaks": [[2, 0, 0], [0, 2, 0], [0, 0, 2]], "kind": "cone"}))
+    for case in range(10):
+        paths = []
+        for i in range(rng.randint(1, 3)):
+            p = tmp_path / f"pits{case}_{i}.json"
+            p.write_text(json.dumps({"peaks": [list(g) for g in rand_pit_gens(rng, rng.randint(0, 2))]}))
+            paths.append(str(p))
+        paths += [paths[0], str(cone)]
+        rng.shuffle(paths)
+        code, out = run(capsys, "roof", "add", *paths)
+        assert code == 0
+        peaks = [json.loads(Path(p).read_text())["peaks"] for p in paths]
+        total = functools.reduce(roof_add, [conj_roof_generators(q) for q in peaks])
+        assert json.loads(out) == {"peaks": [list(g) for g in total.generators], "kind": "roof"}
+        union = [q for qs in peaks for q in qs]
+        for q in product(range(-4, 5), repeat=3):
+            assert conj_contains(total, q) == brute_conj_roof_member(union, q), (paths, q)
+
+
 def test_roof_add_output_is_valid_peaks_input(capsys, tmp_path, hex_peaks):
     code, out = run(capsys, "roof", "add", hex_peaks, hex_peaks)
     assert code == 0
@@ -157,6 +190,51 @@ def test_render_svg_and_ascii(capsys, tmp_path, hex_peaks):
     assert set(ascii_out) <= set("UD/\\ \n")
     code, again = run(capsys, "render", "-i", str(src), "--format", "ascii")
     assert again == ascii_out  # byte-deterministic
+
+
+def _svg_elements(svg: str) -> tuple[Counter, list[str]]:
+    """Element counts and text contents of an SVG, parsed with expat."""
+    tags, texts = Counter(), []
+    parser = expat.ParserCreate()
+    parser.StartElementHandler = lambda name, attrs: tags.update([name])
+    parser.CharacterDataHandler = lambda data: texts.append(data) if data.strip() else None
+    parser.Parse(svg, True)
+    return tags, texts
+
+
+def test_render_reads_norm_and_classify_documents_from_stdin(capsys, monkeypatch, tmp_path, hex_peaks):
+    # The README's `tritile norm ... | tritile render` pipe, in one process.
+    std = tmp_path / "std.json"
+    std.write_text(json.dumps({"peaks": [[-1, 0, 1]], "kind": "cone"}))
+    code, norm_doc = run(capsys, "norm", "--peaks", hex_peaks)
+    assert code == 0
+    code, classify_doc = run(
+        capsys, "classify", "--peaks", hex_peaks, "--std-peaks", str(std), "--window=-2:2,-2:2"
+    )
+    assert code == 0
+    assert json.loads(classify_doc)["counts"] == {"in": 3, "out": 45, "bd": 2}
+    walk_code = json.loads(norm_doc)["trajectories"][0]["code"]
+
+    def render(doc, fmt):
+        monkeypatch.setattr(sys, "stdin", io.StringIO(doc))
+        code, out = run(capsys, "render", "--format", fmt)
+        assert code == 0
+        return out
+
+    # The norm tiles are drawn unlabelled, then the walk over them with
+    # its code letters; In and Bd tiles carry I and B, Out tiles none.
+    pic = render(norm_doc, "ascii")
+    assert sorted(c for c in pic if c not in " \n") == sorted(walk_code)
+    pic = render(classify_doc, "ascii")
+    assert set(pic) <= set("IB/\\ \n")
+    assert (pic.count("I"), pic.count("B"), pic.count("/") + pic.count("\\")) == (3, 2, 45)
+
+    tags, texts = _svg_elements(render(norm_doc, "svg"))
+    assert (tags["svg"], tags["polygon"], tags["text"]) == (1, 12, 6)
+    assert sorted(texts) == sorted(walk_code)
+    tags, texts = _svg_elements(render(classify_doc, "svg"))
+    assert (tags["svg"], tags["polygon"], tags["text"]) == (1, 50, 5)
+    assert sorted(texts) == ["B", "B", "I", "I", "I"]
 
 
 def test_render_json_echo(capsys, tmp_path):
@@ -271,11 +349,14 @@ def test_peaks_file_must_be_an_object(capsys, tmp_path):
 
 @pytest.mark.parametrize("command", ["trajectories", "encode"])
 def test_negative_max_steps_is_rejected(capsys, octant_peaks, command):
-    code = main([command, "--peaks", octant_peaks, "--start", "1,0,0:12", "--max-steps", "-1"])
-    captured = capsys.readouterr()
-    assert code == 1
-    assert captured.out == ""
-    assert "--max-steps" in captured.err
+    # "abc" is not an integer at all: the other way to miss the budget type
+    for steps in ("-1", "abc"):
+        code = main([command, "--peaks", octant_peaks, "--start", "1,0,0:12", "--max-steps", steps])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert "--max-steps" in captured.err
+        assert f"expected a positive integer, got {steps!r}" in captured.err
 
 
 @pytest.mark.parametrize("command", ["trajectories", "encode"])

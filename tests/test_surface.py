@@ -11,7 +11,7 @@ from conftest import (
     brute_boundary,
     brute_height,
     brute_section,
-    brute_std_roof_member,
+    brute_in_tiles,
     count_public_calls,
     rand_antichain,
     rand_pit_gens,
@@ -27,7 +27,6 @@ from tritile import (
     Window,
     classify,
     conj_height,
-    embed,
     flatten,
     gradient,
     is_consistent,
@@ -357,21 +356,6 @@ def test_norm_requires_roof():
         norm(open_cone)
 
 
-def _brute_in_tiles(w, points, window) -> list:
-    """In-tiles over the window against the standard roof of ``points``,
-    from the brute section and sampled roof membership.  Four parts per
-    edge already put samples inside both half squares of a tile; each
-    doubled l-sample goes back to q-coordinates as ``embed`` of its
-    halves."""
-    hits = []
-    for t in flat_tiles_in(window):
-        (s,) = brute_section(w.generators, t)
-        samples = tile_samples(s, denom=4)
-        if all(brute_std_roof_member(points, embed(*(c / 2 for c in p))) for p in samples):
-            hits.append(s)
-    return hits
-
-
 def test_in_tiles_lie_in_the_box_of_their_points():
     # The In-tiles against the roof of points P lying in w project into
     # the plane box of P, so one scan of that box finds them all.  P is
@@ -394,7 +378,7 @@ def test_in_tiles_lie_in_the_box_of_their_points():
     nonempty = {"roof": 0, "cone": 0}
     for kind, w, points in cases:
         box = seed_window(points, 0)
-        hits = _brute_in_tiles(w, points, seed_window(points, 6))
+        hits = brute_in_tiles(w, points, seed_window(points, 6))
         for s in hits:
             for x in vertices(s):
                 u, v = project(x)
