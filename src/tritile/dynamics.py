@@ -21,7 +21,7 @@ from itertools import pairwise
 
 from .cones import ConjUpSet, StdUpSet, std_roof_generators
 from .errors import GeometryError
-from .surface import in_tiles_expanded, norm, on_surface, section_at
+from .surface import classify, norm, on_surface, section_at, seed_window
 from .tiles import Port, SlantTile, flatten, gradient, port_candidates
 
 _NEGATE = {"U": "D", "D": "U"}
@@ -193,12 +193,11 @@ def closed_trajectory_roofs(w: ConjUpSet, traj: Trajectory) -> tuple[StdUpSet, S
         raise ValueError("roof reconstruction needs a closed trajectory")
     bases = sorted({t.base for t in traj.tiles})
     w1 = std_roof_generators(bases)
-    in1 = in_tiles_expanded(w, bases)
+    in1 = classify(w, w1, seed_window(bases)).in_tiles
     traj_set = set(traj.tiles)
     residue_bases = sorted({s.base for s in in1 if s not in traj_set})
     w2 = std_roof_generators(residue_bases)
-    # No residue, no second scan: seed_window pads an empty point set.
-    in2 = in_tiles_expanded(w, residue_bases) if residue_bases else ()
+    in2 = classify(w, w2, seed_window(residue_bases)).in_tiles
     if set(in1) - set(in2) != traj_set:
         raise GeometryError(
             f"reconstruction mismatch: |In1|={len(in1)}, |In2|={len(in2)}, "

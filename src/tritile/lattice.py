@@ -12,8 +12,6 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-Axis = int  # 1, 2 or 3
-
 
 class QPoint(NamedTuple):
     """Lattice point in q-coordinates."""

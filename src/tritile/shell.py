@@ -131,7 +131,7 @@ def _traj_doc(tiles: Sequence[SlantTile], closed: bool, code: str) -> dict:
 
 def _cmd_surface(args) -> int:
     w = _conj_region(args.peaks)
-    window = args.window or seed_window(list(w.generators))
+    window = args.window or seed_window(w.generators)
     tiles = surface_tiles(w, window)
     _emit({"tiles": [s.text() for s in tiles]})
     return EXIT_OK
@@ -187,7 +187,7 @@ def _cmd_norm(args) -> int:
 def _cmd_classify(args) -> int:
     w1 = _conj_region(args.peaks)
     w2 = _std_region(args.std_peaks)
-    window = args.window or seed_window(list(w1.generators))
+    window = args.window or seed_window(w1.generators)
     cl = classify(w1, w2, window)
     _emit(
         {

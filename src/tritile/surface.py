@@ -34,10 +34,11 @@ meeting the first two conditions, and that one number decides.
 Regions are unbounded, so every enumeration runs over a plane window.
 The In-tiles of ``w`` against the standard roof of points ``P`` that lie
 in ``w`` need no search for a window: they project into the bounding
-box of ``P``, so one scan of that box, padded, finds them all.  Work in
-q-coordinates with ``u = q1-q3`` and ``v = q2-q3``, take a point ``p``
-of an open half square of a surface tile with ``u(p) > max u(P)``, and
-write ``d = p-g`` for ``g`` in ``P``.  Every ``g`` gives
+box of ``P``, so one scan of that box, padded by 8, finds them all,
+and the box of no points is empty.  Work in q-coordinates with
+``u = q1-q3`` and ``v = q2-q3``, take a point ``p`` of an open half
+square of a surface tile with ``u(p) > max u(P)``, and write
+``d = p-g`` for ``g`` in ``P``.  Every ``g`` gives
 ``min(d) <= 0``, since ``p`` is on the surface and ``g`` is in ``w``.
 Roof membership along l-axis 3 needs some ``g`` with
 ``d3 >= |d1-d2|``, and with ``d1-d3 > 0`` that forces
@@ -230,13 +231,13 @@ def is_consistent(w1: ConjUpSet, w2: StdUpSet, window: Window) -> bool:
 
 # -- windowed enumeration of the full In set --------------------------------
 
-def seed_window(points: Sequence[QPoint], pad: int = 8) -> Window:
-    """Plane bounding box of ``points``, padded."""
+def seed_window(points: Sequence[QPoint]) -> Window:
+    """Plane bounding box of ``points`` padded by 8; empty for no points."""
     if not points:
-        return Window(-pad, pad, -pad, pad)
+        return Window(0, -1, 0, -1)
     us = [project(p).u for p in points]
     vs = [project(p).v for p in points]
-    return Window(min(us) - pad, max(us) + pad, min(vs) - pad, max(vs) + pad)
+    return Window(min(us) - 8, max(us) + 8, min(vs) - 8, max(vs) + 8)
 
 
 def in_tiles_expanded(w: ConjUpSet, points: Sequence[QPoint]) -> tuple[SlantTile, ...]:
@@ -244,7 +245,7 @@ def in_tiles_expanded(w: ConjUpSet, points: Sequence[QPoint]) -> tuple[SlantTile
     ``points``, which must lie in ``w``.
 
     By the box bound of the module docstring one scan of
-    ``seed_window(points)`` holds them all.
+    ``seed_window(points)`` holds them all; no points give ``()``.
     """
     dgens = std_roof_generators(points).dgens
     hits = [
@@ -259,7 +260,7 @@ def norm(w: ConjUpSet) -> tuple[FlatTile, ...]:
     """Flat tiles of the surface of ``w`` inside the l-space roof of its
     own generators: the closed-trajectory content of a roof.
 
-    ``w`` must be roof-closed.  Empty for any single-generator roof.
+    ``w`` must be roof-closed.  Empty for a roof of at most one generator.
     """
     if not is_roof(w):
         raise ValueError("norm is defined for roof-closed regions only")

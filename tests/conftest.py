@@ -26,7 +26,7 @@ from fractions import Fraction
 
 import pytest
 
-from tritile import ConjUpSet, QPoint, SlantTile, embed, flat_tiles_in, flatten, inverse_embed, vertices
+from tritile import ConjUpSet, QPoint, SlantTile, Window, embed, flat_tiles_in, flatten, inverse_embed, vertices
 from tritile import dynamics, surface
 from tritile.errors import GeometryError
 
@@ -181,6 +181,14 @@ def brute_minimal(points) -> tuple[QPoint, ...]:
         QPoint(*p) for p in pts
         if not any(o != p and all(o[t] <= p[t] for t in range(3)) for o in pts)
     ))
+
+
+def padded_box(points, pad: int) -> Window:
+    """Plane box of non-empty ``points`` padded by ``pad``, read from raw
+    coordinates as ``u = q1 - q3`` and ``v = q2 - q3``."""
+    us = [p[0] - p[2] for p in points]
+    vs = [p[1] - p[2] for p in points]
+    return Window(min(us) - pad, max(us) + pad, min(vs) - pad, max(vs) + pad)
 
 
 def brute_in_tiles(w, points, window) -> list:

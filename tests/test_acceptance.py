@@ -14,6 +14,7 @@ from conftest import (
     HEX_WALK,
     brute_conj_roof_member,
     brute_std_roof_member,
+    padded_box,
     rand_antichain,
     rand_pit_gens,
     sample_in_closed,
@@ -44,7 +45,7 @@ from tritile import (
     trace,
 )
 from tritile.cones import StdUpSet
-from tritile.surface import flat_tiles_in, seed_window
+from tritile.surface import flat_tiles_in
 from tritile.tiles import Port, tile
 
 HEX_TILES = tuple(parse_tile(t) for t in HEX_WALK)
@@ -179,7 +180,7 @@ def test_criterion_08_codec_round_trip():
     while done < 500:
         gens = rand_antichain(rng, 4, rng.randint(1, 6))  # 9^3 box
         w = ConjUpSet(gens)
-        window = seed_window(list(gens), 3)
+        window = padded_box(gens, 3)
         u = rng.randint(window.u_min, window.u_max)
         v = rng.randint(window.v_min, window.v_max)
         start = section_at(w, tile(u, v, 0, 1, rng.choice((2, 3))))
@@ -227,7 +228,7 @@ def test_criterion_10_trajectory_roof_reconstruction():
     while done < 50 and ok:
         gens = rand_pit_gens(rng, rng.randint(0, 2))
         cone = conj_roof_generators(gens) if rng.random() < 0.5 else ConjUpSet(tuple(gens))
-        window = seed_window(gens, 2)
+        window = padded_box(gens, 2)
         u = rng.randint(window.u_min, window.u_max)
         v = rng.randint(window.v_min, window.v_max)
         traj = trace(cone, section_at(cone, tile(u, v, 0, 1, rng.choice((2, 3)))), max_steps=250)
@@ -243,7 +244,7 @@ def test_criterion_11_step_determinism():
     checked = 0
     for _ in range(100):
         w = ConjUpSet(rand_antichain(rng, 3, rng.randint(1, 6)))
-        for t in flat_tiles_in(seed_window(list(w.generators), 3)):
+        for t in flat_tiles_in(padded_box(w.generators, 3)):
             s = section_at(w, t)
             for port in (Port.UP, Port.DOWN):
                 step(w, s, port)  # a fork or dead end raises GeometryError

@@ -11,6 +11,7 @@ from conftest import (
     brute_in_tiles,
     brute_std_roof_member,
     count_public_calls,
+    padded_box,
     rand_antichain,
     rand_pit_gens,
     reference_chart_cover,
@@ -36,9 +37,9 @@ from tritile import (
     step,
     trace,
 )
-from tritile.cones import StdUpSet, conj_roof_generators
+from tritile.cones import StdUpSet, conj_roof_generators, std_roof_generators
 from tritile.lattice import LHalf
-from tritile.surface import flat_tiles_in, seed_window
+from tritile.surface import flat_tiles_in
 from tritile.tiles import Port, SlantTile, port_candidates, tile
 
 HEX_TILES = tuple(parse_tile(t) for t in HEX_WALK)
@@ -181,6 +182,8 @@ def test_chart_cover_goldens(hexcone):
     single = chart_cover([tile(3, -1, 2, 2, 3)])
     assert single[0].cone == ConjUpSet((QPoint(3, -1, 2),))
 
+    assert chart_cover([]) == []
+
 
 def test_chart_cover_is_sound_on_random_codes():
     rng = random.Random(22)
@@ -247,20 +250,23 @@ def test_closed_trajectory_roofs_hexagon(hexcone):
     assert w2 == StdUpSet()
 
 
-def test_closed_trajectory_roofs_with_a_residue():
+def test_closed_trajectory_roofs_with_a_residue(monkeypatch):
     # In1 holds ten tiles off the walk here, so the second roof is not
     # empty.  The oracle finds both In-sets from the brute section and
     # sampled roof membership over a window padded past the box bound.
+    # Each roof is closed once and scanned as built.
     w = conj_roof_generators([(-3, 2, 0), (1, -3, 2), (1, -2, -1), (1, 1, -3)])
     traj = trace(w, parse_tile("1,1,1:23"), max_steps=100)
     assert traj.closed and len(traj) == 22
+    calls = count_public_calls(monkeypatch, (std_roof_generators,))
     w1, w2 = closed_trajectory_roofs(w, traj)
-    assert w2.dgens == (LHalf(-2, -2, 2),)
+    assert calls["std_roof_generators"] == 2
+    assert (w1.dgens, w2.dgens) == ((LHalf(-3, -3, 1),), (LHalf(-2, -2, 2),))
     bases = sorted({s.base for s in traj.tiles})
-    in1 = brute_in_tiles(w, bases, seed_window(bases, 4))
+    in1 = brute_in_tiles(w, bases, padded_box(bases, 4))
     assert len(in1) == 32
     residue = sorted({s.base for s in in1 if s not in traj.tiles})
-    in2 = brute_in_tiles(w, residue, seed_window(bases, 4))
+    in2 = brute_in_tiles(w, residue, padded_box(bases, 4))
     assert set(in1) - set(in2) == set(traj.tiles)
     for roof, points in ((w1, bases), (w2, residue)):
         for q in product(range(-4, 5), repeat=3):
@@ -314,6 +320,7 @@ def test_closed_trajectories_of_roof(hexcone):
     assert [(len(t), t.closed) for t in trajs] == [(6, True)]
     assert {flatten(s) for s in trajs[0].tiles} == set(norm(hexcone))
     assert closed_trajectories_of_roof(OCTANT) == []
+    assert closed_trajectories_of_roof(ConjUpSet()) == []
 
 
 def test_norm_partition_violation_is_reported():
@@ -327,7 +334,7 @@ def test_step_determinism_on_random_cones():
     rng = random.Random(24)
     for _ in range(15):
         w = ConjUpSet(rand_antichain(rng, 3, rng.randint(1, 5)))
-        for t in flat_tiles_in(seed_window(list(w.generators), 3)):
+        for t in flat_tiles_in(padded_box(w.generators, 3)):
             s = section_at(w, t)
             for port in (Port.UP, Port.DOWN):
                 step(w, s, port)  # would raise on fork or dead end

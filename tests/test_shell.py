@@ -237,6 +237,15 @@ def test_render_reads_norm_and_classify_documents_from_stdin(capsys, monkeypatch
     assert sorted(texts) == ["B", "B", "I", "I", "I"]
 
 
+def test_render_svg_of_no_tiles_is_an_empty_canvas(capsys, tmp_path):
+    src = tmp_path / "empty.json"
+    src.write_text(json.dumps({"tiles": []}))
+    code, svg = run(capsys, "render", "-i", str(src), "--format", "svg")
+    assert code == 0
+    tags, texts = _svg_elements(svg)
+    assert (tags["svg"], tags["polygon"], tags["text"], texts) == (1, 0, 0, [])
+
+
 def test_render_json_echo(capsys, tmp_path):
     src = tmp_path / "d.json"
     src.write_text('{"norm": [], "trajectories": []}')

@@ -13,6 +13,7 @@ from conftest import (
     brute_section,
     brute_in_tiles,
     count_public_calls,
+    padded_box,
     rand_antichain,
     rand_pit_gens,
     sample_in_closed,
@@ -142,7 +143,7 @@ def test_section_is_total_and_unique_on_random_cones():
     for d in (19, 20, 21):
         regions.append(conj_roof_generators([QPoint(0, 0, 0), QPoint(d, -d, rng.randint(-1, 1))]))
     for w in regions:
-        flats = list(flat_tiles_in(seed_window(list(w.generators), 3)))
+        flats = list(flat_tiles_in(padded_box(w.generators, 3)))
         for t in rng.sample(flats, min(len(flats), 150)):
             s = section_at(w, t)
             assert brute_section(w.generators, t) == [s]
@@ -236,7 +237,7 @@ def test_section_and_classify_work_counts(monkeypatch, hexcone):
     calls = count_public_calls(monkeypatch, (surface.section_at,))
     wide = conj_roof_generators([QPoint(0, 0, 0), QPoint(6, -6, 1)])
     for w in (hexcone, wide):
-        window = seed_window(list(w.generators), 3)
+        window = padded_box(w.generators, 3)
         flats = list(flat_tiles_in(window))
         calls["section_at"] = 0
         for t in flats:
@@ -322,7 +323,7 @@ def test_classification_against_dense_sampling():
     mixed = {"in": 0, "out": 0, "bd": 0}
     for w2 in regions:
         w1 = ConjUpSet(rand_antichain(rng, 2, rng.randint(1, 4)))
-        for t in flat_tiles_in(seed_window(list(w1.generators), 2)):
+        for t in flat_tiles_in(padded_box(w1.generators, 2)):
             s = section_at(w1, t)
             verdict = _classify_tile(s, w2.dgens)
             samples = tile_samples(s, denom=8)
@@ -348,6 +349,16 @@ def test_norm_of_single_peaks_is_empty():
 def test_norm_of_hex_pit(hexcone):
     flats = norm(hexcone)
     assert flats == tuple(sorted(flatten(s) for s in HEX_TILES))
+
+
+def test_the_box_of_no_points_is_empty(monkeypatch, hexcone):
+    # No points, no window: the In scan takes no section, and the roof of
+    # no peaks has an empty norm instead of a height error.
+    assert list(flat_tiles_in(seed_window(()))) == []
+    calls = count_public_calls(monkeypatch, (surface.section_at,))
+    assert in_tiles_expanded(hexcone, ()) == ()
+    assert calls["section_at"] == 0
+    assert norm(ConjUpSet()) == ()
 
 
 def test_norm_requires_roof():
@@ -377,8 +388,8 @@ def test_in_tiles_lie_in_the_box_of_their_points():
         cases.append(("cone", w, points))
     nonempty = {"roof": 0, "cone": 0}
     for kind, w, points in cases:
-        box = seed_window(points, 0)
-        hits = brute_in_tiles(w, points, seed_window(points, 6))
+        box = padded_box(points, 0)
+        hits = brute_in_tiles(w, points, padded_box(points, 6))
         for s in hits:
             for x in vertices(s):
                 u, v = project(x)
