@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .errors import GeometryError
-from .lattice import LHalf, QPoint, componentwise_le, inverse_embed
+from .lattice import LHalf, QPoint, componentwise_le, embed, inverse_embed
 
 Triple = tuple[int, int, int]
 
@@ -126,7 +126,7 @@ class StdUpSet:
         """Generators as q-points; fails if any corner is off-lattice."""
         out = []
         for t in self.dgens:
-            q2 = (t[1] + t[2], t[0] + t[2], t[0] + t[1])
+            q2 = embed(*t)
             if any(c % 2 for c in q2):
                 raise ValueError(f"generator {t} is not a lattice point")
             out.append(QPoint(q2[0] // 2, q2[1] // 2, q2[2] // 2))

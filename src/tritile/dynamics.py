@@ -48,20 +48,18 @@ class Chart:
 def step(w: ConjUpSet, s: SlantTile, exit_port: Port) -> tuple[SlantTile, Port]:
     """Advance one tile across ``exit_port`` on the surface of ``w``.
 
-    Returns the successor and the port it will exit through (toggled
-    iff the move flipped the gradient).  A staircase admits exactly one
-    on-surface candidate; zero or two signal a malformed region.
+    Returns the successor and the port it exits through (toggled iff the
+    move flipped the gradient).  The candidates are one shift apart, over
+    one flat tile and its one surface tile: never both are on the surface.
     """
     pair = port_candidates(s, exit_port)
     flip_on = on_surface(w, pair.flip)
-    keep_on = on_surface(w, pair.keep)
-    if flip_on and keep_on:
-        raise GeometryError(f"both candidates on surface at {s.text()}/{exit_port.value}")
-    if not flip_on and not keep_on:
-        raise GeometryError(f"no candidate on surface at {s.text()}/{exit_port.value}")
+    keep_on = on_surface(w, pair.keep)  # asked either way: the pinned counts take 2 per step
     if flip_on:
         return pair.flip, exit_port.other
-    return pair.keep, exit_port
+    if keep_on:
+        return pair.keep, exit_port
+    raise GeometryError(f"no candidate on surface at {s.text()}/{exit_port.value}")
 
 
 def trace(

@@ -7,8 +7,8 @@ as one JSON document per line with fields ``closed``, ``length``,
 ``tiles`` (text form ``q1,q2,q3:d1d2``), ``code`` and ``charts``.
 
 Exit codes: 0 success; 1 usage or malformed input; 2 geometric
-inconsistency (fork, dead end, failed reconstruction); 3 a walk did not
-close within ``--max-steps`` (the truncated walk is still emitted).
+inconsistency (a ``GeometryError``); 3 a walk did not close within
+``--max-steps`` (the truncated walk is still emitted).
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ class _Parser(argparse.ArgumentParser):
     # argparse exits with 2 on bad usage; 2 is taken by geometry errors here.
     def error(self, message):
         self.print_usage(sys.stderr)
-        raise SystemExit(f"error: {message}")
+        raise ValueError(message)
 
 
 def _parse_json(text: str):
@@ -139,8 +139,6 @@ def _cmd_surface(args) -> int:
 
 def _cmd_trajectories(args) -> int:
     w = _conj_region(args.peaks)
-    if args.all == (args.start is not None):
-        raise ValueError("exactly one of --all and --start is required")
     if args.all:
         if args.max_steps is not None:
             raise ValueError("--max-steps applies to --start only")
@@ -251,10 +249,10 @@ def _cmd_render(args) -> int:
             doc = _parse_json(fh.read())
     else:
         doc = _parse_json(sys.stdin.read() or "{}")
+    pairs = _doc_tiles(doc)
     if args.format == "json":
         text = json.dumps(doc, sort_keys=True) + "\n"
     else:
-        pairs = _doc_tiles(doc)
         text = svg_picture(pairs) if args.format == "svg" else ascii_picture(pairs)
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
@@ -287,8 +285,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = add("trajectories", _cmd_trajectories, "trace trajectories on a surface")
     sp.add_argument("--peaks", required=True)
-    sp.add_argument("--all", action="store_true", help="all closed trajectories of the roof")
-    sp.add_argument("--start", help="start tile, e.g. 1,1,0:31")
+    which = sp.add_mutually_exclusive_group(required=True)
+    which.add_argument("--all", action="store_true", help="all closed trajectories of the roof")
+    which.add_argument("--start", help="start tile, e.g. 1,1,0:31")
     sp.add_argument(
         "--max-steps", type=_max_steps, help="tile budget of the --start walk (default 1000)"
     )
@@ -330,20 +329,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
         return args.fn(args)
-    except SystemExit as exc:
-        if exc.code in (0, None):
-            return EXIT_OK
-        if isinstance(exc.code, str):
-            sys.stderr.write(exc.code + "\n")
-        return EXIT_USAGE
+    except SystemExit:  # --help
+        return EXIT_OK
     except GeometryError as exc:
         sys.stderr.write(f"geometry error: {exc}\n")
         return EXIT_GEOMETRY
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
 

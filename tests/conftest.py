@@ -3,8 +3,10 @@
 The oracles here deliberately avoid the library's algorithms: roof
 membership is evaluated straight from its defining condition (every axis
 ray eventually enters the cone), region containment of a tile is probed
-by dense rational sampling of the triangle, and heights and sections are
-found by scanning the diagonal for cone and boundary points.  Tests
+by dense rational sampling of the triangle, heights and sections are
+found by scanning the diagonal for cone and boundary points, and a
+step's successor is the port candidate whose vertices are all boundary
+points.  Tests
 compare the implementation against these, never against itself.
 
 ``reference_chart_cover`` is the chart cover as it was first written,
@@ -29,6 +31,7 @@ import pytest
 from tritile import ConjUpSet, QPoint, SlantTile, Window, embed, flat_tiles_in, flatten, inverse_embed, vertices
 from tritile import dynamics, surface
 from tritile.errors import GeometryError
+from tritile.tiles import port_candidates
 
 # The six-tile closed walk around the three-peak pit, in walk order.
 HEX_GENS = (QPoint(1, 1, 0), QPoint(0, 1, 1), QPoint(1, 0, 1))
@@ -172,6 +175,12 @@ def brute_section(gens, t: SlantTile) -> list[SlantTile]:
             if all(brute_boundary(gens, v) for v in (v0, v1, _plus(v1, a2))):
                 out.append(SlantTile(v0, a1, a2))
     return out
+
+
+def brute_successors(gens, s: SlantTile, port) -> list[SlantTile]:
+    """The candidates across ``port`` of ``s`` whose three vertices are all
+    boundary points; a deterministic walk keeps exactly one of the two."""
+    return [c for c in port_candidates(s, port) if all(brute_boundary(gens, v) for v in vertices(c))]
 
 
 def brute_minimal(points) -> tuple[QPoint, ...]:

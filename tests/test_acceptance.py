@@ -14,6 +14,7 @@ from conftest import (
     HEX_WALK,
     brute_conj_roof_member,
     brute_std_roof_member,
+    brute_successors,
     padded_box,
     rand_antichain,
     rand_pit_gens,
@@ -242,14 +243,23 @@ def test_criterion_10_trajectory_roof_reconstruction():
 def test_criterion_11_step_determinism():
     rng = random.Random(1101)
     checked = 0
+    failures = []
     for _ in range(100):
         w = ConjUpSet(rand_antichain(rng, 3, rng.randint(1, 6)))
         for t in flat_tiles_in(padded_box(w.generators, 3)):
             s = section_at(w, t)
             for port in (Port.UP, Port.DOWN):
-                step(w, s, port)  # a fork or dead end raises GeometryError
+                # the brute boundary alone keeps one candidate, and step takes it
+                if brute_successors(w.generators, s, port) != [step(w, s, port)[0]]:
+                    failures.append(f"{s.text()}/{port.value} over {w.generators}")
                 checked += 1
-    report(11, True, f"exactly one admissible candidate at {checked} tile/port states, 100 cones")
+    report(
+        11,
+        not failures,
+        f"exactly one brute-admissible candidate, step's successor, at {checked} tile/port"
+        f" states, 100 cones; {len(failures)} violations"
+        + (f", first: {failures[0]}" if failures else ""),
+    )
 
 
 def test_criterion_12_norm_union_bound():

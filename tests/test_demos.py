@@ -1,17 +1,21 @@
 """Smoke test: every demo script runs to completion, and so does the
-README's library quick start."""
+README's library quick start; its command lines parse."""
 
 import os
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+from tritile.shell import build_parser
+
 ROOT = Path(__file__).resolve().parents[1]
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
-README_PYTHON = re.findall(r"^```python\n(.*?)^```$", (ROOT / "README.md").read_text(), re.M | re.S)
+README = (ROOT / "README.md").read_text()
+README_PYTHON = re.findall(r"^```python\n(.*?)^```$", README, re.M | re.S)
 
 
 def test_demos_found():
@@ -33,3 +37,13 @@ def test_readme_quick_start_runs():
     # The one fenced python block of the README; its asserts are the check.
     (block,) = README_PYTHON
     exec(compile(block, "README.md", "exec"), {})
+
+
+def test_readme_commands_parse():
+    # Every `tritile ...` command of the "Command line" fence, each side of
+    # a pipe on its own; parsing names files but opens none.
+    (fence,) = re.findall(r"^## Command line\n.*?^```\n(.*?)^```$", README, re.M | re.S)
+    commands = [shlex.split(c) for line in fence.splitlines() for c in line.split("|")]
+    assert len(commands) == 12 and all(argv[0] == "tritile" for argv in commands)
+    for argv in commands:
+        assert build_parser().parse_args(argv[1:]).fn

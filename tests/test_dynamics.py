@@ -10,6 +10,7 @@ from conftest import (
     HEX_WALK,
     brute_in_tiles,
     brute_std_roof_member,
+    brute_successors,
     count_public_calls,
     padded_box,
     rand_antichain,
@@ -337,4 +338,5 @@ def test_step_determinism_on_random_cones():
         for t in flat_tiles_in(padded_box(w.generators, 3)):
             s = section_at(w, t)
             for port in (Port.UP, Port.DOWN):
-                step(w, s, port)  # would raise on fork or dead end
+                # the brute boundary alone keeps one candidate, and step takes it
+                assert brute_successors(w.generators, s, port) == [step(w, s, port)[0]]

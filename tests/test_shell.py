@@ -324,6 +324,66 @@ def test_geometry_errors_exit_2_with_their_message(capsys, tmp_path, hex_peaks, 
     assert captured.err == f"geometry error: {message}\n"
 
 
+@pytest.mark.parametrize(
+    "which, message",
+    [
+        ([], "one of the arguments --all --start is required"),
+        (["--all", "--start", "1,1,0:31"], "argument --start: not allowed with argument --all"),
+    ],
+)
+def test_all_and_start_are_exclusive_and_required(capsys, tmp_path, which, message):
+    # argparse decides before the peaks file is read, so a missing file is not the error
+    code = main(["trajectories", "--peaks", str(tmp_path / "missing.json"), *which])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.splitlines()[-1] == f"error: {message}"
+
+
+# Each of these fails in the parser, so no named file is ever opened.
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (
+            ["no-such-command"],
+            "argument command: invalid choice: 'no-such-command' (choose from 'surface',"
+            " 'trajectories', 'encode', 'decode', 'roof', 'norm', 'classify', 'render')",
+        ),
+        (["surface"], "the following arguments are required: --peaks"),
+        (
+            ["surface", "--peaks", "hex.json", "--window=bad"],
+            "argument --window: bad window 'bad', expected uMIN:uMAX,vMIN:vMAX",
+        ),
+        (
+            ["encode", "--peaks", "hex.json", "--start", "1,1,0:31", "--max-steps", "0"],
+            "argument --max-steps: expected a positive integer, got '0'",
+        ),
+        (["roof"], "the following arguments are required: roof_command"),
+        (["decode", "DUXD"], "the following arguments are required: --start"),
+    ],
+)
+def test_parser_errors_print_usage_then_message(capsys, argv, message):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    usage, sep, rest = captured.err.partition("error: ")
+    assert usage.startswith("usage: tritile") and usage.endswith("\n")
+    assert (sep, rest) == ("error: ", message + "\n")
+
+
+@pytest.mark.parametrize(
+    "argv, shown",
+    [(["--help"], "staircase tile geometry toolkit"), (["trajectories", "--help"], "(--all | --start START)")],
+)
+def test_help_exits_0_on_stdout(capsys, argv, shown):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 0
+    assert captured.out.startswith("usage: tritile") and shown in captured.out
+    assert captured.err == ""
+
+
 def test_max_steps_with_all_is_rejected(capsys, hex_peaks):
     code = main(["trajectories", "--peaks", hex_peaks, "--all", "--max-steps", "5"])
     captured = capsys.readouterr()
@@ -423,7 +483,7 @@ def test_pinned_public_call_counts(capsys, monkeypatch, tmp_path):
         {"tiles": ["0,0,0:12", "1,0,0:23"], "code": "U"},
     ],
 )
-@pytest.mark.parametrize("fmt", ["svg", "ascii"])
+@pytest.mark.parametrize("fmt", ["svg", "ascii", "json"])
 def test_render_rejects_malformed_documents(capsys, tmp_path, doc, fmt):
     src = tmp_path / "doc.json"
     src.write_text(json.dumps(doc))
