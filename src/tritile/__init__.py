@@ -39,7 +39,6 @@ from .surface import (
     classify,
     flat_tiles_in,
     in_tiles_expanded,
-    is_consistent,
     norm,
     on_surface,
     section_at,
@@ -51,14 +50,11 @@ from .tiles import (
     FlatTile,
     Port,
     SlantTile,
-    TangentElement,
     flatten,
     gradient,
     parse_tile,
     port_candidates,
     sigma,
-    sigma_inv,
-    tangent,
     tile,
     vertices,
 )

@@ -62,32 +62,29 @@ def step(w: ConjUpSet, s: SlantTile, exit_port: Port) -> tuple[SlantTile, Port]:
     raise GeometryError(f"no candidate on surface at {s.text()}/{exit_port.value}")
 
 
-def trace(
-    w: ConjUpSet,
-    start: SlantTile,
-    max_steps: int = 1000,
-    start_port: Port = Port.UP,
-) -> Trajectory:
-    """Walk from ``start`` until the starting state recurs or the budget ends.
+def trace(w: ConjUpSet, start: SlantTile, max_steps: int = 1000) -> Trajectory:
+    """Walk from ``start``, leaving it through its UP port as ``decode``
+    does, until the starting state recurs or the budget ends.
 
     ``max_steps`` is a tile budget: an open walk stops holding exactly
     ``max_steps`` tiles, the start included, and a closed one is
     returned whole only if it has at most that many.  It must be at
     least 1.
 
-    Closure is detected on the full (tile, exit port) state; the walk is
-    reversible, so the first revisited state is necessarily the initial
-    one and all tiles of a closed trajectory are distinct.
+    Closure is detected on the full (tile, exit port) state, that is on
+    ``(start, UP)``; the walk is reversible, so the first revisited
+    state is necessarily the initial one and all tiles of a closed
+    trajectory are distinct.
     """
     if max_steps < 1:
         raise ValueError(f"max_steps is a tile budget and must be at least 1, got {max_steps}")
     if not on_surface(w, start):
         raise GeometryError(f"{start.text()} is not on the surface")
     tiles = [start]
-    port = start_port
+    port = Port.UP
     while True:
         nxt, nxt_port = step(w, tiles[-1], port)
-        if nxt == start and nxt_port == start_port:
+        if nxt == start and nxt_port is Port.UP:
             return Trajectory(tuple(tiles), closed=True)
         if len(tiles) >= max_steps:
             return Trajectory(tuple(tiles), closed=False)

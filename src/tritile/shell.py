@@ -248,7 +248,7 @@ def _cmd_render(args) -> int:
         with open(args.input, encoding="utf-8") as fh:
             doc = _parse_json(fh.read())
     else:
-        doc = _parse_json(sys.stdin.read() or "{}")
+        doc = _parse_json(sys.stdin.read())
     pairs = _doc_tiles(doc)
     if args.format == "json":
         text = json.dumps(doc, sort_keys=True) + "\n"

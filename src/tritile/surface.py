@@ -224,11 +224,6 @@ def classify(w1: ConjUpSet, w2: StdUpSet, window: Window) -> Classification:
     )
 
 
-def is_consistent(w1: ConjUpSet, w2: StdUpSet, window: Window) -> bool:
-    """True when no surface tile over the window is properly cut by ``w2``."""
-    return not classify(w1, w2, window).bd_tiles
-
-
 # -- windowed enumeration of the full In set --------------------------------
 
 def seed_window(points: Sequence[QPoint]) -> Window:

@@ -59,11 +59,6 @@ class PortPair(NamedTuple):
     keep: SlantTile  # gradient equal to the source tile
 
 
-class TangentElement(NamedTuple):
-    flat: FlatTile
-    grad: Gradient
-
-
 def tile(q1: int, q2: int, q3: int, d1: int, d2: int) -> SlantTile:
     if d1 == d2 or not {d1, d2} <= {1, 2, 3}:
         raise ValueError(f"bad direction pair ({d1},{d2})")
@@ -93,10 +88,6 @@ def sigma(s: SlantTile) -> SlantTile:
     return SlantTile(q_add(s.base, UNIT[s.d1]), s.d2, s.d3)
 
 
-def sigma_inv(s: SlantTile) -> SlantTile:
-    return SlantTile(q_sub(s.base, UNIT[s.d3]), s.d3, s.d1)
-
-
 def gradient(s: SlantTile) -> Gradient:
     """The unordered pair of edge directions; invariant under three shifts."""
     return (s.d1, s.d2) if s.d1 < s.d2 else (s.d2, s.d1)
@@ -112,11 +103,6 @@ def flatten(s: SlantTile) -> FlatTile:
     while s.d1 != 1:
         s = sigma(s)
     return SlantTile(q_shift(s.base, -s.base[2]), s.d1, s.d2)
-
-
-def tangent(s: SlantTile) -> TangentElement:
-    """Class of ``s`` modulo three shifts: flat position plus gradient."""
-    return TangentElement(flatten(s), gradient(s))
 
 
 def port_edge(s: SlantTile, port: Port) -> tuple[QPoint, QPoint]:

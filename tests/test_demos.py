@@ -1,6 +1,8 @@
 """Smoke test: every demo script runs to completion, and so does the
-README's library quick start; its command lines parse."""
+README's library quick start; its command lines parse.  Every name the
+package exports has a caller outside its own unit tests."""
 
+import ast
 import os
 import re
 import shlex
@@ -16,6 +18,10 @@ ROOT = Path(__file__).resolve().parents[1]
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
 README = (ROOT / "README.md").read_text()
 README_PYTHON = re.findall(r"^```python\n(.*?)^```$", README, re.M | re.S)
+SRC = ROOT / "src" / "tritile"
+# The acceptance module counts as a caller: it gates the documented claims.
+CALLERS = [p for p in sorted(SRC.glob("*.py")) if p.name != "__init__.py"]
+CALLERS += [*DEMOS, ROOT / "README.md", ROOT / "tests" / "test_acceptance.py"]
 
 
 def test_demos_found():
@@ -47,3 +53,16 @@ def test_readme_commands_parse():
     assert len(commands) == 12 and all(argv[0] == "tritile" for argv in commands)
     for argv in commands:
         assert build_parser().parse_args(argv[1:]).fn
+
+
+def test_every_export_has_a_caller():
+    tree = ast.parse((SRC / "__init__.py").read_text())
+    exports = [a.name for node in tree.body if isinstance(node, ast.ImportFrom) for a in node.names]
+    lines = [line for p in CALLERS for line in p.read_text().splitlines()]
+
+    def called(name):
+        own = re.compile(rf"\s*(def|class) {name}\b")  # its own definition is no caller
+        return any(re.search(rf"\b{name}\b", line) and not own.match(line) for line in lines)
+
+    assert exports
+    assert [name for name in exports if not called(name)] == []

@@ -254,6 +254,19 @@ def test_render_json_echo(capsys, tmp_path):
     assert json.loads(out) == {"norm": [], "trajectories": []}
 
 
+def test_render_empty_stdin_and_empty_file_fail_alike(capsys, monkeypatch, tmp_path):
+    src = tmp_path / "empty.json"
+    src.write_text("")
+    code_file = main(["render", "-i", str(src)])
+    from_file = capsys.readouterr()
+    monkeypatch.setattr(sys, "stdin", io.StringIO(""))
+    code_stdin = main(["render"])
+    from_stdin = capsys.readouterr()
+    assert code_file == code_stdin == 1
+    assert from_file.out == from_stdin.out == ""
+    assert from_file.err == from_stdin.err == "error: Expecting value: line 1 column 1 (char 0)\n"
+
+
 def test_cli_output_is_deterministic(capsys, hex_peaks):
     _, a = run(capsys, "trajectories", "--peaks", hex_peaks, "--all")
     _, b = run(capsys, "trajectories", "--peaks", hex_peaks, "--all")

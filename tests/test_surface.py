@@ -30,7 +30,6 @@ from tritile import (
     conj_height,
     flatten,
     gradient,
-    is_consistent,
     norm,
     on_surface,
     parse_tile,
@@ -295,12 +294,11 @@ def test_bd_witness():
     assert _classify_tile(s, w2.dgens) == "bd"
     cl = classify(w1, w2, Window(-3, 3, -3, 3))
     assert s in cl.bd_tiles
-    assert not is_consistent(w1, w2, Window(-3, 3, -3, 3))
 
 
 def test_consistency_examples(hexcone):
-    assert is_consistent(hexcone, STD_ORIGIN, Window(-6, 6, -6, 6))
-    assert is_consistent(hexcone, StdUpSet(), Window(-3, 3, -3, 3))  # all Out
+    assert not classify(hexcone, STD_ORIGIN, Window(-6, 6, -6, 6)).bd_tiles
+    assert not classify(hexcone, StdUpSet(), Window(-3, 3, -3, 3)).bd_tiles  # all Out
 
 
 def _mixed_parity(dgens) -> bool:

@@ -3,7 +3,7 @@ from hypothesis import strategies as st
 
 import pytest
 
-from tritile import QPoint, flatten, gradient, parse_tile, sigma, sigma_inv, tangent, vertices
+from tritile import QPoint, flatten, gradient, parse_tile, sigma, vertices
 from tritile.lattice import componentwise_le
 from tritile.tiles import Port, SlantTile, port_candidates, port_edge, tile
 
@@ -23,12 +23,6 @@ def test_sigma_cubed_is_diagonal_translation(s):
     t = sigma(sigma(sigma(s)))
     assert t.base == QPoint(s.base[0] + 1, s.base[1] + 1, s.base[2] + 1)
     assert (t.d1, t.d2) == (s.d1, s.d2)
-
-
-@given(tiles)
-def test_sigma_inverse(s):
-    assert sigma_inv(sigma(s)) == s
-    assert sigma(sigma_inv(s)) == s
 
 
 def test_gradient_examples():
@@ -71,18 +65,6 @@ def test_flatten_fast_path_and_sigma_loop(u, v, d2, k):
         b = p.base
         shifted = SlantTile(QPoint(b[0] + k, b[1] + k, b[2] + k), p.d1, p.d2)
         assert flatten(shifted) == _flatten_by_sigma(shifted) == t
-
-
-def test_tangent_examples():
-    te = tangent(tile(1, 1, 0, 3, 1))
-    assert te.flat == tile(0, 0, 0, 1, 2)
-    assert te.grad == (1, 3)
-
-
-@given(tiles)
-def test_tangent_separates_shift_classes(s):
-    assert tangent(sigma(sigma(sigma(s)))) == tangent(s)
-    assert tangent(sigma(s)) != tangent(s)
 
 
 def test_vertices_examples():
