@@ -1,5 +1,6 @@
-"""Staircase surfaces: one slant tile over every flat tile, and the
-In/Out/Bd decomposition against a standard region."""
+"""Staircase surfaces: one slant tile over every flat tile, whose
+gradient is the induced vector field there, and the In/Out/Bd
+decomposition against a standard region."""
 
 from tritile import (
     ConjUpSet,
@@ -7,9 +8,9 @@ from tritile import (
     Window,
     classify,
     flatten,
+    gradient,
     section_at,
     tile,
-    vector_field_at,
 )
 from tritile.cones import StdUpSet
 
@@ -18,7 +19,7 @@ w = ConjUpSet((QPoint(1, 1, 0), QPoint(0, 1, 1), QPoint(1, 0, 1)))
 print("== sections ==")
 for t in [tile(0, 0, 0, 1, 2), tile(-1, 0, 0, 1, 3), tile(3, 3, 0, 1, 2)]:
     s = section_at(w, t)
-    g = vector_field_at(w, t)
+    g = gradient(s)
     print(f"flat {t.text():>10}  lifts to {s.text():>10}   gradient x{g[0]}x{g[1]}")
 
 print()

@@ -44,7 +44,6 @@ from .surface import (
     section_at,
     seed_window,
     surface_tiles,
-    vector_field_at,
 )
 from .tiles import (
     FlatTile,

@@ -134,31 +134,16 @@ class StdUpSet:
 
 
 def conj_height(w: ConjUpSet, q: Triple) -> int:
-    """Signed staircase height of ``q`` over ``w``.
+    """Signed staircase height ``max over generators a of min(q - a)``.
 
     Non-negative exactly on ``w``; zero exactly on the boundary surface.
-    Adding k*(1,1,1) to ``q`` adds k.
-
-    The height is ``max over generators a of min(q - a)``, one plain
-    loop over the unpacked generator triples.  This is the one-point
-    height of the public API.  ``section_at`` and ``on_surface`` read
-    the heights they need in their own passes over the generators, so
-    nothing on the package's hot path calls it.
+    Adding k*(1,1,1) to ``q`` adds k.  ``section_at`` and ``on_surface``
+    read their own heights, so no CLI command calls this one-point height.
     """
-    gens = w.generators
-    if not gens:
+    if not w.generators:
         raise GeometryError("empty region has no height function")
     x, y, z = q
-    best = None
-    for a, b, c in gens:
-        h = x - a
-        if y - b < h:
-            h = y - b
-        if z - c < h:
-            h = z - c
-        if best is None or h > best:
-            best = h
-    return best
+    return max(min(x - a, y - b, z - c) for a, b, c in w.generators)
 
 
 def conj_contains(w: ConjUpSet, q: QPoint) -> bool:

@@ -22,9 +22,10 @@ from itertools import pairwise
 from .cones import ConjUpSet, StdUpSet, std_roof_generators
 from .errors import GeometryError
 from .surface import classify, norm, on_surface, section_at, seed_window
-from .tiles import Port, SlantTile, flatten, gradient, port_candidates
+from .tiles import Port, SlantTile, gradient, port_candidates
 
 _NEGATE = {"U": "D", "D": "U"}
+MAX_STEPS = 1000  # default tile budget of a walk
 
 
 @dataclass(frozen=True)
@@ -62,7 +63,7 @@ def step(w: ConjUpSet, s: SlantTile, exit_port: Port) -> tuple[SlantTile, Port]:
     raise GeometryError(f"no candidate on surface at {s.text()}/{exit_port.value}")
 
 
-def trace(w: ConjUpSet, start: SlantTile, max_steps: int = 1000) -> Trajectory:
+def trace(w: ConjUpSet, start: SlantTile, max_steps: int = MAX_STEPS) -> Trajectory:
     """Walk from ``start``, leaving it through its UP port as ``decode``
     does, until the starting state recurs or the budget ends.
 
@@ -168,7 +169,7 @@ def chart_cover(tiles: list[SlantTile]) -> list[Chart]:
                 break
             cone, j = grown, j + 1
         if not _fits(cone, tiles[i : j + 1]):
-            # j == i here; a lone tile always fits its own base cone.
+            # Unreachable (j == i, a lone tile fits its base cone); kept for the pinned counts.
             raise GeometryError(f"tile {tiles[i].text()} fits no cone")
         charts.append(Chart(cone, i, j))
         if j == len(tiles) - 1:
@@ -207,12 +208,13 @@ def closed_trajectories_of_roof(w: ConjUpSet) -> list[Trajectory]:
     Every trace must close and stay inside the norm region; an escape or
     an open walk is reported rather than silently accepted.
     """
-    flats = norm(w)
-    remaining = {section_at(w, t) for t in flats}
+    lifted = [section_at(w, t) for t in norm(w)]
+    remaining = set(lifted)
     budget = len(remaining) + 2
     out = []
-    while remaining:
-        start = min(remaining, key=flatten)
+    for start in lifted:  # in flat order, the order norm returns
+        if start not in remaining:
+            continue
         traj = trace(w, start, max_steps=budget)
         if not traj.closed:
             raise GeometryError(f"open trajectory in norm from {start.text()}")

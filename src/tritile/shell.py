@@ -21,6 +21,7 @@ from typing import Sequence
 
 from .cones import ConjUpSet, StdUpSet, conj_roof_generators, std_roof_generators
 from .dynamics import (
+    MAX_STEPS,
     chart_cover,
     closed_trajectories_of_roof,
     decode,
@@ -145,7 +146,7 @@ def _cmd_trajectories(args) -> int:
         for traj in closed_trajectories_of_roof(w):
             _emit(_traj_doc(traj.tiles, traj.closed, encode(traj, args.start_sign)))
         return EXIT_OK
-    steps = 1000 if args.max_steps is None else args.max_steps
+    steps = MAX_STEPS if args.max_steps is None else args.max_steps
     traj = trace(w, parse_tile(args.start), max_steps=steps)
     _emit(_traj_doc(traj.tiles, traj.closed, encode(traj, args.start_sign)))
     return EXIT_OK if traj.closed else EXIT_BUDGET
@@ -289,7 +290,9 @@ def build_parser() -> argparse.ArgumentParser:
     which.add_argument("--all", action="store_true", help="all closed trajectories of the roof")
     which.add_argument("--start", help="start tile, e.g. 1,1,0:31")
     sp.add_argument(
-        "--max-steps", type=_max_steps, help="tile budget of the --start walk (default 1000)"
+        "--max-steps",
+        type=_max_steps,
+        help=f"tile budget of the --start walk (default {MAX_STEPS})",
     )
     sp.add_argument("--start-sign", choices=("U", "D"), default="D")
 
@@ -297,7 +300,10 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--peaks", required=True)
     sp.add_argument("--start", required=True)
     sp.add_argument(
-        "--max-steps", type=_max_steps, default=1000, help="tile budget of the walk (default 1000)"
+        "--max-steps",
+        type=_max_steps,
+        default=MAX_STEPS,
+        help=f"tile budget of the walk (default {MAX_STEPS})",
     )
     sp.add_argument("--start-sign", choices=("U", "D"), default="D")
 

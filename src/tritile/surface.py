@@ -63,7 +63,7 @@ from typing import Iterator, NamedTuple, Sequence
 from .cones import ConjUpSet, StdUpSet, is_roof, std_roof_generators
 from .errors import GeometryError
 from .lattice import UNIT, QPoint, project
-from .tiles import FlatTile, Gradient, SlantTile, flatten, gradient
+from .tiles import FlatTile, SlantTile, flatten
 
 
 class Window(NamedTuple):
@@ -179,11 +179,6 @@ def section_at(w: ConjUpSet, t: FlatTile) -> SlantTile:
         if a <= x and b <= y and c <= z:
             return SlantTile(QPoint(x, y, z), d3, 1)
     return SlantTile(QPoint(u - ha, v - ha, -ha), 1, d2)
-
-
-def vector_field_at(w: ConjUpSet, t: FlatTile) -> Gradient:
-    """Gradient of the section over ``t``: the induced vector field."""
-    return gradient(section_at(w, t))
 
 
 # -- exact tile-vs-standard-region test -------------------------------------

@@ -105,11 +105,6 @@ def flatten(s: SlantTile) -> FlatTile:
     return SlantTile(q_shift(s.base, -s.base[2]), s.d1, s.d2)
 
 
-def port_edge(s: SlantTile, port: Port) -> tuple[QPoint, QPoint]:
-    base, mid, top = vertices(s)
-    return (mid, top) if port is Port.UP else (base, mid)
-
-
 def port_candidates(s: SlantTile, port: Port) -> PortPair:
     """The two tiles sharing the given port edge of ``s``.
 

@@ -13,6 +13,7 @@ from conftest import (
     brute_successors,
     count_public_calls,
     padded_box,
+    pit,
     rand_antichain,
     rand_pit_gens,
     reference_chart_cover,
@@ -38,9 +39,10 @@ from tritile import (
     step,
     trace,
 )
+from tritile import dynamics
 from tritile.cones import StdUpSet, conj_roof_generators, std_roof_generators
 from tritile.lattice import LHalf
-from tritile.surface import flat_tiles_in
+from tritile.surface import Classification, flat_tiles_in
 from tritile.tiles import Port, SlantTile, port_candidates, tile
 
 HEX_TILES = tuple(parse_tile(t) for t in HEX_WALK)
@@ -279,6 +281,27 @@ def test_closed_trajectory_roofs_with_a_residue(monkeypatch):
             assert std_contains(roof, QPoint(*q)) == brute_std_roof_member(points, q), (roof, q)
 
 
+def test_closed_trajectory_roofs_reports_a_mismatch(monkeypatch, hexcone):
+    # A first scan that misses one tile of the walk cannot carve it out.
+    traj = trace(hexcone, HEX_TILES[0])
+    real_classify = dynamics.classify
+    scans = []
+
+    def first_scan_drops_a_tile(w1, w2, window):
+        cl = real_classify(w1, w2, window)
+        scans.append(window)
+        if len(scans) > 1:
+            return cl
+        kept = tuple(s for s in cl.in_tiles if s != traj.tiles[0])
+        return Classification(kept, cl.out_tiles, cl.bd_tiles)
+
+    monkeypatch.setattr(dynamics, "classify", first_scan_drops_a_tile)
+    msg = r"^reconstruction mismatch: \|In1\|=5, \|In2\|=0, trajectory length 6$"
+    with pytest.raises(GeometryError, match=msg):
+        closed_trajectory_roofs(hexcone, traj)
+    assert len(scans) == 2
+
+
 def test_closed_trajectory_roofs_requires_closed(hexcone):
     open_traj = trace(OCTANT, tile(1, 0, 0, 1, 2), max_steps=5)
     with pytest.raises(ValueError):
@@ -334,6 +357,34 @@ def test_norm_partition_violation_is_reported():
     w = ConjUpSet((QPoint(-3, -2, 0), QPoint(0, -3, -2), QPoint(2, 1, -3)))
     with pytest.raises(GeometryError, match="^open trajectory in norm from -1,0,0:12$"):
         closed_trajectories_of_roof(w)
+
+
+def test_norm_escape_is_reported(monkeypatch, hexcone):
+    # With one flat left out of the norm, the six-tile orbit still closes
+    # within the budget of 5 + 2 tiles but leaves the remaining set.
+    flats = norm(hexcone)
+    monkeypatch.setattr(dynamics, "norm", lambda w: flats[1:])
+    start = section_at(hexcone, flats[1]).text()
+    with pytest.raises(GeometryError, match=f"^trajectory from {start} leaves the norm$"):
+        closed_trajectories_of_roof(hexcone)
+
+
+def test_norm_orbits_start_at_the_least_uncovered_flat(monkeypatch):
+    # Two pits far apart, each with its own six-flat norm; their flats
+    # interleave in flat order, so the second orbit starts past flats the
+    # first one covered.  Each orbit starts at the least flat not covered
+    # by the orbits before it.
+    pits = (QPoint(0, 0, 0), QPoint(-4, 2, -4))
+    own = [set(norm(ConjUpSet(tuple(pit(c))))) for c in pits]
+    flats = tuple(sorted(own[0] | own[1]))
+    assert "".join("ab"[t in own[1]] for t in flats) == "aaabbbaaabbb"
+    monkeypatch.setattr(dynamics, "norm", lambda w: flats)
+    trajs = closed_trajectories_of_roof(ConjUpSet(tuple(pit(pits[0]) + pit(pits[1]))))
+    uncovered = set(flats)
+    for traj in trajs:
+        assert traj.closed and flatten(traj.tiles[0]) == min(uncovered)
+        uncovered -= {flatten(s) for s in traj.tiles}
+    assert [len(t) for t in trajs] == [6, 6] and not uncovered
 
 
 def test_step_determinism_on_random_cones():
