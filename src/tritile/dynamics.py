@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import pairwise
+from typing import Sequence
 
 from .cones import ConjUpSet, StdUpSet, std_roof_generators
 from .errors import GeometryError
@@ -55,7 +56,7 @@ def step(w: ConjUpSet, s: SlantTile, exit_port: Port) -> tuple[SlantTile, Port]:
     """
     pair = port_candidates(s, exit_port)
     flip_on = on_surface(w, pair.flip)
-    keep_on = on_surface(w, pair.keep)  # asked either way: the pinned counts take 2 per step
+    keep_on = on_surface(w, pair.keep)  # always asked: bench/run.py HAND_COUNTS, ROADMAP item 1
     if flip_on:
         return pair.flip, exit_port.other
     if keep_on:
@@ -130,20 +131,19 @@ def decode(code: str, start: SlantTile) -> list[SlantTile]:
     return tiles
 
 
-def _fits(cone: ConjUpSet, tiles: list[SlantTile]) -> bool:
-    """True iff every tile lies on the surface of ``cone``; stops at the
-    first that does not."""
+def _fits(cone: ConjUpSet, tiles: Sequence[SlantTile]) -> bool:
+    """True iff every tile is on the surface of ``cone``; stops at the first that is not."""
     for t in tiles:
         if not on_surface(cone, t):
             return False
     return True
 
 
-def _chart_fits(tiles: list[SlantTile]) -> bool:
+def _chart_fits(tiles: Sequence[SlantTile]) -> bool:
     return _fits(ConjUpSet(tuple(t.base for t in tiles)), tiles)
 
 
-def chart_cover(tiles: list[SlantTile]) -> list[Chart]:
+def chart_cover(tiles: Sequence[SlantTile]) -> list[Chart]:
     """Cover a port-adjacent tile list by maximal single-cone segments.
 
     Segments are grown greedily from the front; when a tile does not fit
@@ -168,8 +168,8 @@ def chart_cover(tiles: list[SlantTile]) -> list[Chart]:
             if not _fits(grown, tiles[i : j + 2]):
                 break
             cone, j = grown, j + 1
+        # Confirm pass for bench/run.py HAND_COUNTS, ROADMAP item 1; a lone tile always fits.
         if not _fits(cone, tiles[i : j + 1]):
-            # Unreachable (j == i, a lone tile fits its base cone); kept for the pinned counts.
             raise GeometryError(f"tile {tiles[i].text()} fits no cone")
         charts.append(Chart(cone, i, j))
         if j == len(tiles) - 1:
@@ -208,7 +208,7 @@ def closed_trajectories_of_roof(w: ConjUpSet) -> list[Trajectory]:
     Every trace must close and stay inside the norm region; an escape or
     an open walk is reported rather than silently accepted.
     """
-    lifted = [section_at(w, t) for t in norm(w)]
+    lifted = [section_at(w, t) for t in norm(w)]  # bench/run.py HAND_COUNTS, ROADMAP item 1
     remaining = set(lifted)
     budget = len(remaining) + 2
     out = []

@@ -22,6 +22,7 @@ from typing import Sequence
 from .cones import ConjUpSet, StdUpSet, conj_roof_generators, std_roof_generators
 from .dynamics import (
     MAX_STEPS,
+    Trajectory,
     chart_cover,
     closed_trajectories_of_roof,
     decode,
@@ -116,16 +117,15 @@ def _emit(doc: dict) -> None:
     sys.stdout.write(json.dumps(doc, sort_keys=True) + "\n")
 
 
-def _traj_doc(tiles: Sequence[SlantTile], closed: bool, code: str) -> dict:
-    charts = chart_cover(list(tiles))
+def _traj_doc(traj: Trajectory, code: str) -> dict:
     return {
-        "closed": closed,
-        "length": len(tiles),
-        "tiles": [s.text() for s in tiles],
+        "closed": traj.closed,
+        "length": len(traj.tiles),
+        "tiles": [s.text() for s in traj.tiles],
         "code": code,
         "charts": [
             {"peaks": [list(g) for g in c.cone.generators], "span": [c.start, c.stop]}
-            for c in charts
+            for c in chart_cover(traj.tiles)
         ],
     }
 
@@ -144,11 +144,11 @@ def _cmd_trajectories(args) -> int:
         if args.max_steps is not None:
             raise ValueError("--max-steps applies to --start only")
         for traj in closed_trajectories_of_roof(w):
-            _emit(_traj_doc(traj.tiles, traj.closed, encode(traj, args.start_sign)))
+            _emit(_traj_doc(traj, encode(traj, args.start_sign)))
         return EXIT_OK
     steps = MAX_STEPS if args.max_steps is None else args.max_steps
     traj = trace(w, parse_tile(args.start), max_steps=steps)
-    _emit(_traj_doc(traj.tiles, traj.closed, encode(traj, args.start_sign)))
+    _emit(_traj_doc(traj, encode(traj, args.start_sign)))
     return EXIT_OK if traj.closed else EXIT_BUDGET
 
 
@@ -161,7 +161,7 @@ def _cmd_encode(args) -> int:
 
 def _cmd_decode(args) -> int:
     tiles = decode(args.code, parse_tile(args.start))
-    _emit(_traj_doc(tiles, False, args.code))
+    _emit(_traj_doc(Trajectory(tuple(tiles), closed=False), args.code))
     return EXIT_OK
 
 
@@ -175,10 +175,9 @@ def _cmd_roof_add(args) -> int:
 
 def _cmd_norm(args) -> int:
     w = _conj_region(args.peaks)
-    flats = norm(w)
-    docs = []
-    for traj in closed_trajectories_of_roof(w):
-        docs.append(_traj_doc(traj.tiles, traj.closed, encode(traj, args.start_sign)))
+    flats = norm(w)  # scanned again below: bench/run.py HAND_COUNTS, ROADMAP item 1
+    trajs = closed_trajectories_of_roof(w)
+    docs = [_traj_doc(traj, encode(traj, args.start_sign)) for traj in trajs]
     _emit({"norm": [t.text() for t in flats], "trajectories": docs})
     return EXIT_OK
 

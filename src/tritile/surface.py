@@ -248,7 +248,8 @@ def in_tiles_expanded(w: ConjUpSet, points: Sequence[QPoint]) -> tuple[SlantTile
 
 def norm(w: ConjUpSet) -> tuple[FlatTile, ...]:
     """Flat tiles of the surface of ``w`` inside the l-space roof of its
-    own generators: the closed-trajectory content of a roof.
+    own generators.  They contain the roof's closed-trajectory content and
+    may hold an open residue besides (``test_norm_contains_closed_walks``).
 
     ``w`` must be roof-closed.  Empty for a roof of at most one generator.
     """

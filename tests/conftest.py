@@ -14,8 +14,10 @@ rebuilding the cone of the whole segment for every check; it is kept
 as the oracle of the incremental cover, and ``dense_ascii_picture`` is
 the ASCII picture as first written, visiting every cell of the u x v
 box.  ``count_public_calls`` counts the public calls an operation
-makes, the way the benchmark's tracer does, so that a change of call
-path shows up in the tests.
+makes, so that a change of call path shows up in the tests; the call
+counts the benchmark pins are checked by its own tracer self-check.
+``brute_closed_orbits`` walks closed trajectories with the brute
+section and the port rule alone.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ import pytest
 from tritile import ConjUpSet, QPoint, SlantTile, Window, embed, flat_tiles_in, flatten, inverse_embed, vertices
 from tritile import dynamics, surface
 from tritile.errors import GeometryError
-from tritile.tiles import port_candidates
+from tritile.tiles import Port, gradient, port_candidates
 
 # The six-tile closed walk around the three-peak pit, in walk order.
 HEX_GENS = (QPoint(1, 1, 0), QPoint(0, 1, 1), QPoint(1, 0, 1))
@@ -183,6 +185,32 @@ def brute_successors(gens, s: SlantTile, port) -> list[SlantTile]:
     return [c for c in port_candidates(s, port) if all(brute_boundary(gens, v) for v in vertices(c))]
 
 
+def brute_closed_orbits(gens, flats) -> set:
+    """The flats of ``flats`` that lie on closed walks staying inside them.
+
+    Each walk starts at a flat's brute section, leaves it through the UP
+    port and takes the one brute successor at every step; the port
+    toggles iff the gradient changes.  It closes when it is back at
+    ``(start, UP)`` within ``len(flats) + 2`` tiles.
+    """
+    inside = set(flats)
+    core: set = set()
+    for t in inside:
+        (start,) = brute_section(gens, t)
+        walk, port = [start], Port.UP
+        while len(walk) <= len(inside) + 2:
+            (nxt,) = brute_successors(gens, walk[-1], port)
+            if gradient(nxt) != gradient(walk[-1]):
+                port = port.other
+            if (nxt, port) == (start, Port.UP):
+                walked = {flatten(s) for s in walk}
+                if walked <= inside:
+                    core |= walked
+                break
+            walk.append(nxt)
+    return core
+
+
 def brute_minimal(points) -> tuple[QPoint, ...]:
     """Sorted points of ``points`` that no other point lies below."""
     pts = set(points)
@@ -247,13 +275,8 @@ def reference_chart_cover(tiles) -> list[dynamics.Chart]:
         i = next(k for k in range(i + 1, j + 2) if _reference_fits(tiles[k : j + 2]))
 
 
-# The public functions whose call counts the benchmark's tracer self-check
-# pins for two warm-up operations.
-COUNTED = (surface.section_at, surface.on_surface, dynamics.step)
-
-
-def count_public_calls(monkeypatch, funcs=COUNTED) -> Counter:
-    """Count calls of ``funcs`` by name until the test ends.
+def count_public_calls(monkeypatch, funcs) -> Counter:
+    """Count calls of ``funcs`` by name until ``monkeypatch`` is undone.
 
     Each function is wrapped in every ``tritile`` namespace that bound
     it: the modules call each other through ``from ... import`` names,

@@ -8,7 +8,9 @@ from hypothesis import strategies as st
 from conftest import (
     DECODE_DUDUDD,
     HEX_WALK,
+    brute_closed_orbits,
     brute_in_tiles,
+    brute_section,
     brute_std_roof_member,
     brute_successors,
     count_public_calls,
@@ -17,6 +19,8 @@ from conftest import (
     rand_antichain,
     rand_pit_gens,
     reference_chart_cover,
+    sample_in_closed,
+    tile_samples,
 )
 from tritile import (
     conj_contains,
@@ -31,6 +35,7 @@ from tritile import (
     encode,
     flatten,
     gradient,
+    inverse_embed,
     norm,
     on_surface,
     parse_tile,
@@ -385,6 +390,43 @@ def test_norm_orbits_start_at_the_least_uncovered_flat(monkeypatch):
         assert traj.closed and flatten(traj.tiles[0]) == min(uncovered)
         uncovered -= {flatten(s) for s in traj.tiles}
     assert [len(t) for t in trajs] == [6, 6] and not uncovered
+
+
+def _cone_in_flats(w: ConjUpSet, flats) -> set:
+    """The flats whose brute section is In against the standard cone of
+    the peaks: every sample lies in a closed l-octant of some peak."""
+    dpeaks = [inverse_embed(g) for g in w.generators]
+    hits = set()
+    for t in flats:
+        (s,) = brute_section(w.generators, t)
+        if all(sample_in_closed(dpeaks, p) for p in tile_samples(s, 4)):
+            hits.add(t)
+    return hits
+
+
+def test_norm_contains_closed_walks():
+    # The norm is sandwiched: In against the standard cone of the peaks,
+    # then the closed walks that stay inside the norm, then the norm
+    # itself.  Both gaps occur, so the norm is more than its closed-walk
+    # content: the rest is an open residue.
+    w = conj_roof_generators([QPoint(-1, 0, 0), QPoint(0, -1, -1), QPoint(1, -2, 0)])
+    flats = set(norm(w))
+    assert len(flats) == 4 and brute_closed_orbits(w.generators, flats) == set()
+    rng = random.Random(42)
+    lower_gap = upper_gap = 0
+    for i in range(150):
+        if i % 2 == 0:
+            gens = rand_antichain(rng, 3, rng.randint(2, 5))
+        else:
+            gens = rand_pit_gens(rng, rng.randint(0, 2))
+        w = conj_roof_generators(gens)
+        flats = set(norm(w))
+        core = brute_closed_orbits(w.generators, flats)
+        lower = _cone_in_flats(w, flats)
+        assert lower <= core <= flats, w.generators
+        lower_gap += lower != core
+        upper_gap += core != flats
+    assert lower_gap and upper_gap
 
 
 def test_step_determinism_on_random_cones():

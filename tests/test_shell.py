@@ -24,6 +24,7 @@ from conftest import (
     reference_chart_cover,
 )
 from tritile import ConjUpSet, conj_contains, conj_roof_generators, norm, parse_tile, roof_add
+from tritile import shell, surface
 from tritile.shell import main
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -466,35 +467,39 @@ def test_max_steps_is_a_tile_budget(capsys, octant_peaks):
     assert (code, out) == (3, "DD\n")
 
 
-def test_pinned_public_call_counts(capsys, monkeypatch, tmp_path):
-    # The benchmark's tracer self-check expects exactly these counts for
-    # its hexagon `norm` and `decode DUDUDD` warm-ups; a change of call
-    # path that moves them has to re-derive them there first.  Each is
-    # a formula over oracles: `norm` scans the padded box of the peaks
-    # twice (once itself, once inside the trajectory partition) and lifts
-    # each norm flat once more, and the walk takes one start check, two
-    # checks per step and the chart cover's checks.
+def test_pinned_public_call_counts(monkeypatch, tmp_path):
+    # The benchmark's tracer self-check pins the counts of its hexagon
+    # `norm` and `decode DUDUDD` warm-ups in `HAND_COUNTS`; this test runs
+    # that self-check, so a change of call path that moves them fails here
+    # too.  Each pinned count is a formula over oracles: `norm` scans the
+    # padded box of the peaks twice (once itself, once inside the
+    # trajectory partition) and lifts each norm flat once more, and the
+    # walk takes one start check, two checks per step and the chart
+    # cover's checks.
+    monkeypatch.syspath_prepend(str(ROOT / "bench"))
+    import run as bench_run
+    import workloads
+
     window = padded_box(HEX_GENS, 8)
     flats = 2 * (window.u_max - window.u_min + 1) * (window.v_max - window.v_min + 1)
     lifts = len(norm(ConjUpSet(HEX_GENS)))
-    counts = count_public_calls(monkeypatch)
-    reference_chart_cover([parse_tile(t) for t in HEX_WALK])
-    hex_cover = counts["on_surface"]
-    reference_chart_cover([parse_tile(t) for t in DECODE_DUDUDD])
-    decode_cover = counts["on_surface"] - hex_cover
+    with monkeypatch.context() as patch:
+        counts = count_public_calls(patch, (surface.on_surface,))
+        reference_chart_cover([parse_tile(t) for t in HEX_WALK])
+        hex_cover = counts["on_surface"]
+        reference_chart_cover([parse_tile(t) for t in DECODE_DUDUDD])
+        decode_cover = counts["on_surface"] - hex_cover
     assert (flats, lifts, len(HEX_WALK), hex_cover, decode_cover) == (722, 6, 6, 26, 49)
-    assert 1450 == 2 * flats + lifts
-    assert 39 == 1 + 2 * len(HEX_WALK) + hex_cover
-    assert 49 == decode_cover
-    counts.update({name: -n for name, n in counts.items()})
-    hexagon = tmp_path / "hexagon.json"
-    hexagon.write_text(json.dumps({"peaks": [[0, 1, 1], [1, 0, 1], [1, 1, 0]], "kind": "roof"}))
-    assert main(["norm", "--peaks", str(hexagon)]) == 0
-    assert counts == {"step": 6, "on_surface": 39, "section_at": 1450}
-    counts.update({name: -n for name, n in counts.items()})
-    assert main(["decode", "DUDUDD", "--start=1,1,0:31"]) == 0
-    assert counts == {"step": 0, "on_surface": 49, "section_at": 0}
-    capsys.readouterr()
+    hand = bench_run.HAND_COUNTS
+    assert hand["norm"] == {
+        "dynamics.step": len(HEX_WALK),
+        "surface.on_surface": 1 + 2 * len(HEX_WALK) + hex_cover,
+        "surface.section_at": 2 * flats + lifts,
+    }
+    assert hand["decode"] == {"dynamics.step": 0, "surface.on_surface": decode_cover, "surface.section_at": 0}
+    problems = []
+    bench_run.self_check(shell, workloads.warmup(workloads.Inputs(str(tmp_path))), problems)
+    assert problems == []
 
 
 @pytest.mark.parametrize(
