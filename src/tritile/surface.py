@@ -9,6 +9,19 @@ rises by 0 or 1 per unit step and by exactly 1 per diagonal step
 (1,1,1), so those three give the base and top heights of all three
 shift phases, and with them the one phase that lies on the surface.
 
+A window scan (``classify`` and ``surface_tiles``) reads those heights
+from one table instead: every one is the height ``H(u, v)`` of some
+``(u, v, 0)``, since adding (1,1,1) adds 1.  The table spans
+``u_min..u_max+1`` by ``v_min-1..v_max+1``, and a row is
+``max_g min(m_g, v-g2)`` with ``m_g = min(u-g1, -g3)`` taken once per
+row.  Over the flat ``(u, v, 0)[1 d2]`` let ``A = H(u, v)`` and
+``B = H(u+1, v)``.  If ``B > A`` the section is
+``(u+1-B, v-B, -B)[d2 d3]``.  Otherwise let ``C = H(u+1, v+1)`` for
+``d2 = 2`` and ``C = H(u, v-1) + 1`` for ``d2 = 3``: if ``C > A`` the
+section is ``(u+1-C, v+(d2==2)-C, (d2==3)-C)[d3 1]``, else
+``(u-A, v-A, -A)[1 d2]``.  The In scan keeps one ``section_at`` per
+flat, whose count the benchmark pins.
+
 ``classify`` splits the surface tiles over a window against a standard
 region: fully inside (In), interior-disjoint (Out), or properly cut
 (Bd).  Touching along edges or vertices does not count as overlap.  The
@@ -206,12 +219,48 @@ def _classify_tile(s: SlantTile, dgens: Sequence[tuple]) -> str:
     return "bd" if low == bk + 1 else "out"
 
 
+def _ramp(lo: int, n: int, cap: int) -> list[int]:
+    """``[min(lo + j, cap) for j in range(n)]``, built from a range."""
+    k = min(max(cap - lo, 0), n)
+    return [*range(lo, lo + k), *[cap] * (n - k)]
+
+
+def _sections(w: ConjUpSet, window: Window) -> Iterator[SlantTile]:
+    """The section over every flat tile of the window, in canonical order,
+    read from the height table of the module docstring."""
+    u_min, u_max, v_min, v_max = window
+    if u_min > u_max or v_min > v_max:
+        return
+    gens = w.generators
+    if not gens:
+        raise GeometryError("empty region has no height function")
+    n = v_max - v_min + 3  # v_min-1 .. v_max+1
+    table = []  # table[i][j] = H(u_min + i, v_min - 1 + j)
+    for u in range(u_min, u_max + 2):
+        ramps = [_ramp(v_min - 1 - b, n, min(u - a, -c)) for a, b, c in gens]
+        table.append(list(map(max, *ramps)) if len(ramps) > 1 else ramps[0])
+    for i, u in enumerate(range(u_min, u_max + 1)):
+        here, east = table[i], table[i + 1]
+        for j, v in enumerate(range(v_min, v_max + 1), 1):
+            ha, hb = here[j], east[j]
+            if hb > ha:
+                base = QPoint(u + 1 - hb, v - hb, -hb)
+                yield SlantTile(base, 2, 3)
+                yield SlantTile(base, 3, 2)
+                continue
+            low = QPoint(u - ha, v - ha, -ha)
+            hc = east[j + 1]
+            yield SlantTile(QPoint(u + 1 - hc, v + 1 - hc, -hc), 3, 1) if hc > ha else SlantTile(low, 1, 2)
+            hc = here[j - 1] + 1
+            yield SlantTile(QPoint(u + 1 - hc, v - hc, 1 - hc), 2, 1) if hc > ha else SlantTile(low, 1, 3)
+
+
 def classify(w1: ConjUpSet, w2: StdUpSet, window: Window) -> Classification:
     """Partition the surface tiles of ``w1`` over the window against ``w2``."""
     buckets: dict[str, list[SlantTile]] = {"in": [], "out": [], "bd": []}
-    for t in flat_tiles_in(window):
-        s = section_at(w1, t)
-        buckets[_classify_tile(s, w2.dgens)].append(s)
+    dgens = w2.dgens
+    for s in _sections(w1, window):
+        buckets[_classify_tile(s, dgens)].append(s)
     return Classification(
         in_tiles=tuple(buckets["in"]),
         out_tiles=tuple(buckets["out"]),
@@ -238,6 +287,7 @@ def in_tiles_expanded(w: ConjUpSet, points: Sequence[QPoint]) -> tuple[SlantTile
     ``seed_window(points)`` holds them all; no points give ``()``.
     """
     dgens = std_roof_generators(points).dgens
+    # One section_at per flat: bench/run.py HAND_COUNTS, ROADMAP item 1.
     hits = [
         s
         for t in flat_tiles_in(seed_window(points))
@@ -260,4 +310,4 @@ def norm(w: ConjUpSet) -> tuple[FlatTile, ...]:
 
 def surface_tiles(w: ConjUpSet, window: Window) -> tuple[SlantTile, ...]:
     """The section over every flat tile of the window, in canonical order."""
-    return tuple(section_at(w, t) for t in flat_tiles_in(window))
+    return tuple(_sections(w, window))

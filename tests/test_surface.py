@@ -20,6 +20,7 @@ from conftest import (
     tile_samples,
 )
 from tritile import (
+    Classification,
     ConjUpSet,
     GeometryError,
     QPoint,
@@ -215,9 +216,10 @@ def test_section_and_classify_of_empty_region_raise():
 
 
 def test_section_and_classify_work_counts(monkeypatch, hexcone):
-    # Work counts, not timings: a classified window and the In scan take
-    # one section per flat tile, and nothing on the section path reads a
-    # height through conj_height, whose calls are counted in every
+    # Work counts, not timings: a classified window and the surface of a
+    # window read one height table and take no public section, the In scan
+    # takes one section per flat tile, and nothing on the section path
+    # reads a height through conj_height, whose calls are counted in every
     # tritile namespace that binds it.
     heights = count_public_calls(monkeypatch, (cones.conj_height,))
     assert tritile.conj_height(hexcone, (0, 0, 0)) == -1
@@ -234,7 +236,8 @@ def test_section_and_classify_work_counts(monkeypatch, hexcone):
         assert calls["section_at"] == len(flats)  # no nested sections
         calls["section_at"] = 0
         surface.classify(w, STD_ORIGIN, window)
-        assert calls["section_at"] == len(flats)
+        surface.surface_tiles(w, window)
+        assert calls["section_at"] == 0
         scanned = len(list(flat_tiles_in(seed_window(w.generators))))
         calls["section_at"] = 0
         surface.in_tiles_expanded(w, w.generators)
@@ -395,6 +398,55 @@ def test_surface_tiles_deterministic(hexcone):
     again = surface_tiles(hexcone, window)
     assert once == again
     assert len(once) == 2 * 5 * 5
+
+
+def test_surface_tiles_against_brute_sections():
+    # The height-table scan behind surface_tiles and classify, judged flat
+    # by flat by the brute section: on windows across the generators, on
+    # far windows where every height is very negative, and on one-cell and
+    # one-row windows.  Every phase of the section turns up over [1 2] and
+    # over [1 3].
+    rng = random.Random(29)
+    phases = set()
+    for i in range(12):
+        if i % 3 == 0:
+            w = ConjUpSet(rand_antichain(rng, 3, rng.randint(1, 5)))
+        elif i % 3 == 1:
+            w = conj_roof_generators(rand_antichain(rng, 3, rng.randint(2, 5)))
+        else:
+            w = conj_roof_generators(rand_pit_gens(rng, rng.randint(0, 2)))
+        box = padded_box(w.generators, 1)
+        u, v = rng.randint(box.u_min, box.u_max), rng.randint(box.v_min, box.v_max)
+        du, dv = rng.choice(((-30, -30), (30, -30), (-30, 30)))
+        windows = {
+            "across": box,
+            "far": Window(u + du, u + du + 2, v + dv, v + dv + 1),
+            "cell": Window(u, u, v, v),
+            "u-row": Window(box.u_min, box.u_max, v, v),
+            "v-row": Window(u, u, box.v_min, box.v_max),
+        }
+        for kind, window in windows.items():
+            expected = []
+            for t in flat_tiles_in(window):
+                [s] = brute_section(w.generators, t)
+                expected.append(s)
+            assert surface_tiles(w, window) == tuple(expected), (kind, w, window)
+            if kind == "far":
+                # The greatest height the table reads, heights being monotone.
+                assert conj_height(w, (window.u_max + 1, window.v_max + 1, 0)) < -20
+            phases.update((s.d1, s.d2) for s in expected)
+    assert phases == {(1, 2), (1, 3), (2, 3), (3, 2), (3, 1), (2, 1)}
+
+
+def test_empty_windows_hold_no_sections(hexcone):
+    # A window without a flat reads no height, so even the empty region
+    # gives no tiles; a window holding one flat still needs a height.
+    for window in (Window(0, -1, 0, -1), Window(3, 2, 0, 5), Window(0, 5, 1, 0)):
+        for w in (ConjUpSet(), hexcone):
+            assert surface_tiles(w, window) == ()
+            assert classify(w, STD_ORIGIN, window) == Classification((), (), ())
+    with pytest.raises(GeometryError, match="^empty region has no height function$"):
+        surface_tiles(ConjUpSet(), Window(0, 0, 0, 0))
 
 
 def _is_flat_sorted(tiles) -> bool:
