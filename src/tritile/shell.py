@@ -5,6 +5,8 @@ kind ``roof`` (the default) closes the generators under the roof
 operation on load, ``cone`` takes them as-is.  Trajectories are emitted
 as one JSON document per line with fields ``closed``, ``length``,
 ``tiles`` (text form ``q1,q2,q3:d1d2``), ``code`` and ``charts``.
+``render`` reads any emitted document from stdin and draws it as SVG
+or ASCII.  A ``--window`` holds at most ``MAX_WINDOW_CELLS`` cells.
 
 Exit codes: 0 success; 1 usage or malformed input; 2 geometric
 inconsistency (a ``GeometryError``); 3 a walk did not close within
@@ -39,6 +41,10 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_GEOMETRY = 2
 EXIT_BUDGET = 3
+
+# Cells of the largest --window: `surface` or `classify` over one takes
+# about 2.7 s and 150 MB and prints 7.6 MB (2-vCPU Xeon, Python 3.11).
+MAX_WINDOW_CELLS = 250_000
 
 
 class _Parser(argparse.ArgumentParser):
@@ -100,6 +106,11 @@ def _parse_window(text: str) -> Window:
         ) from exc
     if u_min > u_max or v_min > v_max:
         raise argparse.ArgumentTypeError(f"empty window {text!r}")
+    cells = (u_max - u_min + 1) * (v_max - v_min + 1)
+    if cells > MAX_WINDOW_CELLS:
+        raise argparse.ArgumentTypeError(
+            f"window {text!r} has {cells} cells, more than {MAX_WINDOW_CELLS}"
+        )
     return Window(u_min, u_max, v_min, v_max)
 
 
@@ -144,18 +155,18 @@ def _cmd_trajectories(args) -> int:
         if args.max_steps is not None:
             raise ValueError("--max-steps applies to --start only")
         for traj in closed_trajectories_of_roof(w):
-            _emit(_traj_doc(traj, encode(traj, args.start_sign)))
+            _emit(_traj_doc(traj, encode(traj)))
         return EXIT_OK
     steps = MAX_STEPS if args.max_steps is None else args.max_steps
     traj = trace(w, parse_tile(args.start), max_steps=steps)
-    _emit(_traj_doc(traj, encode(traj, args.start_sign)))
+    _emit(_traj_doc(traj, encode(traj)))
     return EXIT_OK if traj.closed else EXIT_BUDGET
 
 
 def _cmd_encode(args) -> int:
     w = _conj_region(args.peaks)
     traj = trace(w, parse_tile(args.start), max_steps=args.max_steps)
-    sys.stdout.write(encode(traj, args.start_sign) + "\n")
+    sys.stdout.write(encode(traj) + "\n")
     return EXIT_OK if traj.closed else EXIT_BUDGET
 
 
@@ -177,7 +188,7 @@ def _cmd_norm(args) -> int:
     w = _conj_region(args.peaks)
     flats = norm(w)  # scanned again below: bench/run.py HAND_COUNTS, ROADMAP item 1
     trajs = closed_trajectories_of_roof(w)
-    docs = [_traj_doc(traj, encode(traj, args.start_sign)) for traj in trajs]
+    docs = [_traj_doc(traj, encode(traj)) for traj in trajs]
     _emit({"norm": [t.text() for t in flats], "trajectories": docs})
     return EXIT_OK
 
@@ -244,16 +255,8 @@ def _doc_tiles(doc) -> list[tuple[SlantTile, str | None]]:
 
 
 def _cmd_render(args) -> int:
-    if args.input:
-        with open(args.input, encoding="utf-8") as fh:
-            doc = _parse_json(fh.read())
-    else:
-        doc = _parse_json(sys.stdin.read())
-    pairs = _doc_tiles(doc)
-    if args.format == "json":
-        text = json.dumps(doc, sort_keys=True) + "\n"
-    else:
-        text = svg_picture(pairs) if args.format == "svg" else ascii_picture(pairs)
+    pairs = _doc_tiles(_parse_json(sys.stdin.read()))
+    text = svg_picture(pairs) if args.format == "svg" else ascii_picture(pairs)
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -293,7 +296,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=_max_steps,
         help=f"tile budget of the --start walk (default {MAX_STEPS})",
     )
-    sp.add_argument("--start-sign", choices=("U", "D"), default="D")
 
     sp = add("encode", _cmd_encode, "U/D code of a traced trajectory")
     sp.add_argument("--peaks", required=True)
@@ -304,7 +306,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=MAX_STEPS,
         help=f"tile budget of the walk (default {MAX_STEPS})",
     )
-    sp.add_argument("--start-sign", choices=("U", "D"), default="D")
 
     sp = add("decode", _cmd_decode, "tile sequence of a U/D code")
     sp.add_argument("code")
@@ -318,16 +319,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = add("norm", _cmd_norm, "norm tiles of a roof and their trajectories")
     sp.add_argument("--peaks", required=True)
-    sp.add_argument("--start-sign", choices=("U", "D"), default="D")
 
     sp = add("classify", _cmd_classify, "In/Out/Bd decomposition over a window")
     sp.add_argument("--peaks", required=True)
     sp.add_argument("--std-peaks", required=True)
     sp.add_argument("--window", type=_parse_window)
 
-    sp = add("render", _cmd_render, "draw a document as SVG or ASCII")
-    sp.add_argument("-i", "--input", help="document file (default: stdin)")
-    sp.add_argument("--format", choices=("svg", "ascii", "json"), default="svg")
+    sp = add("render", _cmd_render, "draw a document from stdin as SVG or ASCII")
+    sp.add_argument("--format", choices=("svg", "ascii"), default="svg")
     sp.add_argument("-o", "--output")
 
     return p

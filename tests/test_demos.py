@@ -1,7 +1,9 @@
 """Smoke test: every demo script runs to completion, and so does the
 README's library quick start; its command lines parse.  Every public
-name of the package has a caller outside its own unit tests."""
+name of the package has a caller outside its own unit tests, and every
+CLI option is set by a README command or a benchmark operation."""
 
+import argparse
 import ast
 import os
 import re
@@ -45,11 +47,16 @@ def test_readme_quick_start_runs():
     exec(compile(block, "README.md", "exec"), {})
 
 
-def test_readme_commands_parse():
+def _readme_commands():
     # Every `tritile ...` command of the "Command line" fence, each side of
-    # a pipe on its own; parsing names files but opens none.
+    # a pipe on its own.
     (fence,) = re.findall(r"^## Command line\n.*?^```\n(.*?)^```$", README, re.M | re.S)
-    commands = [shlex.split(c) for line in fence.splitlines() for c in line.split("|")]
+    return [shlex.split(c) for line in fence.splitlines() for c in line.split("|")]
+
+
+def test_readme_commands_parse():
+    # Parsing names files but opens none.
+    commands = _readme_commands()
     assert len(commands) == 12 and all(argv[0] == "tritile" for argv in commands)
     for argv in commands:
         assert build_parser().parse_args(argv[1:]).fn
@@ -80,3 +87,51 @@ def test_every_export_has_a_caller():
 
     assert "section_at" in names and "qpoints" in names
     assert [name for name in names if not called(name)] == []
+
+
+def _commands(parser, path=()):
+    """``(path, parser)`` of every subcommand, ``roof add`` as ``("roof", "add")``."""
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                yield path + (name,), sub
+                yield from _commands(sub, path + (name,))
+
+
+def _given(argv, strings):
+    """The values ``argv`` gives an option of these strings, ``None`` for a flag."""
+    for i, tok in enumerate(argv):
+        for s in strings:
+            if tok == s:
+                yield argv[i + 1] if i + 1 < len(argv) else None
+            elif tok.startswith(s + "="):
+                yield tok[len(s) + 1 :]
+
+
+def test_every_cli_option_has_traffic(monkeypatch, tmp_path):
+    # The CLI twin of the export check: every subcommand, option and
+    # `choices` value is set by a README command or by an operation or
+    # warm-up of a seed-1 benchmark workload, so that no option is kept
+    # that nothing uses.
+    monkeypatch.syspath_prepend(str(ROOT / "bench"))
+    import workloads
+
+    argvs = [argv[1:] for argv in _readme_commands()]
+    for name in workloads.WORKLOADS:
+        warm, ops = workloads.build(name, 1, str(tmp_path))
+        argvs += [list(op.argv) for op in [*warm.values(), *ops]]
+    unused = []
+    for path, parser in _commands(build_parser()):
+        mine = [argv[len(path) :] for argv in argvs if tuple(argv[: len(path)]) == path]
+        if not mine:
+            unused.append(" ".join(path))
+        for action in parser._actions:
+            if not action.option_strings or isinstance(action, argparse._HelpAction):
+                continue
+            given = [v for argv in mine for v in _given(argv, action.option_strings)]
+            option = f"{' '.join(path)} {'/'.join(action.option_strings)}"
+            if not given:
+                unused.append(option)
+            else:
+                unused += [f"{option} {c}" for c in action.choices or () if c not in given]
+    assert unused == []
