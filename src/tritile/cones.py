@@ -38,19 +38,22 @@ def _antichain(triples: Iterable[Triple], point_type: type) -> tuple:
     In lexicographic order no point is followed by one below it, so one
     ascending pass keeps a point unless a kept one is below it, and the
     kept list comes out sorted.  A kept point is lexicographically
-    smaller, so its first coordinate is already no larger: only the
-    other two are compared.  Only the kept points are wrapped, and one
-    that is already a ``point_type`` is kept as it is.
+    smaller or equal, so its first coordinate is already no larger: only
+    the other two are compared.  Repeats need no set: a later copy of a
+    point falls to the same test, as the first copy, if kept, lies at or
+    below it, and whatever dropped the first copy drops it too.
+    Only the kept points are wrapped, and one that is already a
+    ``point_type`` is kept as it is.
     """
     keep: list[Triple] = []
-    for p in sorted(set(triples)):
+    for p in sorted(triples):
         _, y, z = p
         for _, b, c in keep:
             if b <= y and c <= z:
                 break
         else:
-            keep.append(p)
-    return tuple(p if type(p) is point_type else point_type(*p) for p in keep)
+            keep.append(p if type(p) is point_type else point_type(*p))
+    return tuple(keep)
 
 
 def _front(pairs: Iterable[tuple[int, int]]) -> list[tuple[int, int]]:

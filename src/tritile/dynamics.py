@@ -22,6 +22,7 @@ from typing import Sequence
 
 from .cones import ConjUpSet, StdUpSet, std_roof_generators
 from .errors import GeometryError
+from .lattice import QPoint
 from .surface import classify, norm, on_surface, section_at, seed_window
 from .tiles import Port, SlantTile, gradient, port_candidates
 
@@ -53,6 +54,8 @@ def step(w: ConjUpSet, s: SlantTile, exit_port: Port) -> tuple[SlantTile, Port]:
     Returns the successor and the port it exits through (toggled iff the
     move flipped the gradient).  The candidates are one shift apart, over
     one flat tile and its one surface tile: never both are on the surface.
+    When neither is, the ``GeometryError`` carries ``s``, ``exit_port``
+    and the generators of ``w`` as its ``tile``, ``port`` and ``peaks``.
     """
     pair = port_candidates(s, exit_port)
     flip_on = on_surface(w, pair.flip)
@@ -61,7 +64,9 @@ def step(w: ConjUpSet, s: SlantTile, exit_port: Port) -> tuple[SlantTile, Port]:
         return pair.flip, exit_port.other
     if keep_on:
         return pair.keep, exit_port
-    raise GeometryError(f"no candidate on surface at {s.text()}/{exit_port.value}")
+    raise GeometryError(
+        f"no candidate on surface at {s.text()}/{exit_port.value}", tile=s, port=exit_port, peaks=w.generators
+    )
 
 
 def trace(w: ConjUpSet, start: SlantTile, max_steps: int = MAX_STEPS) -> Trajectory:
@@ -139,8 +144,19 @@ def _fits(cone: ConjUpSet, tiles: Sequence[SlantTile]) -> bool:
     return True
 
 
-def _chart_fits(tiles: Sequence[SlantTile]) -> bool:
-    return _fits(ConjUpSet(tuple(t.base for t in tiles)), tiles)
+def _grow(cone: ConjUpSet, p: QPoint) -> ConjUpSet:
+    """The cone of ``cone``'s generators and ``p``.
+
+    If a generator lies at or below ``p``, that is ``cone`` itself.
+    Otherwise ``p`` is minimal, and the generators that lie above it
+    drop out.
+    """
+    x, y, z = p
+    gens = cone.generators
+    for a, b, c in gens:
+        if a <= x and b <= y and c <= z:
+            return cone
+    return ConjUpSet(tuple(g for g in gens if not (x <= g[0] and y <= g[1] and z <= g[2])) + (p,))
 
 
 def chart_cover(tiles: Sequence[SlantTile]) -> list[Chart]:
@@ -152,9 +168,13 @@ def chart_cover(tiles: Sequence[SlantTile]) -> list[Chart]:
     two port-adjacent tiles share a cone, hence the overlap is at least
     one tile.
 
-    The running cone grows by one base per extension: the minimal bases
-    of a segment are the minimal elements of the previous segment's
-    minimal bases plus the new base, so nothing is rebuilt.
+    A chart's cone is the cone of the bases of its segment.  The running
+    cone takes one base per extension (``_grow``), and is kept as it is
+    when a generator already lies at or below the new base.  The restart
+    search reads the cones of the suffixes of the segment and the tile
+    that broke it from one backward pass of the same update.  Every
+    extension still checks its whole segment, so the checks grow with the
+    square of a chart's length.
     """
     if not tiles:
         return []
@@ -164,7 +184,7 @@ def chart_cover(tiles: Sequence[SlantTile]) -> list[Chart]:
         j = i
         cone = ConjUpSet((tiles[i].base,))
         while j + 1 < len(tiles):
-            grown = ConjUpSet(cone.generators + (tiles[j + 1].base,))
+            grown = _grow(cone, tiles[j + 1].base)
             if not _fits(grown, tiles[i : j + 2]):
                 break
             cone, j = grown, j + 1
@@ -174,7 +194,12 @@ def chart_cover(tiles: Sequence[SlantTile]) -> list[Chart]:
         charts.append(Chart(cone, i, j))
         if j == len(tiles) - 1:
             return charts
-        i = next(k for k in range(i + 1, j + 2) if _chart_fits(tiles[k : j + 2]))
+        # The cones of tiles[k:j+2] for k from j+1 down to i+1, then in search order.
+        suffix = [ConjUpSet((tiles[j + 1].base,))]
+        for k in range(j, i, -1):
+            suffix.append(_grow(suffix[-1], tiles[k].base))
+        suffix.reverse()
+        i = next(k for k, c in zip(range(i + 1, j + 2), suffix) if _fits(c, tiles[k : j + 2]))
 
 
 def closed_trajectory_roofs(w: ConjUpSet, traj: Trajectory) -> tuple[StdUpSet, StdUpSet]:

@@ -68,10 +68,6 @@ def q_add(a: QPoint, b: QPoint) -> QPoint:
     return QPoint(a[0] + b[0], a[1] + b[1], a[2] + b[2])
 
 
-def q_sub(a: QPoint, b: QPoint) -> QPoint:
-    return QPoint(a[0] - b[0], a[1] - b[1], a[2] - b[2])
-
-
 def q_shift(q: QPoint, k: int) -> QPoint:
     """Translate ``q`` by ``k`` steps along the diagonal (1,1,1)."""
     return QPoint(q[0] + k, q[1] + k, q[2] + k)

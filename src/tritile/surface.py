@@ -75,7 +75,7 @@ from typing import Iterator, NamedTuple, Sequence
 
 from .cones import ConjUpSet, StdUpSet, is_roof, std_roof_generators
 from .errors import GeometryError
-from .lattice import UNIT, QPoint, project
+from .lattice import QPoint, project
 from .tiles import FlatTile, SlantTile, flatten
 
 
@@ -115,19 +115,22 @@ def on_surface(w: ConjUpSet, s: SlantTile) -> bool:
     height, so both are zero iff the base height is at least zero: iff
     some generator lies at or below the base.  So the two-height
     definition ``height(base) == 0 == height(top)`` is the same as
-    ``base`` in ``w`` and ``base - e_d3`` not in ``w``.
+    ``base`` in ``w`` and ``base - e_d3`` not in ``w``.  A generator at
+    or below the base lies at or below ``base - e_d3`` iff its d3
+    coordinate is below the base's, so that one comparison decides.
     """
     gens = w.generators
     if not gens:
         raise GeometryError("empty region has no height function")
     base, d1, d2 = s
     x, y, z = base
-    ex, ey, ez = UNIT[6 - d1 - d2]
-    tx, ty, tz = x - ex, y - ey, z - ez  # top - (1,1,1)
+    k = 5 - d1 - d2  # index of axis d3
+    base_k = base[k]
     base_in = False
-    for a, b, c in gens:
+    for g in gens:
+        a, b, c = g
         if a <= x and b <= y and c <= z:
-            if a <= tx and b <= ty and c <= tz:
+            if g[k] < base_k:
                 return False
             base_in = True
     return base_in

@@ -20,7 +20,7 @@ from __future__ import annotations
 import enum
 from typing import NamedTuple
 
-from .lattice import UNIT, QPoint, q_add, q_shift, q_sub
+from .lattice import UNIT, QPoint, q_add, q_shift
 
 Gradient = tuple[int, int]  # unordered axis pair, stored sorted
 
@@ -110,13 +110,17 @@ def port_candidates(s: SlantTile, port: Port) -> PortPair:
 
     Both candidates own that edge as one of their own ports; the flip
     candidate enters through the same-named port, the keep candidate
-    through the opposite one.
+    through the opposite one.  For ``s = a[d1 d2]`` they are
+    ``(a+e_d1-e_d3)[d3 d2]`` and ``(a+e_d1)[d2 d1]`` across UP, and
+    ``a[d1 d3]`` and ``(a-e_d2)[d2 d1]`` across DOWN.
     """
-    a, d1, d2, d3 = s.base, s.d1, s.d2, s.d3
+    (x, y, z), d1, d2 = s
+    d3 = 6 - d1 - d2
     if port is Port.UP:
-        flip = SlantTile(q_sub(q_add(a, UNIT[d1]), UNIT[d3]), d3, d2)
-        keep = SlantTile(q_add(a, UNIT[d1]), d2, d1)
+        x, y, z = x + (d1 == 1), y + (d1 == 2), z + (d1 == 3)  # base + e_d1
+        flip = SlantTile(QPoint(x - (d3 == 1), y - (d3 == 2), z - (d3 == 3)), d3, d2)
+        keep = SlantTile(QPoint(x, y, z), d2, d1)
     else:
-        keep = SlantTile(q_sub(a, UNIT[d2]), d2, d1)
-        flip = SlantTile(a, d1, d3)
+        keep = SlantTile(QPoint(x - (d2 == 1), y - (d2 == 2), z - (d2 == 3)), d2, d1)
+        flip = SlantTile(s.base, d1, d3)
     return PortPair(flip=flip, keep=keep)

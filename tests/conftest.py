@@ -14,7 +14,8 @@ rebuilding the cone of the whole segment for every check; it is kept
 as the oracle of the incremental cover, and ``dense_ascii_picture`` is
 the ASCII picture as first written, visiting every cell of the u x v
 box.  ``count_public_calls`` counts the public calls an operation
-makes, so that a change of call path shows up in the tests; the call
+makes, and ``record_public_calls`` lists their arguments, so that a
+change of call path shows up in the tests; the call
 counts the benchmark pins are checked by its own tracer self-check.
 ``brute_closed_orbits`` walks closed trajectories with the brute
 section and the port rule alone.
@@ -256,7 +257,7 @@ def reference_chart_cover(tiles) -> list[dynamics.Chart]:
     bases of its whole segment: the oracle of ``chart_cover``.
 
     It makes the same checks in the same order as the library cover, so
-    the two also agree on the number of ``on_surface`` calls.
+    the two pass the same arguments to ``on_surface`` in the same order.
     """
     if not tiles:
         return []
@@ -275,13 +276,22 @@ def reference_chart_cover(tiles) -> list[dynamics.Chart]:
         i = next(k for k in range(i + 1, j + 2) if _reference_fits(tiles[k : j + 2]))
 
 
-def count_public_calls(monkeypatch, funcs) -> Counter:
-    """Count calls of ``funcs`` by name until ``monkeypatch`` is undone.
+def _patch_everywhere(monkeypatch, fn, replacement) -> None:
+    """Put ``replacement`` in every ``tritile`` namespace that bound ``fn``.
 
-    Each function is wrapped in every ``tritile`` namespace that bound
-    it: the modules call each other through ``from ... import`` names,
-    so patching only the defining module would miss most calls.
+    The modules call each other through ``from ... import`` names, so
+    patching only the defining module would miss most calls.
     """
+    for name, module in list(sys.modules.items()):
+        if name != "tritile" and not name.startswith("tritile."):
+            continue
+        for attr, value in list(vars(module).items()):
+            if value is fn:
+                monkeypatch.setattr(module, attr, replacement)
+
+
+def count_public_calls(monkeypatch, funcs) -> Counter:
+    """Count calls of ``funcs`` by name until ``monkeypatch`` is undone."""
     counts: Counter = Counter({fn.__name__: 0 for fn in funcs})
     for fn in funcs:
         @functools.wraps(fn)
@@ -289,13 +299,22 @@ def count_public_calls(monkeypatch, funcs) -> Counter:
             counts[_fn.__name__] += 1
             return _fn(*args, **kwargs)
 
-        for name, module in list(sys.modules.items()):
-            if name != "tritile" and not name.startswith("tritile."):
-                continue
-            for attr, value in list(vars(module).items()):
-                if value is fn:
-                    monkeypatch.setattr(module, attr, counted)
+        _patch_everywhere(monkeypatch, fn, counted)
     return counts
+
+
+def record_public_calls(monkeypatch, fn) -> list[tuple]:
+    """The argument tuples of every call of ``fn``, in call order, until
+    ``monkeypatch`` is undone."""
+    calls: list[tuple] = []
+
+    @functools.wraps(fn)
+    def recorded(*args):
+        calls.append(args)
+        return fn(*args)
+
+    _patch_everywhere(monkeypatch, fn, recorded)
+    return calls
 
 
 # -- the ASCII picture as first written ---------------------------------------

@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from conftest import (
@@ -102,6 +102,8 @@ def test_conj_height_against_brute_height(points, q):
 
 
 @given(st.lists(st.tuples(coords, coords, coords), max_size=25))
+@example([(1, 0, 2), (1, 0, 2), (0, 3, 1), (1, 0, 2), (0, 3, 1), (2, 2, 2)])
+@example([(2, 2, 2), (2, 2, 2)])
 def test_upset_generators_are_the_minimal_points(points):
     assert ConjUpSet(tuple(points)).generators == brute_minimal(points)
     assert StdUpSet(tuple(LHalf(*p) for p in points)).dgens == brute_minimal(points)

@@ -18,6 +18,7 @@ from conftest import (
     pit,
     rand_antichain,
     rand_pit_gens,
+    record_public_calls,
     reference_chart_cover,
     sample_in_closed,
     tile_samples,
@@ -85,6 +86,17 @@ def test_step_on_straight_slope():
 def test_step_off_surface_dead_ends():
     with pytest.raises(GeometryError, match="^no candidate on surface at 0,0,5:12/UP$"):
         step(OCTANT, tile(0, 0, 5, 1, 2), Port.UP)
+
+
+def test_failed_step_carries_its_replay(hexcone):
+    s = tile(2, 2, 2, 3, 1)
+    with pytest.raises(GeometryError) as first:
+        step(hexcone, s, Port.DOWN)
+    err = first.value
+    assert (err.tile, err.port, err.peaks) == (s, Port.DOWN, hexcone.generators)
+    with pytest.raises(GeometryError) as replay:
+        step(ConjUpSet(err.peaks), err.tile, err.port)
+    assert str(replay.value) == str(err) == "no candidate on surface at 2,2,2:31/DOWN"
 
 
 def test_trace_hexagon_golden(hexcone):
@@ -219,12 +231,13 @@ starts = st.builds(lambda q1, q2, q3, d: SlantTile(QPoint(q1, q2, q3), *d), coor
 
 
 def assert_cover_matches_reference(monkeypatch, tiles):
-    counts = count_public_calls(monkeypatch, (on_surface,))
+    calls = record_public_calls(monkeypatch, on_surface)
     charts = chart_cover(tiles)
-    checks = counts["on_surface"]
+    checks = calls[:]
+    del calls[:]
     expected = reference_chart_cover(tiles)
     assert charts == expected  # cone generators, start and stop
-    assert checks == counts["on_surface"] - checks
+    assert checks == calls  # (cone, tile) of every on_surface call, in order
     monkeypatch.undo()
 
 
