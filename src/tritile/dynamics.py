@@ -82,11 +82,14 @@ def trace(w: ConjUpSet, start: SlantTile, max_steps: int = MAX_STEPS) -> Traject
     ``(start, UP)``; the walk is reversible, so the first revisited
     state is necessarily the initial one and all tiles of a closed
     trajectory are distinct.
+
+    A start off the surface raises a ``GeometryError`` whose ``tile`` is
+    ``start`` and whose ``peaks`` are the generators of ``w``.
     """
     if max_steps < 1:
         raise ValueError(f"max_steps is a tile budget and must be at least 1, got {max_steps}")
     if not on_surface(w, start):
-        raise GeometryError(f"{start.text()} is not on the surface")
+        raise GeometryError(f"{start.text()} is not on the surface", tile=start, peaks=w.generators)
     tiles = [start]
     port = Port.UP
     while True:
@@ -231,7 +234,9 @@ def closed_trajectories_of_roof(w: ConjUpSet) -> list[Trajectory]:
     """Partition the norm tiles of a roof into closed trajectories.
 
     Every trace must close and stay inside the norm region; an escape or
-    an open walk is reported rather than silently accepted.
+    an open walk is reported rather than silently accepted, by a
+    ``GeometryError`` whose ``tile`` is the walk's start and whose
+    ``peaks`` are the generators of ``w``.
     """
     lifted = [section_at(w, t) for t in norm(w)]  # bench/run.py HAND_COUNTS, ROADMAP item 1
     remaining = set(lifted)
@@ -242,9 +247,9 @@ def closed_trajectories_of_roof(w: ConjUpSet) -> list[Trajectory]:
             continue
         traj = trace(w, start, max_steps=budget)
         if not traj.closed:
-            raise GeometryError(f"open trajectory in norm from {start.text()}")
+            raise GeometryError(f"open trajectory in norm from {start.text()}", tile=start, peaks=w.generators)
         if not set(traj.tiles) <= remaining:
-            raise GeometryError(f"trajectory from {start.text()} leaves the norm")
+            raise GeometryError(f"trajectory from {start.text()} leaves the norm", tile=start, peaks=w.generators)
         remaining -= set(traj.tiles)
         out.append(traj)
     return out

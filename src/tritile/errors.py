@@ -5,8 +5,9 @@ an empty region, a start tile off the surface, a step from a tile off
 the surface, a norm that holds an open walk, a failed reconstruction.
 Callers tell these cases apart by nothing but the message, which names
 the check that failed and the tile or region it failed on; the CLI
-prints it and exits 2.  A failed step also carries the state that
-replays it.  Running out of a budget is not an error: a walk that does
+prints it and exits 2.  A failed step, an off-surface start and an
+open or escaping walk in a norm also carry the state that replays
+them.  Running out of a budget is not an error: a walk that does
 not close within its step budget comes back as an open trajectory, and
 the CLI exits 3 for it.
 """
@@ -23,10 +24,18 @@ if TYPE_CHECKING:
 class GeometryError(Exception):
     """A region or trajectory violates a structural assumption.
 
-    An error raised by ``step`` sets ``tile`` and ``port``, the tile and
-    the port it tried to leave by, and ``peaks``, the generators of the
-    region, so ``step(ConjUpSet(e.peaks), e.tile, e.port)`` raises it
-    again.  Other errors leave the three ``None``.
+    ``peaks`` holds the generators of the region the error was raised
+    on, and ``tile`` the tile it names:
+
+    - ``step`` sets ``tile`` and ``port`` to the tile and the port it
+      tried to leave by, so ``step(ConjUpSet(e.peaks), e.tile, e.port)``
+      raises it again;
+    - ``trace`` sets ``tile`` to the off-surface start, so
+      ``trace(ConjUpSet(e.peaks), e.tile)`` raises it again;
+    - ``closed_trajectories_of_roof`` sets ``tile`` to the start of the
+      open or escaping walk, on the roof-closed region ``e.peaks``.
+
+    The last two leave ``port`` ``None``, and other errors all three.
     """
 
     def __init__(

@@ -6,7 +6,9 @@ operation on load, ``cone`` takes them as-is.  Trajectories are emitted
 as one JSON document per line with fields ``closed``, ``length``,
 ``tiles`` (text form ``q1,q2,q3:d1d2``), ``code`` and ``charts``.
 ``render`` reads any emitted document from stdin and draws it as SVG
-or ASCII.  A ``--window`` holds at most ``MAX_WINDOW_CELLS`` cells.
+or ASCII.  The window of ``surface`` and ``classify``, a ``--window`` or
+the one derived from the peaks, holds at most ``MAX_WINDOW_CELLS``
+cells.
 
 Exit codes: 0 success; 1 usage or malformed input; 2 geometric
 inconsistency (a ``GeometryError``); 3 a walk did not close within
@@ -106,12 +108,32 @@ def _parse_window(text: str) -> Window:
         ) from exc
     if u_min > u_max or v_min > v_max:
         raise argparse.ArgumentTypeError(f"empty window {text!r}")
-    cells = (u_max - u_min + 1) * (v_max - v_min + 1)
+    window = Window(u_min, u_max, v_min, v_max)
+    cells = _cells(window)
     if cells > MAX_WINDOW_CELLS:
         raise argparse.ArgumentTypeError(
             f"window {text!r} has {cells} cells, more than {MAX_WINDOW_CELLS}"
         )
-    return Window(u_min, u_max, v_min, v_max)
+    return window
+
+
+def _cells(window: Window) -> int:
+    return (window.u_max - window.u_min + 1) * (window.v_max - window.v_min + 1)
+
+
+def _scan_window(args, w: ConjUpSet) -> Window:
+    """The ``--window``, or else ``seed_window`` of the peaks, within the same budget."""
+    if args.window:
+        return args.window
+    window = seed_window(w.generators)
+    cells = _cells(window)
+    if cells > MAX_WINDOW_CELLS:
+        u_min, u_max, v_min, v_max = window
+        raise ValueError(
+            f"the peaks' window {u_min}:{u_max},{v_min}:{v_max} has {cells} cells, "
+            f"more than {MAX_WINDOW_CELLS}; pass a smaller --window"
+        )
+    return window
 
 
 def _max_steps(text: str) -> int:
@@ -143,8 +165,7 @@ def _traj_doc(traj: Trajectory, code: str) -> dict:
 
 def _cmd_surface(args) -> int:
     w = _conj_region(args.peaks)
-    window = args.window or seed_window(w.generators)
-    tiles = surface_tiles(w, window)
+    tiles = surface_tiles(w, _scan_window(args, w))
     _emit({"tiles": [s.text() for s in tiles]})
     return EXIT_OK
 
@@ -195,9 +216,8 @@ def _cmd_norm(args) -> int:
 
 def _cmd_classify(args) -> int:
     w1 = _conj_region(args.peaks)
-    w2 = _std_region(args.std_peaks)
-    window = args.window or seed_window(w1.generators)
-    cl = classify(w1, w2, window)
+    window = _scan_window(args, w1)
+    cl = classify(w1, _std_region(args.std_peaks), window)
     _emit(
         {
             "in": [s.text() for s in cl.in_tiles],

@@ -66,6 +66,11 @@ over, so every tile list built by one pass over the window (the
 ``classify`` buckets, ``surface_tiles``, the In set and ``norm``)
 already comes out sorted by flat tile.  Outputs rely on that order and
 are not re-sorted.
+
+The per-tile kernels (``flat_tiles_in``, ``section_at`` and the table
+scan) build their points and tiles with ``tuple.__new__``, which gives
+the same type and fields without the Python-level ``__new__`` frame of
+a NamedTuple constructor.
 """
 
 from __future__ import annotations
@@ -77,6 +82,8 @@ from .cones import ConjUpSet, StdUpSet, is_roof, std_roof_generators
 from .errors import GeometryError
 from .lattice import QPoint, project
 from .tiles import FlatTile, SlantTile, flatten
+
+_new = tuple.__new__  # a NamedTuple built without its constructor frame
 
 
 class Window(NamedTuple):
@@ -97,9 +104,9 @@ def flat_tiles_in(window: Window) -> Iterator[FlatTile]:
     """All canonical flat tiles whose base cell lies in the window."""
     for u in range(window.u_min, window.u_max + 1):
         for v in range(window.v_min, window.v_max + 1):
-            base = QPoint(u, v, 0)
-            yield SlantTile(base, 1, 2)
-            yield SlantTile(base, 1, 3)
+            base = _new(QPoint, (u, v, 0))
+            yield _new(SlantTile, (base, 1, 2))
+            yield _new(SlantTile, (base, 1, 3))
 
 
 def on_surface(w: ConjUpSet, s: SlantTile) -> bool:
@@ -187,14 +194,14 @@ def section_at(w: ConjUpSet, t: FlatTile) -> SlantTile:
             if m > hb:
                 hb = m
     if hb > ha:
-        return SlantTile(QPoint(u + 1 - hb, v - hb, -hb), d2, d3)
+        return _new(SlantTile, (_new(QPoint, (u + 1 - hb, v - hb, -hb)), d2, d3))
     # b + e1 + e_d2 - (A+1), with d2 in {2, 3}
     x = u - ha
     y, z = (v - ha, -1 - ha) if d2 == 2 else (v - 1 - ha, -ha)
     for a, b, c in gens:
         if a <= x and b <= y and c <= z:
-            return SlantTile(QPoint(x, y, z), d3, 1)
-    return SlantTile(QPoint(u - ha, v - ha, -ha), 1, d2)
+            return _new(SlantTile, (_new(QPoint, (x, y, z)), d3, 1))
+    return _new(SlantTile, (_new(QPoint, (u - ha, v - ha, -ha)), 1, d2))
 
 
 # -- exact tile-vs-standard-region test -------------------------------------
@@ -247,15 +254,21 @@ def _sections(w: ConjUpSet, window: Window) -> Iterator[SlantTile]:
         for j, v in enumerate(range(v_min, v_max + 1), 1):
             ha, hb = here[j], east[j]
             if hb > ha:
-                base = QPoint(u + 1 - hb, v - hb, -hb)
-                yield SlantTile(base, 2, 3)
-                yield SlantTile(base, 3, 2)
+                base = _new(QPoint, (u + 1 - hb, v - hb, -hb))
+                yield _new(SlantTile, (base, 2, 3))
+                yield _new(SlantTile, (base, 3, 2))
                 continue
-            low = QPoint(u - ha, v - ha, -ha)
+            low = _new(QPoint, (u - ha, v - ha, -ha))
             hc = east[j + 1]
-            yield SlantTile(QPoint(u + 1 - hc, v + 1 - hc, -hc), 3, 1) if hc > ha else SlantTile(low, 1, 2)
+            if hc > ha:
+                yield _new(SlantTile, (_new(QPoint, (u + 1 - hc, v + 1 - hc, -hc)), 3, 1))
+            else:
+                yield _new(SlantTile, (low, 1, 2))
             hc = here[j - 1] + 1
-            yield SlantTile(QPoint(u + 1 - hc, v - hc, 1 - hc), 2, 1) if hc > ha else SlantTile(low, 1, 3)
+            if hc > ha:
+                yield _new(SlantTile, (_new(QPoint, (u + 1 - hc, v - hc, 1 - hc)), 2, 1))
+            else:
+                yield _new(SlantTile, (low, 1, 3))
 
 
 def classify(w1: ConjUpSet, w2: StdUpSet, window: Window) -> Classification:

@@ -12,7 +12,10 @@ base and mid, UP between mid and top.  The remaining edge, the face
 diagonal, is never crossed.  Across a port there are exactly two
 possible neighbours: one keeps the tile's gradient and one flips it.
 The two candidates at one port are a single shift apart, so they cover
-the same flat tile.
+the same flat tile.  ``port_candidates``, called once per step or
+decoded symbol, builds them with ``tuple.__new__``, skipping the
+Python-level ``__new__`` frame of the NamedTuple constructors; ``tile``
+and ``parse_tile`` validate and keep the constructors.
 """
 
 from __future__ import annotations
@@ -23,6 +26,8 @@ from typing import NamedTuple
 from .lattice import UNIT, QPoint, q_add, q_shift
 
 Gradient = tuple[int, int]  # unordered axis pair, stored sorted
+
+_new = tuple.__new__  # a NamedTuple built without its constructor frame
 
 
 class SlantTile(NamedTuple):
@@ -118,9 +123,9 @@ def port_candidates(s: SlantTile, port: Port) -> PortPair:
     d3 = 6 - d1 - d2
     if port is Port.UP:
         x, y, z = x + (d1 == 1), y + (d1 == 2), z + (d1 == 3)  # base + e_d1
-        flip = SlantTile(QPoint(x - (d3 == 1), y - (d3 == 2), z - (d3 == 3)), d3, d2)
-        keep = SlantTile(QPoint(x, y, z), d2, d1)
+        flip = _new(SlantTile, (_new(QPoint, (x - (d3 == 1), y - (d3 == 2), z - (d3 == 3))), d3, d2))
+        keep = _new(SlantTile, (_new(QPoint, (x, y, z)), d2, d1))
     else:
-        keep = SlantTile(QPoint(x - (d2 == 1), y - (d2 == 2), z - (d2 == 3)), d2, d1)
-        flip = SlantTile(s.base, d1, d3)
-    return PortPair(flip=flip, keep=keep)
+        keep = _new(SlantTile, (_new(QPoint, (x - (d2 == 1), y - (d2 == 2), z - (d2 == 3))), d2, d1))
+        flip = _new(SlantTile, (s[0], d1, d3))
+    return _new(PortPair, (flip, keep))

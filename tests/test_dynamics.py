@@ -127,6 +127,17 @@ def test_trace_rejects_bad_start(hexcone):
         trace(hexcone, tile(0, 0, 0, 1, 2))
 
 
+def test_off_surface_start_carries_its_replay(hexcone):
+    s = tile(0, 0, 0, 1, 2)
+    with pytest.raises(GeometryError) as first:
+        trace(hexcone, s)
+    err = first.value
+    assert (err.tile, err.port, err.peaks) == (s, None, hexcone.generators)
+    with pytest.raises(GeometryError) as replay:
+        trace(ConjUpSet(err.peaks), err.tile)
+    assert str(replay.value) == str(err) == "0,0,0:12 is not on the surface"
+
+
 def test_trace_reverse_direction(hexcone):
     fwd = trace(hexcone, tile(1, 1, 0, 3, 1), max_steps=50)
     # Leaving the start through its DOWN port walks the same orbit backwards.
@@ -373,8 +384,12 @@ def test_closed_trajectories_of_roof(hexcone):
 def test_norm_partition_violation_is_reported():
     # this roof's norm leaks into open trajectories; it must not pass silently
     w = ConjUpSet((QPoint(-3, -2, 0), QPoint(0, -3, -2), QPoint(2, 1, -3)))
-    with pytest.raises(GeometryError, match="^open trajectory in norm from -1,0,0:12$"):
+    with pytest.raises(GeometryError, match="^open trajectory in norm from -1,0,0:12$") as info:
         closed_trajectories_of_roof(w)
+    err = info.value
+    assert (err.tile, err.port, err.peaks) == (tile(-1, 0, 0, 1, 2), None, w.generators)
+    # The walk from the error's tile on the error's region is the open one.
+    assert not trace(ConjUpSet(err.peaks), err.tile, max_steps=len(norm(w)) + 2).closed
 
 
 def test_norm_escape_is_reported(monkeypatch, hexcone):
@@ -383,8 +398,10 @@ def test_norm_escape_is_reported(monkeypatch, hexcone):
     flats = norm(hexcone)
     monkeypatch.setattr(dynamics, "norm", lambda w: flats[1:])
     start = section_at(hexcone, flats[1]).text()
-    with pytest.raises(GeometryError, match=f"^trajectory from {start} leaves the norm$"):
+    with pytest.raises(GeometryError, match=f"^trajectory from {start} leaves the norm$") as info:
         closed_trajectories_of_roof(hexcone)
+    err = info.value
+    assert (err.tile.text(), err.port, err.peaks) == (start, None, hexcone.generators)
 
 
 def test_norm_orbits_start_at_the_least_uncovered_flat(monkeypatch):

@@ -313,6 +313,30 @@ def test_window_of_249001_cells_is_within_budget():
     assert shell.build_parser().parse_args(argv).window == surface.Window(-249, 249, -249, 249)
 
 
+@pytest.mark.parametrize("command", ["surface", "classify"])
+def test_derived_window_over_budget_exits_1_before_any_scan(capsys, monkeypatch, tmp_path, command):
+    # Without --window the scan covers the peaks' box padded by 8: here
+    # 617 x 617 cells, over the budget an explicit --window has.
+    cone = tmp_path / "wide.json"
+    cone.write_text(json.dumps({"peaks": [[0, 0, 0], [600, -600, 0]], "kind": "cone"}))
+
+    def no_scan(w, window):
+        raise AssertionError("scanned")
+
+    monkeypatch.setattr(surface, "_sections", no_scan)
+    argv = [command, "--peaks", str(cone)]
+    if command == "classify":
+        argv += ["--std-peaks", str(cone)]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == (
+        "error: the peaks' window -8:608,-608:8 has 380689 cells, "
+        "more than 250000; pass a smaller --window\n"
+    )
+
+
 # Every geometry failure exits 2 with its message on stderr and nothing on
 # stdout: a start tile off the hexagon's surface, and the smallest roof
 # whose norm holds an open walk.
