@@ -52,18 +52,17 @@ def step(w: ConjUpSet, s: SlantTile, exit_port: Port) -> tuple[SlantTile, Port]:
     """Advance one tile across ``exit_port`` on the surface of ``w``.
 
     Returns the successor and the port it exits through (toggled iff the
-    move flipped the gradient).  The candidates are one shift apart, over
-    one flat tile and its one surface tile: never both are on the surface.
+    move flipped the gradient).  The candidates are one shift apart over
+    one flat tile, so at most one is on the surface and the order of the
+    checks cannot change the result: flip is checked only if keep is off.
     When neither is, the ``GeometryError`` carries ``s``, ``exit_port``
     and the generators of ``w`` as its ``tile``, ``port`` and ``peaks``.
     """
-    pair = port_candidates(s, exit_port)
-    flip_on = on_surface(w, pair.flip)
-    keep_on = on_surface(w, pair.keep)  # always asked: bench/run.py HAND_COUNTS, ROADMAP item 1
-    if flip_on:
-        return pair.flip, exit_port.other
-    if keep_on:
-        return pair.keep, exit_port
+    flip, keep = port_candidates(s, exit_port)
+    if on_surface(w, keep):
+        return keep, exit_port
+    if on_surface(w, flip):
+        return flip, exit_port.other
     raise GeometryError(
         f"no candidate on surface at {s.text()}/{exit_port.value}", tile=s, port=exit_port, peaks=w.generators
     )
@@ -248,8 +247,8 @@ def closed_trajectories_of_roof(w: ConjUpSet) -> list[Trajectory]:
         traj = trace(w, start, max_steps=budget)
         if not traj.closed:
             raise GeometryError(f"open trajectory in norm from {start.text()}", tile=start, peaks=w.generators)
-        if not set(traj.tiles) <= remaining:
+        if not remaining.issuperset(traj.tiles):
             raise GeometryError(f"trajectory from {start.text()} leaves the norm", tile=start, peaks=w.generators)
-        remaining -= set(traj.tiles)
+        remaining.difference_update(traj.tiles)
         out.append(traj)
     return out

@@ -83,6 +83,16 @@ def test_step_on_straight_slope():
     assert on_surface(OCTANT, nxt)
 
 
+def test_step_asks_about_flip_only_when_keep_is_off(monkeypatch, hexcone):
+    # At most one candidate is on the surface, so a kept gradient needs
+    # one surface check and a flip needs two.
+    calls = count_public_calls(monkeypatch, (on_surface,))
+    assert step(OCTANT, tile(1, 0, 0, 1, 2), Port.UP)[1] is Port.UP
+    assert calls["on_surface"] == 1
+    assert step(hexcone, tile(1, 1, 0, 3, 1), Port.UP)[1] is Port.DOWN
+    assert calls["on_surface"] == 3
+
+
 def test_step_off_surface_dead_ends():
     with pytest.raises(GeometryError, match="^no candidate on surface at 0,0,5:12/UP$"):
         step(OCTANT, tile(0, 0, 5, 1, 2), Port.UP)

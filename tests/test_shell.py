@@ -23,7 +23,7 @@ from conftest import (
     rand_pit_gens,
     reference_chart_cover,
 )
-from tritile import ConjUpSet, conj_contains, conj_roof_generators, norm, parse_tile, roof_add
+from tritile import ConjUpSet, conj_contains, conj_roof_generators, gradient, norm, parse_tile, roof_add
 from tritile import shell, surface
 from tritile.shell import main
 
@@ -314,6 +314,22 @@ def test_window_of_249001_cells_is_within_budget():
 
 
 @pytest.mark.parametrize("command", ["surface", "classify"])
+def test_derived_window_is_the_peaks_box_padded_by_8(capsys, hex_peaks, tmp_path, command):
+    # Within the budget, no --window means the oracles' box of the peaks
+    # padded by 8, here -9:9,-9:9 with 722 flats.
+    std = tmp_path / "std.json"
+    std.write_text(json.dumps({"peaks": [[0, 0, 0]], "kind": "cone"}))
+    argv = [command, "--peaks", hex_peaks]
+    if command == "classify":
+        argv += ["--std-peaks", str(std)]
+    box = padded_box(HEX_GENS, 8)
+    derived = run(capsys, *argv)
+    explicit = run(capsys, *argv, f"--window={box.u_min}:{box.u_max},{box.v_min}:{box.v_max}")
+    assert derived == explicit
+    assert derived[0] == 0
+
+
+@pytest.mark.parametrize("command", ["surface", "classify"])
 def test_derived_window_over_budget_exits_1_before_any_scan(capsys, monkeypatch, tmp_path, command):
     # Without --window the scan covers the peaks' box padded by 8: here
     # 617 x 617 cells, over the budget an explicit --window has.
@@ -502,8 +518,8 @@ def test_pinned_public_call_counts(monkeypatch, tmp_path):
     # too.  Each pinned count is a formula over oracles: `norm` scans the
     # padded box of the peaks twice (once itself, once inside the
     # trajectory partition) and lifts each norm flat once more, and the
-    # walk takes one start check, two checks per step and the chart
-    # cover's checks.
+    # walk takes one start check, one check per step, one more per step
+    # that flips the gradient and the chart cover's checks.
     monkeypatch.syspath_prepend(str(ROOT / "bench"))
     import run as bench_run
     import workloads
@@ -511,17 +527,19 @@ def test_pinned_public_call_counts(monkeypatch, tmp_path):
     window = padded_box(HEX_GENS, 8)
     flats = 2 * (window.u_max - window.u_min + 1) * (window.v_max - window.v_min + 1)
     lifts = len(norm(ConjUpSet(HEX_GENS)))
+    walk = [parse_tile(t) for t in HEX_WALK]
+    flips = sum(gradient(a) != gradient(b) for a, b in zip(walk, walk[1:] + walk[:1]))
     with monkeypatch.context() as patch:
         counts = count_public_calls(patch, (surface.on_surface,))
-        reference_chart_cover([parse_tile(t) for t in HEX_WALK])
+        reference_chart_cover(walk)
         hex_cover = counts["on_surface"]
         reference_chart_cover([parse_tile(t) for t in DECODE_DUDUDD])
         decode_cover = counts["on_surface"] - hex_cover
-    assert (flats, lifts, len(HEX_WALK), hex_cover, decode_cover) == (722, 6, 6, 26, 49)
+    assert (flats, lifts, len(HEX_WALK), flips, hex_cover, decode_cover) == (722, 6, 6, 6, 26, 49)
     hand = bench_run.HAND_COUNTS
     assert hand["norm"] == {
         "dynamics.step": len(HEX_WALK),
-        "surface.on_surface": 1 + 2 * len(HEX_WALK) + hex_cover,
+        "surface.on_surface": 1 + len(HEX_WALK) + flips + hex_cover,
         "surface.section_at": 2 * flats + lifts,
     }
     assert hand["decode"] == {"dynamics.step": 0, "surface.on_surface": decode_cover, "surface.section_at": 0}
