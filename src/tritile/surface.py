@@ -19,8 +19,8 @@ row.  Over the flat ``(u, v, 0)[1 d2]`` let ``A = H(u, v)`` and
 ``(u+1-B, v-B, -B)[d2 d3]``.  Otherwise let ``C = H(u+1, v+1)`` for
 ``d2 = 2`` and ``C = H(u, v-1) + 1`` for ``d2 = 3``: if ``C > A`` the
 section is ``(u+1-C, v+(d2==2)-C, (d2==3)-C)[d3 1]``, else
-``(u-A, v-A, -A)[1 d2]``.  The In scan keeps one ``section_at`` per
-flat, whose count the benchmark pins.
+``(u-A, v-A, -A)[1 d2]``.  The In scan, when it scans, keeps one
+``section_at`` per flat, whose count the benchmark pins.
 
 ``classify`` splits the surface tiles over a window against a standard
 region: fully inside (In), interior-disjoint (Out), or properly cut
@@ -58,6 +58,21 @@ Roof membership along l-axis 3 needs some ``g`` with
 ``d = (s,s,0)``: a ray, so no open half square past the bound lies in
 the roof.  l-axis 3 bounds ``v > max`` the same way, l-axis 1
 ``u < min`` and l-axis 2 ``v < min``.
+
+Often there is nothing to scan: if the standard roof of ``P`` adds no
+corner to the standard cone of ``P``, there is no In tile at all.  The
+l-octant of a point ``p`` is spanned by (0,1,1), (1,0,1) and (1,1,0)
+from ``p``, so it lies in the q-octant of ``p``, and for ``p`` in ``w``
+that lies in ``w``.  The surface of ``w`` meets no interior point of
+``w``, so it meets the l-octant of ``p`` only on the boundary of the
+q-octant of ``p``: on the three rays ``p+(0,s,s)``, ``p+(s,0,s)`` and
+``p+(s,s,0)``.  By the two-probe argument above, each open half square
+of an In tile lies in one open unit grid box inside the roof, and so in
+the closed l-octant of one minimal roof corner.  A half square is not
+part of a ray, so that corner is not a point of ``P``: it is a corner
+the roof adds.  In ideal terms the standard roof is the saturation of
+the monomial ideal of ``P``, and a saturation that adds no generator
+leaves no In tile.
 
 ``flat_tiles_in`` enumerates flats in canonical order: by ``u``, then
 ``v``, then ``[1 2]`` before ``[1 3]``, which is the sort order of the
@@ -300,9 +315,15 @@ def in_tiles_expanded(w: ConjUpSet, points: Sequence[QPoint]) -> tuple[SlantTile
     ``points``, which must lie in ``w``.
 
     By the box bound of the module docstring one scan of
-    ``seed_window(points)`` holds them all; no points give ``()``.
+    ``seed_window(points)`` holds them all.  When the roof adds no corner
+    to the standard cone of ``points`` (no points, one point, or two-peak
+    roofs, for example) there are none, by the lemma there, and the
+    answer is ``()`` without a scan.
     """
-    dgens = std_roof_generators(points).dgens
+    roof = std_roof_generators(points)
+    if roof == StdUpSet.from_qpoints(points):
+        return ()  # no corner beyond the cone: no In tile (module docstring)
+    dgens = roof.dgens
     # One section_at per flat: bench/run.py HAND_COUNTS, ROADMAP item 1.
     hits = [
         s
@@ -317,7 +338,9 @@ def norm(w: ConjUpSet) -> tuple[FlatTile, ...]:
     own generators.  They contain the roof's closed-trajectory content and
     may hold an open residue besides (``test_norm_contains_closed_walks``).
 
-    ``w`` must be roof-closed.  Empty for a roof of at most one generator.
+    ``w`` must be roof-closed.  Empty, without a scan, whenever the
+    l-space roof of the generators adds no corner to their l-space cone,
+    as for a roof of at most one generator (``in_tiles_expanded``).
     """
     if not is_roof(w):
         raise ValueError("norm is defined for roof-closed regions only")

@@ -150,6 +150,22 @@ def test_norm_command(capsys, hex_peaks, octant_peaks):
     assert json.loads(out) == {"norm": [], "trajectories": []}
 
 
+def test_norm_of_far_apart_peaks_scans_nothing(tmp_path):
+    # Two peaks 10**6 apart: their standard roof adds no corner, so the In
+    # scan returns before any section instead of sectioning the 4 * 10**12
+    # flats of the seed window.
+    p = tmp_path / "far.json"
+    p.write_text(json.dumps({"peaks": [[0, 0, 0], [1000000, -1000000, 0]]}))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "tritile.shell", "norm", "--peaks", str(p)],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {"norm": [], "trajectories": []}
+
+
 @pytest.mark.parametrize("argv", [["norm"], ["trajectories", "--all"]])
 def test_norm_of_open_cone_file_is_a_usage_error(capsys, tmp_path, argv):
     # kind "cone" keeps the peaks as listed; these three are not roof-closed

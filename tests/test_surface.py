@@ -218,8 +218,10 @@ def test_section_and_classify_of_empty_region_raise():
 def test_section_and_classify_work_counts(monkeypatch, hexcone):
     # Work counts, not timings: a classified window and the surface of a
     # window read one height table and take no public section, the In scan
-    # takes one section per flat tile, and nothing on the section path
-    # reads a height through conj_height, whose calls are counted in every
+    # takes one section per flat tile of the seed window when the peaks'
+    # standard roof adds a corner (the hexagon pit) and none when it adds
+    # none (the two-peak wide roof), and nothing on the section path reads
+    # a height through conj_height, whose calls are counted in every
     # tritile namespace that binds it.
     heights = count_public_calls(monkeypatch, (cones.conj_height,))
     assert tritile.conj_height(hexcone, (0, 0, 0)) == -1
@@ -238,12 +240,13 @@ def test_section_and_classify_work_counts(monkeypatch, hexcone):
         surface.classify(w, STD_ORIGIN, window)
         surface.surface_tiles(w, window)
         assert calls["section_at"] == 0
-        scanned = len(list(flat_tiles_in(seed_window(w.generators))))
+        scanned = len(list(flat_tiles_in(seed_window(w.generators)))) if w is hexcone else 0
         calls["section_at"] = 0
-        surface.in_tiles_expanded(w, w.generators)
+        hits = surface.in_tiles_expanded(w, w.generators)
         assert calls["section_at"] == scanned
+        assert bool(hits) == (w is hexcone)
         calls["section_at"] = 0
-        surface.norm(w)
+        assert surface.norm(w) == tuple(map(flatten, hits))
         assert calls["section_at"] == scanned
     assert heights["conj_height"] == 0
 
@@ -358,6 +361,43 @@ def test_norm_requires_roof():
     open_cone = ConjUpSet((QPoint(1, 0, 0), QPoint(0, 1, 0), QPoint(0, 0, 1)))
     with pytest.raises(ValueError):
         norm(open_cone)
+
+
+def test_no_new_corner_means_no_in_tile(monkeypatch):
+    # When the standard roof of the points adds no corner to their
+    # standard cone, the brute In set at pad 8 is empty, and the In scan
+    # returns () without a section.  The points are roof generators, or
+    # points of a cone one unit step or none above its generators.  Every
+    # pit cluster, the hexagon included, adds its pit corner, so its scan
+    # is kept.
+    def adds_corner(points):
+        return std_roof_generators(points) != StdUpSet.from_qpoints(points)
+
+    assert adds_corner(HEX_GENS)
+    rng = random.Random(25)
+    for _ in range(12):
+        gens = rand_pit_gens(rng, rng.randint(0, 2))
+        assert adds_corner(gens) and adds_corner(conj_roof_generators(gens).generators), gens
+    units = [QPoint(0, 0, 0), QPoint(1, 0, 0), QPoint(0, 1, 0), QPoint(0, 0, 1)]
+    calls = count_public_calls(monkeypatch, (surface.section_at,))
+    shortcuts = {"roof": 0, "cone": 0}
+    for i in range(10):
+        if i % 2:
+            w = ConjUpSet(rand_antichain(rng, 2, rng.randint(2, 5)))
+            points = []
+            for _ in range(rng.randint(2, 5)):
+                g, e = rng.choice(w.generators), rng.choice(units)
+                points.append(QPoint(g[0] + e[0], g[1] + e[1], g[2] + e[2]))
+            kind = "cone"
+        else:
+            w = conj_roof_generators(rand_antichain(rng, 2, rng.randint(2, 4)))
+            points, kind = w.generators, "roof"
+        if adds_corner(points):
+            continue
+        assert in_tiles_expanded(w, points) == () and calls["section_at"] == 0
+        assert brute_in_tiles(w, points, padded_box(points, 8)) == [], points
+        shortcuts[kind] += 1
+    assert shortcuts["roof"] >= 4 and shortcuts["cone"] >= 4, shortcuts
 
 
 def test_in_tiles_lie_in_the_box_of_their_points():
