@@ -17,9 +17,16 @@ from .tiles import SlantTile, flatten, vertices
 
 _SQ3 = math.sqrt(3.0) / 2.0
 _SCALE = 40.0  # SVG pixels per unit of the drawing basis
+_MAX_SVG_COORD = 10**300
+# Characters of the longest ASCII picture: over four times the
+# 2,256,002 of a 3000-step diagonal octant walk, the largest drawn so far.
+MAX_ASCII_CHARS = 10_000_000
 
 
 def _xy(q: QPoint) -> tuple[float, float]:
+    # Past the bound a float conversion overflows or a width is infinite.
+    if max(q) > _MAX_SVG_COORD or min(q) < -_MAX_SVG_COORD:
+        raise ValueError("a tile coordinate beyond 10^300 is too large to draw as SVG")
     # y is negated: SVG grows downward.
     return (q[0] - 0.5 * q[1] - 0.5 * q[2], -_SQ3 * (q[1] - q[2]))
 
@@ -76,6 +83,9 @@ def ascii_picture(tiles: list[tuple[SlantTile, str | None]]) -> str:
     Rows run from the highest v down, each starting at the least u of the
     picture; a row is built from its occupied cells only, so the work
     grows with the tiles and the output, not with the area between them.
+    The output length, one newline per row plus the widths of the
+    occupied rows, is known from the cells alone; a picture longer than
+    ``MAX_ASCII_CHARS`` is a ``ValueError`` before any line is built.
     """
     rows: dict[int, dict[int, list[str]]] = {}
     for s, label in tiles:
@@ -87,12 +97,22 @@ def ascii_picture(tiles: list[tuple[SlantTile, str | None]]) -> str:
         return "\n"
     u_min = min(min(row) for row in rows.values())
     v_max = max(rows)
-    lines = [""] * (v_max - min(rows) + 1)
-    for v, row in rows.items():
+    length = v_max - min(rows) + 1
+    for row in rows.values():
+        u_last = max(row)
+        length += 2 * (u_last - u_min) + len("".join(row[u_last]).rstrip())
+    if length > MAX_ASCII_CHARS:
+        raise ValueError(
+            f"the ASCII picture would have {length} characters, more than "
+            f"{MAX_ASCII_CHARS}; draw it with --format svg"
+        )
+    lines, v_above = [], v_max
+    for v in sorted(rows, reverse=True):
         parts, u_next = [], u_min
-        for u, cell in sorted(row.items()):
+        for u, cell in sorted(rows[v].items()):
             parts.append("  " * (u - u_next))
             parts.extend(cell)
             u_next = u + 1
-        lines[v_max - v] = "".join(parts).rstrip()
-    return "\n".join(lines) + "\n"
+        lines += ("\n" * (v_above - v), "".join(parts).rstrip())
+        v_above = v
+    return "".join(lines) + "\n"

@@ -6,9 +6,10 @@ operation on load, ``cone`` takes them as-is.  Trajectories are emitted
 as one JSON document per line with fields ``closed``, ``length``,
 ``tiles`` (text form ``q1,q2,q3:d1d2``), ``code`` and ``charts``.
 ``render`` reads any emitted document from stdin and draws it as SVG
-or ASCII.  The window of ``surface`` and ``classify``, a ``--window`` or
-the one derived from the peaks, holds at most ``MAX_WINDOW_CELLS``
-cells.
+or ASCII.  ``surface`` and ``classify`` scan exactly their required
+``--window``, which holds at most ``MAX_WINDOW_CELLS`` cells and is
+checked before any file is read.  ``norm`` and ``trajectories --all``
+take no window: the library scans the box that holds every In tile.
 
 Exit codes: 0 success; 1 usage or malformed input; 2 geometric
 inconsistency (a ``GeometryError``); 3 a walk did not close within
@@ -36,8 +37,8 @@ from .dynamics import (
 from .errors import GeometryError
 from .lattice import QPoint
 from .render import ascii_picture, svg_picture
-from .surface import Window, classify, norm, seed_window, surface_tiles
-from .tiles import SlantTile, parse_tile
+from .surface import Window, classify, norm, surface_tiles
+from .tiles import SlantTile, parse_int, parse_tile
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -100,45 +101,25 @@ def _std_region(path: str) -> StdUpSet:
 def _parse_window(text: str) -> Window:
     try:
         upart, vpart = text.split(",")
-        u_min, u_max = (int(x) for x in upart.split(":"))
-        v_min, v_max = (int(x) for x in vpart.split(":"))
+        u_min, u_max = (parse_int(x) for x in upart.split(":"))
+        v_min, v_max = (parse_int(x) for x in vpart.split(":"))
     except ValueError as exc:
         raise argparse.ArgumentTypeError(
             f"bad window {text!r}, expected uMIN:uMAX,vMIN:vMAX"
         ) from exc
     if u_min > u_max or v_min > v_max:
         raise argparse.ArgumentTypeError(f"empty window {text!r}")
-    window = Window(u_min, u_max, v_min, v_max)
-    cells = _cells(window)
+    cells = (u_max - u_min + 1) * (v_max - v_min + 1)
     if cells > MAX_WINDOW_CELLS:
         raise argparse.ArgumentTypeError(
             f"window {text!r} has {cells} cells, more than {MAX_WINDOW_CELLS}"
         )
-    return window
-
-
-def _cells(window: Window) -> int:
-    return (window.u_max - window.u_min + 1) * (window.v_max - window.v_min + 1)
-
-
-def _scan_window(args, w: ConjUpSet) -> Window:
-    """The ``--window``, or else ``seed_window`` of the peaks, within the same budget."""
-    if args.window:
-        return args.window
-    window = seed_window(w.generators)
-    cells = _cells(window)
-    if cells > MAX_WINDOW_CELLS:
-        u_min, u_max, v_min, v_max = window
-        raise ValueError(
-            f"the peaks' window {u_min}:{u_max},{v_min}:{v_max} has {cells} cells, "
-            f"more than {MAX_WINDOW_CELLS}; pass a smaller --window"
-        )
-    return window
+    return Window(u_min, u_max, v_min, v_max)
 
 
 def _max_steps(text: str) -> int:
     try:
-        steps = int(text)
+        steps = parse_int(text)
         if steps >= 1:
             return steps
     except ValueError:
@@ -164,8 +145,7 @@ def _traj_doc(traj: Trajectory, code: str) -> dict:
 
 
 def _cmd_surface(args) -> int:
-    w = _conj_region(args.peaks)
-    tiles = surface_tiles(w, _scan_window(args, w))
+    tiles = surface_tiles(_conj_region(args.peaks), args.window)
     _emit({"tiles": [s.text() for s in tiles]})
     return EXIT_OK
 
@@ -215,9 +195,7 @@ def _cmd_norm(args) -> int:
 
 
 def _cmd_classify(args) -> int:
-    w1 = _conj_region(args.peaks)
-    window = _scan_window(args, w1)
-    cl = classify(w1, _std_region(args.std_peaks), window)
+    cl = classify(_conj_region(args.peaks), _std_region(args.std_peaks), args.window)
     _emit(
         {
             "in": [s.text() for s in cl.in_tiles],
@@ -304,7 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = add("surface", _cmd_surface, "list surface tiles over a window")
     sp.add_argument("--peaks", required=True)
-    sp.add_argument("--window", type=_parse_window)
+    sp.add_argument("--window", type=_parse_window, required=True)
 
     sp = add("trajectories", _cmd_trajectories, "trace trajectories on a surface")
     sp.add_argument("--peaks", required=True)
@@ -343,7 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = add("classify", _cmd_classify, "In/Out/Bd decomposition over a window")
     sp.add_argument("--peaks", required=True)
     sp.add_argument("--std-peaks", required=True)
-    sp.add_argument("--window", type=_parse_window)
+    sp.add_argument("--window", type=_parse_window, required=True)
 
     sp = add("render", _cmd_render, "draw a document from stdin as SVG or ASCII")
     sp.add_argument("--format", choices=("svg", "ascii"), default="svg")
@@ -360,6 +338,14 @@ def main(argv: Sequence[str] | None = None) -> int:
         return EXIT_OK
     except GeometryError as exc:
         sys.stderr.write(f"geometry error: {exc}\n")
+        if exc.tile is not None:
+            # The state that replays the failure (README "Command line").
+            replay = {
+                "peaks": [list(g) for g in exc.peaks],
+                "port": None if exc.port is None else exc.port.value,
+                "tile": exc.tile.text(),
+            }
+            sys.stderr.write(json.dumps(replay, sort_keys=True) + "\n")
         return EXIT_GEOMETRY
     except (ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")

@@ -302,7 +302,14 @@ def classify(w1: ConjUpSet, w2: StdUpSet, window: Window) -> Classification:
 # -- windowed enumeration of the full In set --------------------------------
 
 def seed_window(points: Sequence[QPoint]) -> Window:
-    """Plane bounding box of ``points`` padded by 8; empty for no points."""
+    """Plane bounding box of ``points`` padded by 8; empty for no points.
+
+    This is the box of the module docstring that holds every In tile
+    against the standard roof of ``points``: ``in_tiles_expanded``, and
+    so ``norm``, and ``closed_trajectory_roofs`` scan it.  The
+    ``surface`` and ``classify`` commands do not; they scan the
+    ``--window`` they are given.
+    """
     if not points:
         return Window(0, -1, 0, -1)
     us = [project(p).u for p in points]

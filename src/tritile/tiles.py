@@ -70,14 +70,26 @@ def tile(q1: int, q2: int, q3: int, d1: int, d2: int) -> SlantTile:
     return SlantTile(QPoint(q1, q2, q3), d1, d2)
 
 
+def parse_int(text: str) -> int:
+    """An optional ``-`` and ASCII digits, the form :meth:`SlantTile.text` writes.
+
+    ``int`` alone would also take ``+``, ``_``, padding spaces and
+    non-ASCII digits.
+    """
+    digits = text[1:] if text.startswith("-") else text
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"bad integer text {text!r}")
+    return int(text)
+
+
 def parse_tile(text: str) -> SlantTile:
     """Inverse of :meth:`SlantTile.text`, e.g. ``"1,1,0:31"``."""
     try:
         coords, dirs = text.split(":")
-        q1, q2, q3 = (int(c) for c in coords.split(","))
+        q1, q2, q3 = (parse_int(c) for c in coords.split(","))
         if len(dirs) != 2:
             raise ValueError
-        return tile(q1, q2, q3, int(dirs[0]), int(dirs[1]))
+        return tile(q1, q2, q3, parse_int(dirs[0]), parse_int(dirs[1]))
     except ValueError as exc:
         raise ValueError(f"bad tile text {text!r}") from exc
 

@@ -286,7 +286,7 @@ def test_cli_output_is_deterministic(capsys, hex_peaks):
 
 def test_usage_errors(capsys, tmp_path, hex_peaks):
     assert run(capsys, "no-such-command")[0] == 1
-    assert run(capsys, "surface", "--peaks", str(tmp_path / "missing.json"))[0] == 1
+    assert run(capsys, "surface", "--peaks", str(tmp_path / "missing.json"), "--window=0:0,0:0")[0] == 1
     assert run(capsys, "surface", "--peaks", hex_peaks, "--window=bad")[0] == 1
     assert run(capsys, "trajectories", "--peaks", hex_peaks)[0] == 1  # neither --all nor --start
     bad = tmp_path / "bad.json"
@@ -323,56 +323,61 @@ def test_bad_window_message_reaches_stderr(capsys, hex_peaks, command, window, m
     assert f"argument --window: {message}\n" in captured.err
 
 
+# Forms that int() takes but the README never writes: an underscore,
+# padding spaces, a plus sign and non-ASCII digits.
+NOT_ASCII_INTEGERS = ["1_0", " 1", "1 ", "+1", "١", "１２"]
+
+
+@pytest.mark.parametrize("number", NOT_ASCII_INTEGERS)
+def test_window_takes_only_a_minus_and_ascii_digits(capsys, number):
+    for window in (f"{number}:20,0:1", f"-1:1,0:{number}"):
+        code = main(["surface", "--peaks", "hex.json", f"--window={window}"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.splitlines()[-1] == (
+            f"error: argument --window: bad window {window!r}, expected uMIN:uMAX,vMIN:vMAX"
+        )
+
+
+@pytest.mark.parametrize("number", NOT_ASCII_INTEGERS)
+def test_max_steps_takes_only_ascii_digits(capsys, number):
+    code = main(["encode", "--peaks", "hex.json", "--start", "1,1,0:31", "--max-steps", number])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.splitlines()[-1] == (
+        f"error: argument --max-steps: expected a positive integer, got {number!r}"
+    )
+
+
+@pytest.mark.parametrize("command", ["surface", "classify"])
+def test_window_is_required_before_any_file_is_read(capsys, tmp_path, command):
+    # The peaks files do not exist: reading one would be a different error.
+    missing = str(tmp_path / "missing.json")
+    argv = [command, "--peaks", missing]
+    if command == "classify":
+        argv += ["--std-peaks", missing]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.splitlines()[-1] == "error: the following arguments are required: --window"
+
+
 def test_window_of_249001_cells_is_within_budget():
     # Parsed only: a scan of this window takes seconds.
     argv = ["surface", "--peaks", "hex.json", "--window=-249:249,-249:249"]
     assert shell.build_parser().parse_args(argv).window == surface.Window(-249, 249, -249, 249)
 
 
-@pytest.mark.parametrize("command", ["surface", "classify"])
-def test_derived_window_is_the_peaks_box_padded_by_8(capsys, hex_peaks, tmp_path, command):
-    # Within the budget, no --window means the oracles' box of the peaks
-    # padded by 8, here -9:9,-9:9 with 722 flats.
-    std = tmp_path / "std.json"
-    std.write_text(json.dumps({"peaks": [[0, 0, 0]], "kind": "cone"}))
-    argv = [command, "--peaks", hex_peaks]
-    if command == "classify":
-        argv += ["--std-peaks", str(std)]
-    box = padded_box(HEX_GENS, 8)
-    derived = run(capsys, *argv)
-    explicit = run(capsys, *argv, f"--window={box.u_min}:{box.u_max},{box.v_min}:{box.v_max}")
-    assert derived == explicit
-    assert derived[0] == 0
-
-
-@pytest.mark.parametrize("command", ["surface", "classify"])
-def test_derived_window_over_budget_exits_1_before_any_scan(capsys, monkeypatch, tmp_path, command):
-    # Without --window the scan covers the peaks' box padded by 8: here
-    # 617 x 617 cells, over the budget an explicit --window has.
-    cone = tmp_path / "wide.json"
-    cone.write_text(json.dumps({"peaks": [[0, 0, 0], [600, -600, 0]], "kind": "cone"}))
-
-    def no_scan(w, window):
-        raise AssertionError("scanned")
-
-    monkeypatch.setattr(surface, "_sections", no_scan)
-    argv = [command, "--peaks", str(cone)]
-    if command == "classify":
-        argv += ["--std-peaks", str(cone)]
-    code = main(argv)
-    captured = capsys.readouterr()
-    assert code == 1
-    assert captured.out == ""
-    assert captured.err == (
-        "error: the peaks' window -8:608,-608:8 has 380689 cells, "
-        "more than 250000; pass a smaller --window\n"
-    )
-
-
 # Every geometry failure exits 2 with its message on stderr and nothing on
 # stdout: a start tile off the hexagon's surface, and the smallest roof
-# whose norm holds an open walk.
+# whose norm holds an open walk.  A second stderr line holds the state
+# that replays it.
 REPRO_PEAKS = {"peaks": [[-1, 0, 0], [0, -1, -1], [1, -2, 0]]}
+HEX_OFF = '{"peaks": [[0, 1, 1], [1, 0, 1], [1, 1, 0]], "port": null, "tile": "0,0,0:12"}'
+REPRO_OPEN = '{"peaks": [[-1, 0, 0], [0, -1, -1], [1, -2, 0]], "port": null, "tile": "0,-1,0:23"}'
 
 
 @pytest.mark.parametrize(
@@ -395,7 +400,33 @@ def test_geometry_errors_exit_2_with_their_message(capsys, tmp_path, hex_peaks, 
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""
-    assert captured.err == f"geometry error: {message}\n"
+    replay = {"HEX": HEX_OFF, "REPRO": REPRO_OPEN}[argv[2]]
+    assert captured.err == f"geometry error: {message}\n{replay}\n"
+
+
+@pytest.mark.parametrize("peaks, argv", [("HEX", ["trajectories", "--start", "0,0,0:12"]), ("REPRO", ["norm"])])
+def test_geometry_error_replays_from_its_stderr_line(capsys, tmp_path, hex_peaks, peaks, argv):
+    # The printed peaks, as a cone file, and the printed tile as the start
+    # of `trajectories --start` give the failure again: the same
+    # off-surface error, or the open walk that the norm could not close.
+    repro = tmp_path / "repro.json"
+    repro.write_text(json.dumps(REPRO_PEAKS))
+    files = {"HEX": hex_peaks, "REPRO": str(repro)}
+    assert main([*argv, "--peaks", files[peaks]]) == 2
+    message, line = capsys.readouterr().err.splitlines()
+    state = json.loads(line)
+    cone = tmp_path / "replay.json"
+    cone.write_text(json.dumps({"peaks": state["peaks"], "kind": "cone"}))
+    code = main(["trajectories", "--peaks", str(cone), "--start", state["tile"]])
+    captured = capsys.readouterr()
+    if peaks == "HEX":
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == f"{message}\n{line}\n"
+    else:
+        assert code == 3
+        doc = json.loads(captured.out)
+        assert (doc["closed"], doc["tiles"][0]) == (False, state["tile"])
 
 
 @pytest.mark.parametrize(
@@ -423,7 +454,7 @@ def test_all_and_start_are_exclusive_and_required(capsys, tmp_path, which, messa
             "argument command: invalid choice: 'no-such-command' (choose from 'surface',"
             " 'trajectories', 'encode', 'decode', 'roof', 'norm', 'classify', 'render')",
         ),
-        (["surface"], "the following arguments are required: --peaks"),
+        (["surface"], "the following arguments are required: --peaks, --window"),
         (
             ["surface", "--peaks", "hex.json", "--window=bad"],
             "argument --window: bad window 'bad', expected uMIN:uMAX,vMIN:vMAX",

@@ -132,3 +132,23 @@ def test_parse_tile_rejects_garbage():
     for bad in ("", "1,1:12", "1,1,0:11", "1,1,0:14", "a,b,c:12", "1,1,0:1"):
         with pytest.raises(ValueError):
             parse_tile(bad)
+
+
+# Forms that int() takes but SlantTile.text never writes: an underscore,
+# padding spaces, a plus sign and non-ASCII digits, in a coordinate and
+# in the direction pair.
+@pytest.mark.parametrize(
+    "bad",
+    [
+        "1_0,0,0:12",
+        " 1,0,0:12",
+        "1,0,0 :12",
+        "+1,0,0:12",
+        "١,0,0:12",
+        "0,0,0:１２",
+        "0,0,0:+1",
+    ],
+)
+def test_parse_tile_takes_only_a_minus_and_ascii_digits(bad):
+    with pytest.raises(ValueError, match="bad tile text"):
+        parse_tile(bad)
