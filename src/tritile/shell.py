@@ -6,10 +6,13 @@ operation on load, ``cone`` takes them as-is.  Trajectories are emitted
 as one JSON document per line with fields ``closed``, ``length``,
 ``tiles`` (text form ``q1,q2,q3:d1d2``), ``code`` and ``charts``.
 ``render`` reads any emitted document from stdin and draws it as SVG
-or ASCII.  ``surface`` and ``classify`` scan exactly their required
-``--window``, which holds at most ``MAX_WINDOW_CELLS`` cells and is
-checked before any file is read.  ``norm`` and ``trajectories --all``
-take no window: the library scans the box that holds every In tile.
+or ASCII; every command writes to stdout.  ``surface`` and ``classify``
+scan exactly their required ``--window``, which holds at most
+``MAX_WINDOW_CELLS`` cells and is checked before any file is read.
+``norm`` and ``trajectories --all`` take no window: the library scans
+the box that holds every In tile, within ``surface.MAX_SCAN_UNITS``.
+A peaks file holds at most ``MAX_PEAKS`` peaks, and so do the files of
+one ``roof add`` together, checked before any closure.
 
 Exit codes: 0 success; 1 usage or malformed input; 2 geometric
 inconsistency (a ``GeometryError``); 3 a walk did not close within
@@ -49,6 +52,12 @@ EXIT_BUDGET = 3
 # about 2.7 s and 150 MB and prints 7.6 MB (2-vCPU Xeon, Python 3.11).
 MAX_WINDOW_CELLS = 250_000
 
+# Peaks of one file, and of all `roof add` files together: on the slowest
+# family found, 99 peaks on three staggered chains, `roof add` takes
+# about 1.1 s and `norm`, which closes them three times, 2.2 s (2-vCPU
+# Xeon, Python 3.11).
+MAX_PEAKS = 100
+
 
 class _Parser(argparse.ArgumentParser):
     # argparse exits with 2 on bad usage; 2 is taken by geometry errors here.
@@ -75,6 +84,8 @@ def _load_peaks(path: str) -> tuple[list[QPoint], str]:
         raise ValueError(f"kind must be cone or roof, got {kind!r}")
     if not isinstance(peaks, list) or not peaks:
         raise ValueError("peaks must be a non-empty list of integer triples")
+    if len(peaks) > MAX_PEAKS:
+        raise ValueError(f"{path} has {len(peaks)} peaks, more than {MAX_PEAKS}")
     points = []
     for p in peaks:
         # bool is a subclass of int, but true/false are not coordinates
@@ -151,10 +162,10 @@ def _cmd_surface(args) -> int:
 
 
 def _cmd_trajectories(args) -> int:
+    if args.all and args.max_steps is not None:
+        raise ValueError("--max-steps applies to --start only")
     w = _conj_region(args.peaks)
     if args.all:
-        if args.max_steps is not None:
-            raise ValueError("--max-steps applies to --start only")
         for traj in closed_trajectories_of_roof(w):
             _emit(_traj_doc(traj, encode(traj)))
         return EXIT_OK
@@ -180,7 +191,10 @@ def _cmd_decode(args) -> int:
 def _cmd_roof_add(args) -> int:
     # The roof of the union is the sum of the files' roofs: roof closure
     # is a closure operator, so closing every file first changes nothing.
-    total = conj_roof_generators([p for path in args.files for p in _load_peaks(path)[0]])
+    points = [p for path in args.files for p in _load_peaks(path)[0]]
+    if len(points) > MAX_PEAKS:
+        raise ValueError(f"the files have {len(points)} peaks, more than {MAX_PEAKS}")
+    total = conj_roof_generators(points)
     _emit({"peaks": [list(g) for g in total.generators], "kind": "roof"})
     return EXIT_OK
 
@@ -254,12 +268,7 @@ def _doc_tiles(doc) -> list[tuple[SlantTile, str | None]]:
 
 def _cmd_render(args) -> int:
     pairs = _doc_tiles(_parse_json(sys.stdin.read()))
-    text = svg_picture(pairs) if args.format == "svg" else ascii_picture(pairs)
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    sys.stdout.write(svg_picture(pairs) if args.format == "svg" else ascii_picture(pairs))
     return EXIT_OK
 
 
@@ -325,7 +334,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = add("render", _cmd_render, "draw a document from stdin as SVG or ASCII")
     sp.add_argument("--format", choices=("svg", "ascii"), default="svg")
-    sp.add_argument("-o", "--output")
 
     return p
 

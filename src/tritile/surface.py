@@ -100,6 +100,10 @@ from .tiles import FlatTile, SlantTile, flatten
 
 _new = tuple.__new__  # a NamedTuple built without its constructor frame
 
+# Flat-generator pairs read by the largest In scan, two flats a cell: a
+# scan at the cap takes about 1.7 s (2-vCPU Xeon, Python 3.11).
+MAX_SCAN_UNITS = 2_000_000
+
 
 class Window(NamedTuple):
     u_min: int
@@ -325,16 +329,28 @@ def in_tiles_expanded(w: ConjUpSet, points: Sequence[QPoint]) -> tuple[SlantTile
     ``seed_window(points)`` holds them all.  When the roof adds no corner
     to the standard cone of ``points`` (no points, one point, or two-peak
     roofs, for example) there are none, by the lemma there, and the
-    answer is ``()`` without a scan.
+    answer is ``()`` without a scan.  Otherwise each of the two flats
+    per cell reads the generators of ``w`` and the corners of the roof,
+    and a scan of more than ``MAX_SCAN_UNITS`` such reads is a
+    ``ValueError`` before its first section.
     """
     roof = std_roof_generators(points)
     if roof == StdUpSet.from_qpoints(points):
         return ()  # no corner beyond the cone: no In tile (module docstring)
     dgens = roof.dgens
+    window = seed_window(points)
+    cells = (window.u_max - window.u_min + 1) * (window.v_max - window.v_min + 1)
+    gens = len(w.generators) + len(dgens)
+    units = 2 * cells * gens
+    if units > MAX_SCAN_UNITS:
+        raise ValueError(
+            f"In scan of {cells} cells over {gens} generators reads "
+            f"{units} flat-generator pairs, more than {MAX_SCAN_UNITS}"
+        )
     # One section_at per flat: bench/run.py HAND_COUNTS, ROADMAP item 1.
     hits = [
         s
-        for t in flat_tiles_in(seed_window(points))
+        for t in flat_tiles_in(window)
         if _classify_tile(s := section_at(w, t), dgens) == "in"
     ]
     return tuple(hits)
@@ -347,7 +363,8 @@ def norm(w: ConjUpSet) -> tuple[FlatTile, ...]:
 
     ``w`` must be roof-closed.  Empty, without a scan, whenever the
     l-space roof of the generators adds no corner to their l-space cone,
-    as for a roof of at most one generator (``in_tiles_expanded``).
+    as for a roof of at most one generator; a ``ValueError`` when the
+    scan would pass its budget (``in_tiles_expanded``).
     """
     if not is_roof(w):
         raise ValueError("norm is defined for roof-closed regions only")

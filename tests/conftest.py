@@ -81,6 +81,17 @@ def rand_pit_gens(rng: random.Random, extra_pits: int) -> list[QPoint]:
     return [g for cc in centers for g in pit(cc)]
 
 
+def plane_peaks(n: int, seed: int, spread: int) -> list[list[int]]:
+    """``n`` distinct peaks ``[x, y, -x-y]`` with ``x`` and ``y`` drawn
+    from ``-spread..spread``, in draw order."""
+    rng, pts = random.Random(seed), []
+    while len(pts) < n:
+        x, y = rng.randint(-spread, spread), rng.randint(-spread, spread)
+        if [x, y, -x - y] not in pts:
+            pts.append([x, y, -x - y])
+    return pts
+
+
 # -- independent oracles -----------------------------------------------------
 
 def brute_conj_roof_member(points, q) -> bool:

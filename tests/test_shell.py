@@ -20,6 +20,7 @@ from conftest import (
     brute_conj_roof_member,
     count_public_calls,
     padded_box,
+    plane_peaks,
     rand_pit_gens,
     reference_chart_cover,
 )
@@ -166,6 +167,70 @@ def test_norm_of_far_apart_peaks_scans_nothing(tmp_path):
     assert json.loads(proc.stdout) == {"norm": [], "trajectories": []}
 
 
+# Inputs that hung or ran for minutes before their budgets: the hexagon
+# pit plus a peak 10**6 away (a box of 1,000,035,000,306 cells), 100 plane
+# points 600 wide (29 generators and 26 standard-roof corners over
+# 2,688,231 cells; 134 s), and the 600-peak chain (i, -i, -2i), which
+# `roof add` took 15.6 s and `norm` 44.8 s to close.
+@pytest.mark.parametrize(
+    "argv, peaks, message",
+    [
+        (
+            ["norm"],
+            [[1, 1, 0], [0, 1, 1], [1, 0, 1], [10**6, -(10**6), 0]],
+            "In scan of 1000035000306 cells over 6 generators reads 12000420003672 "
+            "flat-generator pairs, more than 2000000",
+        ),
+        (
+            ["norm"],
+            plane_peaks(100, 3, 300),
+            "In scan of 2688231 cells over 55 generators reads 295705410 "
+            "flat-generator pairs, more than 2000000",
+        ),
+        (
+            ["trajectories", "--all"],
+            plane_peaks(100, 3, 300),
+            "In scan of 2688231 cells over 55 generators reads 295705410 "
+            "flat-generator pairs, more than 2000000",
+        ),
+        (["norm"], [[i, -i, -2 * i] for i in range(600)], "PEAKS has 600 peaks, more than 100"),
+        (["roof", "add"], [[i, -i, -2 * i] for i in range(600)], "PEAKS has 600 peaks, more than 100"),
+    ],
+    ids=["pit_and_far_peak", "plane_norm", "plane_all", "chain_norm", "chain_roof_add"],
+)
+def test_over_budget_inputs_exit_1_at_once(tmp_path, argv, peaks, message):
+    p = tmp_path / "peaks.json"
+    p.write_text(json.dumps({"peaks": peaks}))
+    argv = [*argv, str(p)] if argv == ["roof", "add"] else [*argv, "--peaks", str(p)]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "tritile.shell", *argv],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=10,
+    )
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr == f"error: {message.replace('PEAKS', str(p))}\n"
+
+
+def test_peaks_cap_holds_per_file_and_across_roof_add_files(capsys, tmp_path):
+    # The peaks (i, -i, 0) close to themselves at once: only the count is tested.
+    def peaks_file(name, lo, hi):
+        p = tmp_path / name
+        p.write_text(json.dumps({"peaks": [[i, -i, 0] for i in range(lo, hi)]}))
+        return str(p)
+
+    full, one_more = peaks_file("full.json", 0, shell.MAX_PEAKS), peaks_file("over.json", 0, shell.MAX_PEAKS + 1)
+    code, out = run(capsys, "roof", "add", full)
+    assert code == 0 and len(json.loads(out)["peaks"]) == shell.MAX_PEAKS
+    assert main(["roof", "add", one_more]) == 1
+    assert capsys.readouterr().err == f"error: {one_more} has {shell.MAX_PEAKS + 1} peaks, more than {shell.MAX_PEAKS}\n"
+    half = peaks_file("half.json", 0, shell.MAX_PEAKS // 2 + 1)
+    assert main(["roof", "add", half, half]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: the files have {2 * (shell.MAX_PEAKS // 2 + 1)} peaks, more than {shell.MAX_PEAKS}\n"
+
+
 @pytest.mark.parametrize("argv", [["norm"], ["trajectories", "--all"]])
 def test_norm_of_open_cone_file_is_a_usage_error(capsys, tmp_path, argv):
     # kind "cone" keeps the peaks as listed; these three are not roof-closed
@@ -202,12 +267,10 @@ def render_stdin(capsys, monkeypatch, doc, *argv):
     return run(capsys, "render", *argv)
 
 
-def test_render_svg_and_ascii(capsys, monkeypatch, tmp_path, hex_peaks):
+def test_render_svg_and_ascii(capsys, monkeypatch, hex_peaks):
     _, doc = run(capsys, "trajectories", "--peaks", hex_peaks, "--all")
-    out_svg = tmp_path / "pic.svg"
-    code, _ = render_stdin(capsys, monkeypatch, doc, "--format", "svg", "-o", str(out_svg))
+    code, svg = render_stdin(capsys, monkeypatch, doc, "--format", "svg")
     assert code == 0
-    svg = out_svg.read_text()
     assert svg.count("<polygon") == 6
     assert svg.count("<text") == 6
     code, ascii_out = render_stdin(capsys, monkeypatch, doc, "--format", "ascii")
@@ -474,6 +537,7 @@ def test_all_and_start_are_exclusive_and_required(capsys, tmp_path, which, messa
             ["encode", "--peaks", "hex.json", "--start", "1,1,0:31", "--start-sign", "U"],
             "unrecognized arguments: --start-sign U",
         ),
+        (["render", "-o", "x.svg"], "unrecognized arguments: -o x.svg"),
     ],
 )
 def test_parser_errors_print_usage_then_message(capsys, argv, message):
@@ -498,12 +562,14 @@ def test_help_exits_0_on_stdout(capsys, argv, shown):
     assert captured.err == ""
 
 
-def test_max_steps_with_all_is_rejected(capsys, hex_peaks):
-    code = main(["trajectories", "--peaks", hex_peaks, "--all", "--max-steps", "5"])
-    captured = capsys.readouterr()
-    assert code == 1
-    assert captured.out == ""
-    assert "--max-steps applies to --start only" in captured.err
+def test_max_steps_with_all_is_rejected(capsys, tmp_path, hex_peaks):
+    # Decided before the peaks file is read: a missing one is not reported.
+    for peaks in (hex_peaks, str(tmp_path / "missing.json")):
+        code = main(["trajectories", "--peaks", peaks, "--all", "--max-steps", "5"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == "error: --max-steps applies to --start only\n"
 
 
 def test_trajectories_start_budget_defaults_to_1000(capsys, octant_peaks):

@@ -357,6 +357,32 @@ def test_the_box_of_no_points_is_empty(monkeypatch, hexcone):
     assert norm(ConjUpSet()) == ()
 
 
+def test_in_scan_over_its_budget_raises_before_any_section(monkeypatch):
+    # The hexagon pit plus a peak 10**6 away: the roof adds the pit corner,
+    # so the shortcut does not apply, and the box has 1,000,035,000,306
+    # cells.  The scan is refused before its first section.
+    w = conj_roof_generators([*HEX_GENS, QPoint(10**6, -(10**6), 0)])
+    calls = count_public_calls(monkeypatch, (surface.section_at,))
+    with pytest.raises(ValueError, match=r"^In scan of 1000035000306 cells over 6 generators .* more than 2000000$"):
+        in_tiles_expanded(w, w.generators)
+    with pytest.raises(ValueError, match="more than 2000000"):
+        norm(w)
+    assert calls["section_at"] == 0
+
+
+def test_in_scan_budget_is_flats_times_generators(monkeypatch, hexcone):
+    # The hexagon scans 722 flats, each reading its 3 generators and the
+    # one corner of its standard roof, the pit: a scan of exactly the cap
+    # runs.
+    assert len(std_roof_generators(HEX_GENS).dgens) == 1
+    units = 722 * 4
+    monkeypatch.setattr(surface, "MAX_SCAN_UNITS", units)
+    assert len(in_tiles_expanded(hexcone, HEX_GENS)) == 6
+    monkeypatch.setattr(surface, "MAX_SCAN_UNITS", units - 1)
+    with pytest.raises(ValueError, match=f"^In scan of 361 cells over 4 generators reads {units} "):
+        in_tiles_expanded(hexcone, HEX_GENS)
+
+
 def test_norm_requires_roof():
     open_cone = ConjUpSet((QPoint(1, 0, 0), QPoint(0, 1, 0), QPoint(0, 0, 1)))
     with pytest.raises(ValueError):
