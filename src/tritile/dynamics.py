@@ -29,6 +29,12 @@ from .tiles import Port, SlantTile, gradient, port_candidates
 _NEGATE = {"U": "D", "D": "U"}
 MAX_STEPS = 1000  # default tile budget of a walk
 
+# Tile-generator pairs that the checks of one chart cover may read.  The
+# slowest cover found within it, one chart of three generators over a walk
+# of `shell.MAX_WALK` tiles (`decode` of "DDDUUU" repeated), reads 14.4
+# million and takes about 3.7 s (2-vCPU Xeon, Python 3.11).
+MAX_COVER_UNITS = 15_000_000
+
 
 @dataclass(frozen=True)
 class Trajectory:
@@ -138,27 +144,18 @@ def decode(code: str, start: SlantTile) -> list[SlantTile]:
     return tiles
 
 
-def _fits(cone: ConjUpSet, tiles: Sequence[SlantTile]) -> bool:
-    """True iff every tile is on the surface of ``cone``; stops at the first that is not."""
-    for t in tiles:
-        if not on_surface(cone, t):
-            return False
-    return True
-
-
 def _grow(cone: ConjUpSet, p: QPoint) -> ConjUpSet:
     """The cone of ``cone``'s generators and ``p``.
 
     If a generator lies at or below ``p``, that is ``cone`` itself.
-    Otherwise ``p`` is minimal, and the generators that lie above it
-    drop out.
+    Otherwise ``p`` is minimal, and ``ConjUpSet`` drops the generators
+    that lie above it: ``p`` sorts before each of them and lies below it.
     """
     x, y, z = p
-    gens = cone.generators
-    for a, b, c in gens:
+    for a, b, c in cone.generators:
         if a <= x and b <= y and c <= z:
             return cone
-    return ConjUpSet(tuple(g for g in gens if not (x <= g[0] and y <= g[1] and z <= g[2])) + (p,))
+    return ConjUpSet(cone.generators + (p,))
 
 
 def chart_cover(tiles: Sequence[SlantTile]) -> list[Chart]:
@@ -176,8 +173,26 @@ def chart_cover(tiles: Sequence[SlantTile]) -> list[Chart]:
     search reads the cones of the suffixes of the segment and the tile
     that broke it from one backward pass of the same update.  Every
     extension still checks its whole segment, so the checks grow with the
-    square of a chart's length.
+    square of a chart's length, and each check reads every generator of
+    its cone.  Each check of a segment is charged its tiles times its
+    cone's generators before it runs, and a cover charged more than
+    ``MAX_COVER_UNITS`` is a ``ValueError``.
     """
+    units = 0
+
+    def fits(cone: ConjUpSet, seg: Sequence[SlantTile]) -> bool:
+        """True iff every tile of ``seg`` is on the surface of ``cone``; stops at the first that is not."""
+        nonlocal units
+        units += len(seg) * len(cone.generators)
+        if units > MAX_COVER_UNITS:
+            raise ValueError(
+                f"chart cover of {len(tiles)} tiles reads more than {MAX_COVER_UNITS} tile-generator pairs"
+            )
+        for t in seg:
+            if not on_surface(cone, t):
+                return False
+        return True
+
     if not tiles:
         return []
     charts: list[Chart] = []
@@ -187,11 +202,11 @@ def chart_cover(tiles: Sequence[SlantTile]) -> list[Chart]:
         cone = ConjUpSet((tiles[i].base,))
         while j + 1 < len(tiles):
             grown = _grow(cone, tiles[j + 1].base)
-            if not _fits(grown, tiles[i : j + 2]):
+            if not fits(grown, tiles[i : j + 2]):
                 break
             cone, j = grown, j + 1
         # Confirm pass for bench/run.py HAND_COUNTS, ROADMAP item 1; a lone tile always fits.
-        if not _fits(cone, tiles[i : j + 1]):
+        if not fits(cone, tiles[i : j + 1]):
             raise GeometryError(f"tile {tiles[i].text()} fits no cone")
         charts.append(Chart(cone, i, j))
         if j == len(tiles) - 1:
@@ -201,7 +216,7 @@ def chart_cover(tiles: Sequence[SlantTile]) -> list[Chart]:
         for k in range(j, i, -1):
             suffix.append(_grow(suffix[-1], tiles[k].base))
         suffix.reverse()
-        i = next(k for k, c in zip(range(i + 1, j + 2), suffix) if _fits(c, tiles[k : j + 2]))
+        i = next(k for k, c in zip(range(i + 1, j + 2), suffix) if fits(c, tiles[k : j + 2]))
 
 
 def closed_trajectory_roofs(w: ConjUpSet, traj: Trajectory) -> tuple[StdUpSet, StdUpSet]:
@@ -214,11 +229,11 @@ def closed_trajectory_roofs(w: ConjUpSet, traj: Trajectory) -> tuple[StdUpSet, S
     """
     if not traj.closed:
         raise ValueError("roof reconstruction needs a closed trajectory")
-    bases = sorted({t.base for t in traj.tiles})
+    bases = {t.base for t in traj.tiles}
     w1 = std_roof_generators(bases)
     in1 = classify(w, w1, seed_window(bases)).in_tiles
     traj_set = set(traj.tiles)
-    residue_bases = sorted({s.base for s in in1 if s not in traj_set})
+    residue_bases = {s.base for s in in1 if s not in traj_set}
     w2 = std_roof_generators(residue_bases)
     in2 = classify(w, w2, seed_window(residue_bases)).in_tiles
     if set(in1) - set(in2) != traj_set:

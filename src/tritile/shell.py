@@ -12,7 +12,9 @@ scan exactly their required ``--window``, which holds at most
 ``norm`` and ``trajectories --all`` take no window: the library scans
 the box that holds every In tile, within ``surface.MAX_SCAN_UNITS``.
 A peaks file holds at most ``MAX_PEAKS`` peaks, and so do the files of
-one ``roof add`` together, checked before any closure.
+one ``roof add`` together, checked before any closure.  A walk holds at
+most ``MAX_WALK`` tiles: ``--max-steps`` is checked when it is parsed,
+a ``decode`` code before it is decoded.
 
 Exit codes: 0 success; 1 usage or malformed input; 2 geometric
 inconsistency (a ``GeometryError``); 3 a walk did not close within
@@ -48,8 +50,10 @@ EXIT_USAGE = 1
 EXIT_GEOMETRY = 2
 EXIT_BUDGET = 3
 
-# Cells of the largest --window: `surface` or `classify` over one takes
-# about 2.7 s and 150 MB and prints 7.6 MB (2-vCPU Xeon, Python 3.11).
+# Cells of the largest --window: over one, with two peaks files of 100
+# points spread 600 wide, `classify` takes about 7.8 s and 170 MB and
+# prints 8.5 MB, and `surface` about 3.9 s; over the hexagon pit
+# `classify` takes about 2.2 s (2-vCPU Xeon, Python 3.11).
 MAX_WINDOW_CELLS = 250_000
 
 # Peaks of one file, and of all `roof add` files together: on the slowest
@@ -57,6 +61,13 @@ MAX_WINDOW_CELLS = 250_000
 # about 1.1 s and `norm`, which closes them three times, 2.2 s (2-vCPU
 # Xeon, Python 3.11).
 MAX_PEAKS = 100
+
+# Tiles of the longest walk: the cap of --max-steps and of a `decode`
+# code's length, a little above the longest bench walk (a 3,020-symbol
+# decode).  Each walk document's chart cover also stays within
+# `dynamics.MAX_COVER_UNITS`; the slowest walk found within both takes
+# about 3.7 s (2-vCPU Xeon, Python 3.11).
+MAX_WALK = 3_100
 
 
 class _Parser(argparse.ArgumentParser):
@@ -131,11 +142,13 @@ def _parse_window(text: str) -> Window:
 def _max_steps(text: str) -> int:
     try:
         steps = parse_int(text)
-        if steps >= 1:
-            return steps
     except ValueError:
-        pass
-    raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+        steps = 0
+    if steps < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    if steps > MAX_WALK:
+        raise argparse.ArgumentTypeError(f"a walk of {steps} tiles is longer than {MAX_WALK}")
+    return steps
 
 
 def _emit(doc: dict) -> None:
@@ -166,8 +179,10 @@ def _cmd_trajectories(args) -> int:
         raise ValueError("--max-steps applies to --start only")
     w = _conj_region(args.peaks)
     if args.all:
-        for traj in closed_trajectories_of_roof(w):
-            _emit(_traj_doc(traj, encode(traj)))
+        # Every document is built before any is written: a chart cover over
+        # its budget exits 1 with nothing on stdout.
+        for doc in [_traj_doc(traj, encode(traj)) for traj in closed_trajectories_of_roof(w)]:
+            _emit(doc)
         return EXIT_OK
     steps = MAX_STEPS if args.max_steps is None else args.max_steps
     traj = trace(w, parse_tile(args.start), max_steps=steps)
@@ -183,6 +198,8 @@ def _cmd_encode(args) -> int:
 
 
 def _cmd_decode(args) -> int:
+    if len(args.code) > MAX_WALK:
+        raise ValueError(f"a code of {len(args.code)} symbols is longer than {MAX_WALK}")
     tiles = decode(args.code, parse_tile(args.start))
     _emit(_traj_doc(Trajectory(tuple(tiles), closed=False), args.code))
     return EXIT_OK

@@ -91,7 +91,7 @@ a NamedTuple constructor.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple, Sequence
+from typing import Collection, Iterator, NamedTuple, Sequence
 
 from .cones import ConjUpSet, StdUpSet, is_roof, std_roof_generators
 from .errors import GeometryError
@@ -305,7 +305,7 @@ def classify(w1: ConjUpSet, w2: StdUpSet, window: Window) -> Classification:
 
 # -- windowed enumeration of the full In set --------------------------------
 
-def seed_window(points: Sequence[QPoint]) -> Window:
+def seed_window(points: Collection[QPoint]) -> Window:
     """Plane bounding box of ``points`` padded by 8; empty for no points.
 
     This is the box of the module docstring that holds every In tile

@@ -1,13 +1,17 @@
-"""Fuzz of the CLI: ``render`` over every document shape the CLI emits,
-and ``norm``, ``trajectories --all`` and ``roof add`` over generated
-peaks files.
+"""Fuzz of the CLI: ``render`` over every document shape the CLI emits;
+``norm``, ``trajectories --all`` and ``roof add`` over generated peaks
+files; the walk commands over starts, budgets and codes; ``surface``
+and ``classify`` over windows; and every peaks-reading command over
+malformed peaks files.
 
 Whatever the tiles, ``render`` ends with exit 0 and a picture, or with
 exit 1, a message and nothing on stdout; never with a traceback.
-Whatever the peaks, the other three end within a fixed wall bound with
-exit 0 and JSON lines, or with a non-zero exit and a message.  Each
-draw is derandomized with a fixed example count, so every run feeds
-the same inputs.
+Whatever the peaks, windows, starts, budgets and codes, the other
+commands end within a wall bound derived from the caps the README
+announces, with exit 0 (or 3 for an open walk) and their output, or
+with a non-zero exit and a message.  A malformed peaks file exits 1.
+Each draw is derandomized with a fixed example count, so every run
+feeds the same inputs.
 """
 
 import contextlib
@@ -23,7 +27,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import HEX_GENS, plane_peaks
-from tritile import shell
+from tritile import ConjUpSet, project, section_at, shell, tile
 from tritile.shell import main
 
 # Every document lies around an origin drawn from the full range, with a
@@ -94,9 +98,15 @@ def test_render_exits_0_or_1_without_a_traceback(doc, fmt):
 
 # -- norm, trajectories --all and roof add on generated peaks files ----------
 
-# Wall bound of one call: the slowest capped input found, 99 peaks closed
-# three times by `norm`, takes about 2.2 s (`shell.MAX_PEAKS`).
+# Wall bounds of one call, about twice the slowest capped input the
+# README announces for the command: 99 peaks closed three times by `norm`
+# take about 2.2 s (`shell.MAX_PEAKS`); the slowest walk within the walk
+# cap and the chart cover's budget about 3.7 s (`shell.MAX_WALK`,
+# `dynamics.MAX_COVER_UNITS`); `classify` over a window at the cap with
+# two 100-peak files about 8 s (`shell.MAX_WINDOW_CELLS`).
 CALL_S = 5.0
+WALK_S = 8.0
+WINDOW_S = 16.0
 
 
 @st.composite
@@ -122,19 +132,32 @@ def peaks_docs(draw):
     return {"peaks": [list(p) for p in pts], "kind": draw(st.sampled_from(["roof", "cone"]))}
 
 
-def peaks_command(argv: list[str], docs: list[dict]) -> tuple[int, str, str, float]:
+def cli(argv: list[str], files: list) -> tuple[int, str, str, float]:
+    """Run ``main`` on ``argv`` with each ``FILE<i>`` in it naming a
+    temporary file that holds ``files[i]``: a document as JSON, or text
+    or bytes as they are.  Returns the exit code, stdout, stderr and the
+    wall time of the call."""
     out, err = io.StringIO(), io.StringIO()
     with tempfile.TemporaryDirectory() as tmp:
-        paths = []
-        for i, doc in enumerate(docs):
-            paths.append(os.path.join(tmp, f"peaks{i}.json"))
-            with open(paths[-1], "w", encoding="utf-8") as fh:
-                json.dump(doc, fh)
-        argv = [*argv, *paths] if argv == ["roof", "add"] else [*argv, "--peaks", paths[0]]
+        paths = {}
+        for i, content in enumerate(files):
+            paths[f"FILE{i}"] = path = os.path.join(tmp, f"peaks{i}.json")
+            if isinstance(content, bytes):
+                with open(path, "wb") as fh:
+                    fh.write(content)
+            else:
+                with open(path, "w", encoding="utf-8") as fh:
+                    fh.write(content if isinstance(content, str) else json.dumps(content))
+        argv = [paths.get(a, a) for a in argv]
         start = time.perf_counter()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main(argv)
         return code, out.getvalue(), err.getvalue(), time.perf_counter() - start
+
+
+def peaks_command(argv: list[str], docs: list[dict]) -> tuple[int, str, str, float]:
+    names = [f"FILE{i}" for i in range(len(docs))]
+    return cli([*argv, *names] if argv == ["roof", "add"] else [*argv, "--peaks", names[0]], docs)
 
 
 COMMANDS = st.sampled_from([["norm"], ["trajectories", "--all"], ["roof", "add"]])
@@ -162,3 +185,182 @@ def test_peaks_commands_end_within_budget(argv, docs):
         assert len(lines) == 1 or argv == ["trajectories", "--all"]
     else:
         assert err.startswith(("error: ", "geometry error: "))
+
+
+# -- the walk commands, windows and malformed peaks files ---------------------
+
+
+def assert_ends_well(argv: list[str], result: tuple, bound: float) -> tuple[int, str | None]:
+    """Exit 0 or 3 with one line on stdout and nothing on stderr, or 1 or 2
+    with a message and nothing on stdout, within ``bound`` seconds and
+    without a traceback.  Returns the exit code and the line, if any."""
+    code, out, err, seconds = result
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in err
+    assert seconds < bound, (argv[:2], seconds)
+    if code in (1, 2):
+        assert out == ""
+        assert err.startswith(("error: ", "geometry error: ", "usage: tritile"))
+        return code, None
+    assert err == "" and out.endswith("\n") and "\n" not in out[:-1]
+    return code, out[:-1]
+
+
+DIRS = st.sampled_from([(1, 2), (1, 3), (2, 1), (2, 3), (3, 1), (3, 2)])
+
+
+@st.composite
+def walks(draw):
+    """argv and files of a walk command.  ``trajectories --start`` and
+    ``encode`` walk on a generated peaks file from a start on the surface
+    of the cone of its peaks (so on or off the file's surface) or from any
+    tile, with the default budget or one of up to a few past the cap.
+    ``decode`` reads a random code or a repeated word of up to a few past
+    the cap, from any tile."""
+    command = draw(st.sampled_from(["trajectories", "encode", "decode"]))
+    n = draw(st.integers(min_value=1, max_value=shell.MAX_WALK + 3))
+    anywhere = tile(*draw(st.tuples(st.integers(), st.integers(), st.integers())), *draw(DIRS))
+    if command == "decode":
+        rng = draw(st.randoms(use_true_random=False))
+        word = draw(st.text("UD", min_size=1, max_size=8))
+        code = (word * n)[:n] if draw(st.booleans()) else "".join(rng.choice("UD") for _ in range(n))
+        return ["decode", code, f"--start={anywhere.text()}"], []
+    doc = draw(peaks_docs())
+    start = anywhere
+    if draw(st.booleans()):
+        u, v = project(draw(st.sampled_from(doc["peaks"])))
+        du, dv = draw(st.tuples(st.integers(-3, 3), st.integers(-3, 3)))
+        flat = tile(u + du, v + dv, 0, 1, draw(st.sampled_from([2, 3])))
+        start = section_at(ConjUpSet(tuple(map(tuple, doc["peaks"]))), flat)
+    steps = [f"--max-steps={n}"] if draw(st.booleans()) else []
+    return [command, "--peaks", "FILE0", f"--start={start.text()}", *steps], [doc]
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(walks())
+# The 12,000-symbol one-chart decode that ran for 37.6 s before the walk cap.
+@example((["decode", "DU" * 6000, "--start=1,1,0:31"], []))
+# One chart of 776 generators: minutes before the chart cover's budget.
+@example((["decode", "DDUU" * 775, "--start=0,0,0:12"], []))
+# The slowest cover found within the budget: one chart of three generators.
+@example((["decode", "DDDUUU" * 516 + "DDDU", "--start=0,0,0:12"], []))
+def test_walk_commands_end_within_budget(walk):
+    argv, files = walk
+    code, line = assert_ends_well(argv, cli(argv, files), WALK_S)
+    if line is None:
+        return
+    if argv[0] == "encode":
+        assert 1 <= len(line) <= shell.MAX_WALK and set(line) <= {"U", "D"}
+        return
+    doc = json.loads(line)
+    assert doc["length"] == len(doc["tiles"]) == len(doc["code"]) <= shell.MAX_WALK
+    assert doc["closed"] is (code == 0 and argv[0] == "trajectories")
+    if argv[0] == "decode":
+        assert doc["code"] == argv[1]
+
+
+@st.composite
+def windows(draw):
+    """argv and peaks documents of ``surface`` or ``classify`` over a
+    window of any shape of up to a few cells past the cap, around a peak."""
+    command = draw(st.sampled_from(["surface", "classify"]))
+    docs = [draw(peaks_docs()) for _ in range(1 if command == "surface" else 2)]
+    cells = draw(st.integers(min_value=1, max_value=shell.MAX_WINDOW_CELLS + 3))
+    width = draw(st.integers(min_value=1, max_value=cells))
+    height = cells // width
+    u, v = project(draw(st.sampled_from(docs[0]["peaks"])))
+    u -= draw(st.integers(min_value=0, max_value=width - 1))
+    v -= draw(st.integers(min_value=0, max_value=height - 1))
+    std = ["--std-peaks", "FILE1"] if command == "classify" else []
+    return [command, "--peaks", "FILE0", *std, f"--window={u}:{u + width - 1},{v}:{v + height - 1}"], docs
+
+
+@settings(max_examples=20, derandomize=True, deadline=None)
+@given(windows())
+# A window at the cap over 100 plane points 600 wide, and one cell more.
+@example((
+    ["surface", "--peaks", "FILE0", "--window=-249:250,-249:250"],
+    [{"peaks": plane_peaks(100, 3, 300), "kind": "cone"}],
+))
+@example((["surface", "--peaks", "FILE0", "--window=0:250000,0:0"], [{"peaks": [[0, 0, 0]]}]))
+def test_window_commands_end_within_budget(window):
+    argv, docs = window
+    code, line = assert_ends_well(argv, cli(argv, docs), WINDOW_S)
+    if line is None:
+        return
+    assert code == 0
+    window = argv[-1].removeprefix("--window=")
+    (u0, u1), (v0, v1) = (map(int, part.split(":")) for part in window.split(","))
+    flats = 2 * (u1 - u0 + 1) * (v1 - v0 + 1)
+    doc = json.loads(line)
+    assert len(doc["tiles"]) == flats if argv[0] == "surface" else sum(doc["counts"].values()) == flats
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=8,
+)
+
+
+def _is_triple(value) -> bool:
+    return isinstance(value, list) and len(value) == 3 and all(type(c) is int for c in value)
+
+
+@st.composite
+def malformed_peaks(draw):
+    """The text or bytes of a peaks file that every command refuses."""
+    good = [[0, 0, 0], [1, -1, 0]]
+    shape = draw(st.sampled_from([
+        "non-object", "no peaks", "peaks not a non-empty list", "bad peak", "boolean", "float", "bad kind", "deep",
+        "not JSON",
+    ]))
+    if shape == "non-object":
+        return json.dumps(draw(json_values.filter(lambda v: not isinstance(v, dict))))
+    if shape == "no peaks":
+        keys = st.text(max_size=5).filter(lambda k: k != "peaks")
+        return json.dumps(draw(st.dictionaries(keys, json_values, max_size=3)))
+    if shape == "peaks not a non-empty list":
+        return json.dumps({"peaks": draw(json_values.filter(lambda v: not (isinstance(v, list) and v)))})
+    if shape == "bad kind":
+        kind = draw(json_values.filter(lambda v: v not in ("cone", "roof")))
+        return json.dumps({"peaks": good, "kind": kind})
+    if shape == "deep":
+        depth = draw(st.integers(min_value=1, max_value=5000))
+        nest = "[" * depth + "]" * depth
+        return draw(st.sampled_from([
+            '{"peaks": [[0, 0, 0]], "kind": %s}', '{"peaks": [[0, 0, 0], %s]}', '{"peaks": %s}'
+        ])) % nest
+    if shape == "not JSON":  # cut short, or bytes that are not UTF-8, or a UTF-8 byte order mark
+        text = json.dumps({"peaks": good})
+        cut = text[: draw(st.integers(0, len(text) - 1))]
+        return draw(st.sampled_from([cut, b"\xff" + text.encode(), b"\xef\xbb\xbf" + text.encode()]))
+    if shape == "bad peak":
+        bad = draw(json_values.filter(lambda v: not _is_triple(v)))
+    else:
+        bad = [0, 0, 0]
+        bad[draw(st.integers(0, 2))] = draw(st.booleans() if shape == "boolean" else st.floats())
+    peaks = list(good)
+    peaks.insert(draw(st.integers(0, len(peaks))), bad)
+    return json.dumps({"peaks": peaks})
+
+
+PEAKS_READERS = st.sampled_from([
+    ["surface", "--peaks", "FILE0", "--window=-2:2,-2:2"],
+    ["classify", "--peaks", "FILE0", "--std-peaks", "FILE1", "--window=-2:2,-2:2"],
+    ["classify", "--peaks", "FILE1", "--std-peaks", "FILE0", "--window=-2:2,-2:2"],
+    ["trajectories", "--peaks", "FILE0", "--all"],
+    ["trajectories", "--peaks", "FILE0", "--start=0,0,0:12"],
+    ["encode", "--peaks", "FILE0", "--start=0,0,0:12"],
+    ["norm", "--peaks", "FILE0"],
+    ["roof", "add", "FILE1", "FILE0"],
+])
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(PEAKS_READERS, malformed_peaks())
+def test_malformed_peaks_files_exit_1(argv, text):
+    code, out, err, _ = cli(argv, [text, {"peaks": [[0, 0, 0]]}])
+    assert (code, out) == (1, "")
+    assert "Traceback" not in err
+    assert err.startswith("error: ")

@@ -62,6 +62,13 @@ def test_readme_commands_parse():
         assert build_parser().parse_args(argv[1:]).fn
 
 
+def test_readme_layout_names_every_module():
+    # One line of the "Layout" fence per module, indented under src/tritile/.
+    (fence,) = re.findall(r"^## Layout\n.*?^```\n(.*?)^```$", README, re.M | re.S)
+    listed = set(re.findall(r"^  (\w+\.py) ", fence, re.M))
+    assert {p.name for p in SRC.glob("*.py")} - {"__init__.py"} - listed == set()
+
+
 def _public_names(path):
     """Public module-level functions and classes of ``path``, and the
     public methods of its public classes."""

@@ -290,6 +290,18 @@ def test_chart_cover_matches_reference_on_long_walks(monkeypatch):
         assert_cover_matches_reference(monkeypatch, list(tiles))
 
 
+def test_chart_cover_charges_tiles_times_generators(monkeypatch):
+    # One chart of one generator: extensions check segments of 2..40
+    # tiles, and the confirm pass the 40 tiles once more.
+    tiles = decode("D" * 40, tile(0, 0, 0, 1, 2))
+    units = sum(range(2, 41)) + 40
+    monkeypatch.setattr(dynamics, "MAX_COVER_UNITS", units)
+    assert [(len(c.cone.generators), c.start, c.stop) for c in chart_cover(tiles)] == [(1, 0, 39)]
+    monkeypatch.setattr(dynamics, "MAX_COVER_UNITS", units - 1)
+    with pytest.raises(ValueError, match=f"of 40 tiles reads more than {units - 1} tile-generator pairs"):
+        chart_cover(tiles)
+
+
 def test_closed_trajectory_roofs_hexagon(hexcone):
     traj = trace(hexcone, tile(1, 1, 0, 3, 1), max_steps=50)
     w1, w2 = closed_trajectory_roofs(hexcone, traj)

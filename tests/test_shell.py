@@ -212,6 +212,43 @@ def test_over_budget_inputs_exit_1_at_once(tmp_path, argv, peaks, message):
     assert proc.stderr == f"error: {message.replace('PEAKS', str(p))}\n"
 
 
+# A 12,000-symbol one-chart `decode` ran for 37.6 s before the walk cap, and
+# `decode` of "DDUU" * 250, one chart of 251 generators, for 7.8 s before the
+# chart cover's budget.  The --max-steps cases fail in the parser, so the
+# named peaks file, which does not exist, is never read.
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["decode", "DU" * 6000], f"a code of 12000 symbols is longer than {shell.MAX_WALK}"),
+        (
+            ["trajectories", "--peaks", "missing.json", f"--max-steps={shell.MAX_WALK + 1}"],
+            f"argument --max-steps: a walk of {shell.MAX_WALK + 1} tiles is longer than {shell.MAX_WALK}",
+        ),
+        (
+            ["encode", "--peaks", "missing.json", f"--max-steps={shell.MAX_WALK + 1}"],
+            f"argument --max-steps: a walk of {shell.MAX_WALK + 1} tiles is longer than {shell.MAX_WALK}",
+        ),
+        (["decode", "DDUU" * 250], "chart cover of 1000 tiles reads more than 15000000 tile-generator pairs"),
+    ],
+    ids=["decode_12000", "trajectories_over_cap", "encode_over_cap", "decode_dduu_1000"],
+)
+def test_over_cap_walks_exit_1_at_once(tmp_path, argv, message):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "tritile.shell", *argv, "--start=1,1,0:31"],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=10,
+    )
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr.splitlines()[-1] == f"error: {message}"
+
+
+@pytest.mark.parametrize("command", ["trajectories", "encode"])
+def test_max_steps_at_the_walk_cap_parses(command):
+    argv = [command, "--peaks", "hex.json", "--start=1,1,0:31", f"--max-steps={shell.MAX_WALK}"]
+    assert shell.build_parser().parse_args(argv).max_steps == shell.MAX_WALK
+
+
 def test_peaks_cap_holds_per_file_and_across_roof_add_files(capsys, tmp_path):
     # The peaks (i, -i, 0) close to themselves at once: only the count is tested.
     def peaks_file(name, lo, hi):
