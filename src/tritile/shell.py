@@ -50,11 +50,13 @@ EXIT_USAGE = 1
 EXIT_GEOMETRY = 2
 EXIT_BUDGET = 3
 
-# Cells of the largest --window: over one, with two peaks files of 100
-# points spread 600 wide, `classify` takes about 7.8 s and 170 MB and
-# prints 8.5 MB, and `surface` about 3.9 s; over the hexagon pit
-# `classify` takes about 2.2 s (2-vCPU Xeon, Python 3.11).
-MAX_WINDOW_CELLS = 250_000
+# Cells of the largest --window: the slowest found at the cap is a window
+# one cell tall, whose height table holds three times its cells.  With
+# two peaks files of 100 points spread 600 wide, `classify` over it takes
+# about 3.8-4.4 s and 86 MB and prints 4.4 MB, and `surface` about 3 s;
+# over the hexagon pit `classify` takes about 1.4 s (2-vCPU Xeon,
+# Python 3.11).
+MAX_WINDOW_CELLS = 100_000
 
 # Peaks of one file, and of all `roof add` files together: on the slowest
 # family found, 99 peaks on three staggered chains, `roof add` takes
@@ -218,8 +220,11 @@ def _cmd_roof_add(args) -> int:
 
 def _cmd_norm(args) -> int:
     w = _conj_region(args.peaks)
-    flats = norm(w)  # scanned again below: bench/run.py HAND_COUNTS, ROADMAP item 1
+    # The partition scans first, so an open or escaping walk fails after one
+    # scan; the norm is scanned again only after a partition that succeeded
+    # (bench/run.py HAND_COUNTS, ROADMAP item 1).
     trajs = closed_trajectories_of_roof(w)
+    flats = norm(w)
     docs = [_traj_doc(traj, encode(traj)) for traj in trajs]
     _emit({"norm": [t.text() for t in flats], "trajectories": docs})
     return EXIT_OK

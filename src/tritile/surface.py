@@ -14,12 +14,14 @@ from one table instead: every one is the height ``H(u, v)`` of some
 ``(u, v, 0)``, since adding (1,1,1) adds 1.  The table spans
 ``u_min..u_max+1`` by ``v_min-1..v_max+1``, and a row is
 ``max_g min(m_g, v-g2)`` with ``m_g = min(u-g1, -g3)`` taken once per
-row.  Over the flat ``(u, v, 0)[1 d2]`` let ``A = H(u, v)`` and
-``B = H(u+1, v)``.  If ``B > A`` the section is
-``(u+1-B, v-B, -B)[d2 d3]``.  Otherwise let ``C = H(u+1, v+1)`` for
-``d2 = 2`` and ``C = H(u, v-1) + 1`` for ``d2 = 3``: if ``C > A`` the
-section is ``(u+1-C, v+(d2==2)-C, (d2==3)-C)[d3 1]``, else
-``(u-A, v-A, -A)[1 d2]``.  The In scan, when it scans, keeps one
+row.  A window wider than tall builds it by columns instead, with
+``min(v-g2, -g3)`` taken once per column, and a line is built in
+pieces of at most ``_SPAN`` entries per generator.  Over the flat
+``(u, v, 0)[1 d2]`` let ``A = H(u, v)`` and ``B = H(u+1, v)``.  If
+``B > A`` the section is ``(u+1-B, v-B, -B)[d2 d3]``.  Otherwise let
+``C = H(u+1, v+1)`` for ``d2 = 2`` and ``C = H(u, v-1) + 1`` for
+``d2 = 3``: if ``C > A`` the section is
+``(u+1-C, v+(d2==2)-C, (d2==3)-C)[d3 1]``, else ``(u-A, v-A, -A)[1 d2]``.  The In scan, when it scans, keeps one
 ``section_at`` per flat, whose count the benchmark pins.
 
 ``classify`` splits the surface tiles over a window against a standard
@@ -254,6 +256,23 @@ def _ramp(lo: int, n: int, cap: int) -> list[int]:
     return [*range(lo, lo + k), *[cap] * (n - k)]
 
 
+# Longest ramp built at once: a line of the height table holds at most
+# this many entries per generator in memory.
+_SPAN = 512
+
+
+def _height_line(gens: list[tuple[int, int, int]], x0: int, n: int, y: int) -> list[int]:
+    """``[max(min(x0 + j - gx, y - gy, gz) for gx, gy, gz in gens) for j in
+    range(n)]``: heights along a line of the table, from ramps of at most
+    ``_SPAN`` entries."""
+    line: list[int] = []
+    for k in range(0, n, _SPAN):
+        size = min(_SPAN, n - k)
+        ramps = [_ramp(x0 + k - gx, size, min(y - gy, gz)) for gx, gy, gz in gens]
+        line += map(max, *ramps) if len(ramps) > 1 else ramps[0]
+    return line
+
+
 def _sections(w: ConjUpSet, window: Window) -> Iterator[SlantTile]:
     """The section over every flat tile of the window, in canonical order,
     read from the height table of the module docstring."""
@@ -263,11 +282,15 @@ def _sections(w: ConjUpSet, window: Window) -> Iterator[SlantTile]:
     gens = w.generators
     if not gens:
         raise GeometryError("empty region has no height function")
+    m = u_max - u_min + 2  # u_min .. u_max+1
     n = v_max - v_min + 3  # v_min-1 .. v_max+1
-    table = []  # table[i][j] = H(u_min + i, v_min - 1 + j)
-    for u in range(u_min, u_max + 2):
-        ramps = [_ramp(v_min - 1 - b, n, min(u - a, -c)) for a, b, c in gens]
-        table.append(list(map(max, *ramps)) if len(ramps) > 1 else ramps[0])
+    # table[i][j] = H(u_min + i, v_min - 1 + j), built along the longer side.
+    if m <= n:
+        along_v = [(b, a, -c) for a, b, c in gens]
+        table = [_height_line(along_v, v_min - 1, n, u) for u in range(u_min, u_max + 2)]
+    else:
+        along_u = [(a, b, -c) for a, b, c in gens]
+        table = list(zip(*(_height_line(along_u, u_min, m, v) for v in range(v_min - 1, v_max + 2))))
     for i, u in enumerate(range(u_min, u_max + 1)):
         here, east = table[i], table[i + 1]
         for j, v in enumerate(range(v_min, v_max + 1), 1):

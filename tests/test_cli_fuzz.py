@@ -102,11 +102,11 @@ def test_render_exits_0_or_1_without_a_traceback(doc, fmt):
 # README announces for the command: 99 peaks closed three times by `norm`
 # take about 2.2 s (`shell.MAX_PEAKS`); the slowest walk within the walk
 # cap and the chart cover's budget about 3.7 s (`shell.MAX_WALK`,
-# `dynamics.MAX_COVER_UNITS`); `classify` over a window at the cap with
-# two 100-peak files about 8 s (`shell.MAX_WINDOW_CELLS`).
+# `dynamics.MAX_COVER_UNITS`); `classify` over a window at the cap, one
+# cell tall, with two 100-peak files about 4 s (`shell.MAX_WINDOW_CELLS`).
 CALL_S = 5.0
 WALK_S = 8.0
-WINDOW_S = 16.0
+WINDOW_S = 8.0
 
 
 @st.composite
@@ -185,6 +185,21 @@ def test_peaks_commands_end_within_budget(argv, docs):
         assert len(lines) == 1 or argv == ["trajectories", "--all"]
     else:
         assert err.startswith(("error: ", "geometry error: "))
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(peaks_docs())
+# The smallest roof found whose norm holds an open walk.
+@example({"peaks": [[-1, 0, 0], [0, -1, -1], [1, -2, 0]]})
+def test_norm_and_trajectories_all_fail_alike(doc):
+    # Both commands partition the norm into closed walks first, so on any
+    # peaks file they exit alike, and a geometry error is the same two
+    # stderr lines: the message and the state that replays it.
+    code, _, err, _ = peaks_command(["norm"], [doc])
+    code_all, _, err_all, _ = peaks_command(["trajectories", "--all"], [doc])
+    assert code == code_all
+    if code == 2:
+        assert err == err_all
 
 
 # -- the walk commands, windows and malformed peaks files ---------------------
@@ -277,12 +292,13 @@ def windows(draw):
 
 @settings(max_examples=20, derandomize=True, deadline=None)
 @given(windows())
-# A window at the cap over 100 plane points 600 wide, and one cell more.
+# The slowest window found at the cap, one cell tall, over 100 plane points
+# 600 wide in both files; and one cell more.
 @example((
-    ["surface", "--peaks", "FILE0", "--window=-249:250,-249:250"],
-    [{"peaks": plane_peaks(100, 3, 300), "kind": "cone"}],
+    ["classify", "--peaks", "FILE0", "--std-peaks", "FILE1", "--window=-50000:49999,0:0"],
+    [{"peaks": plane_peaks(100, 3, 300), "kind": "cone"}] * 2,
 ))
-@example((["surface", "--peaks", "FILE0", "--window=0:250000,0:0"], [{"peaks": [[0, 0, 0]]}]))
+@example((["surface", "--peaks", "FILE0", "--window=0:100000,0:0"], [{"peaks": [[0, 0, 0]]}]))
 def test_window_commands_end_within_budget(window):
     argv, docs = window
     code, line = assert_ends_well(argv, cli(argv, docs), WINDOW_S)

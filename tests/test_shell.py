@@ -406,8 +406,8 @@ def test_usage_errors(capsys, tmp_path, hex_peaks):
         ("1:2,3", "bad window '1:2,3', expected uMIN:uMAX,vMIN:vMAX"),
         ("a:b,0:1", "bad window 'a:b,0:1', expected uMIN:uMAX,vMIN:vMAX"),
         (
-            "-250:250,-250:250",
-            "window '-250:250,-250:250' has 251001 cells, more than 250000",
+            "-158:158,-158:158",
+            "window '-158:158,-158:158' has 100489 cells, more than 100000",
         ),
     ],
 )
@@ -465,10 +465,11 @@ def test_window_is_required_before_any_file_is_read(capsys, tmp_path, command):
     assert captured.err.splitlines()[-1] == "error: the following arguments are required: --window"
 
 
-def test_window_of_249001_cells_is_within_budget():
+def test_window_at_the_cell_cap_is_within_budget():
     # Parsed only: a scan of this window takes seconds.
-    argv = ["surface", "--peaks", "hex.json", "--window=-249:249,-249:249"]
-    assert shell.build_parser().parse_args(argv).window == surface.Window(-249, 249, -249, 249)
+    argv = ["surface", "--peaks", "hex.json", "--window=-200:199,-125:124"]
+    assert shell.MAX_WINDOW_CELLS == 400 * 250
+    assert shell.build_parser().parse_args(argv).window == surface.Window(-200, 199, -125, 124)
 
 
 # Every geometry failure exits 2 with its message on stderr and nothing on
@@ -502,6 +503,20 @@ def test_geometry_errors_exit_2_with_their_message(capsys, tmp_path, hex_peaks, 
     assert captured.out == ""
     replay = {"HEX": HEX_OFF, "REPRO": REPRO_OPEN}[argv[2]]
     assert captured.err == f"geometry error: {message}\n{replay}\n"
+
+
+def test_a_failing_norm_scans_once(monkeypatch, capsys, tmp_path, hex_peaks):
+    # `norm` partitions the norm into closed walks before it scans for the
+    # norm itself, so a walk that does not close fails after one In scan.
+    # A norm that succeeds scans twice (bench/run.py HAND_COUNTS).
+    repro = tmp_path / "repro.json"
+    repro.write_text(json.dumps(REPRO_PEAKS))
+    for path, code, scans in ((str(repro), 2, 1), (hex_peaks, 0, 2)):
+        with monkeypatch.context() as patch:
+            calls = count_public_calls(patch, (surface.in_tiles_expanded,))
+            assert main(["norm", "--peaks", path]) == code
+        assert calls["in_tiles_expanded"] == scans, path
+    capsys.readouterr()
 
 
 @pytest.mark.parametrize("peaks, argv", [("HEX", ["trajectories", "--start", "0,0,0:12"]), ("REPRO", ["norm"])])
@@ -666,10 +681,11 @@ def test_pinned_public_call_counts(monkeypatch, tmp_path):
     # `norm` and `decode DUDUDD` warm-ups in `HAND_COUNTS`; this test runs
     # that self-check, so a change of call path that moves them fails here
     # too.  Each pinned count is a formula over oracles: `norm` scans the
-    # padded box of the peaks twice (once itself, once inside the
-    # trajectory partition) and lifts each norm flat once more, and the
-    # walk takes one start check, one check per step, one more per step
-    # that flips the gradient and the chart cover's checks.
+    # padded box of the peaks twice (once inside the trajectory partition,
+    # then itself after the partition succeeds) and lifts each norm flat
+    # once more, and the walk takes one start check, one check per step,
+    # one more per step that flips the gradient and the chart cover's
+    # checks.
     monkeypatch.syspath_prepend(str(ROOT / "bench"))
     import run as bench_run
     import workloads

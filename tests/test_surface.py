@@ -504,6 +504,20 @@ def test_surface_tiles_against_brute_sections():
     assert phases == {(1, 2), (1, 3), (2, 3), (3, 2), (3, 1), (2, 1)}
 
 
+def test_long_windows_build_the_table_in_pieces():
+    # Lines longer than the table's ramp span, along v and along u (a
+    # window wider than tall builds the table by columns), across the
+    # generators: each section equals the per-flat kernel's, which the
+    # brute section judges above.
+    rng = random.Random(31)
+    span = surface._SPAN
+    for gens in (rand_antichain(rng, 4, 6), tuple(rand_pit_gens(rng, 2))):
+        w = conj_roof_generators(gens)
+        for window in (Window(0, 1, -span, span + 3), Window(-span, span + 3, 0, 0), Window(-span, span, -1, 1)):
+            expected = tuple(section_at(w, t) for t in flat_tiles_in(window))
+            assert surface_tiles(w, window) == expected, (gens, window)
+
+
 def test_empty_windows_hold_no_sections(hexcone):
     # A window without a flat reads no height, so even the empty region
     # gives no tiles; a window holding one flat still needs a height.
