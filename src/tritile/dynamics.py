@@ -176,7 +176,7 @@ def chart_cover(tiles: Sequence[SlantTile]) -> list[Chart]:
     square of a chart's length, and each check reads every generator of
     its cone.  Each check of a segment is charged its tiles times its
     cone's generators before it runs, and a cover charged more than
-    ``MAX_COVER_UNITS`` is a ``ValueError``.
+    ``MAX_COVER_UNITS`` is a ``ValueError``, the cover's only failure.
     """
     units = 0
 
@@ -205,9 +205,12 @@ def chart_cover(tiles: Sequence[SlantTile]) -> list[Chart]:
             if not fits(grown, tiles[i : j + 2]):
                 break
             cone, j = grown, j + 1
-        # Confirm pass for bench/run.py HAND_COUNTS, ROADMAP item 1; a lone tile always fits.
-        if not fits(cone, tiles[i : j + 1]):
-            raise GeometryError(f"tile {tiles[i].text()} fits no cone")
+        # Kept only for its on_surface calls and its charge (bench/run.py
+        # HAND_COUNTS, ROADMAP item 1); it cannot fail.  For j == i the cone
+        # is the octant at the tile's own base, which carries it; for j > i
+        # it repeats the fits(grown, ...) that just returned True on the same
+        # cone and segment, and on_surface is pure.
+        fits(cone, tiles[i : j + 1])
         charts.append(Chart(cone, i, j))
         if j == len(tiles) - 1:
             return charts

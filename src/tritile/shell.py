@@ -14,7 +14,8 @@ the box that holds every In tile, within ``surface.MAX_SCAN_UNITS``.
 A peaks file holds at most ``MAX_PEAKS`` peaks, and so do the files of
 one ``roof add`` together, checked before any closure.  A walk holds at
 most ``MAX_WALK`` tiles: ``--max-steps`` is checked when it is parsed,
-a ``decode`` code before it is decoded.
+a ``decode`` code before it is decoded.  A ``--start`` tile is parsed
+before the peaks file is read.
 
 Exit codes: 0 success; 1 usage or malformed input; 2 geometric
 inconsistency (a ``GeometryError``); 3 a walk did not close within
@@ -177,24 +178,25 @@ def _cmd_surface(args) -> int:
 
 
 def _cmd_trajectories(args) -> int:
-    if args.all and args.max_steps is not None:
-        raise ValueError("--max-steps applies to --start only")
-    w = _conj_region(args.peaks)
     if args.all:
+        if args.max_steps is not None:
+            raise ValueError("--max-steps applies to --start only")
+        w = _conj_region(args.peaks)
         # Every document is built before any is written: a chart cover over
         # its budget exits 1 with nothing on stdout.
         for doc in [_traj_doc(traj, encode(traj)) for traj in closed_trajectories_of_roof(w)]:
             _emit(doc)
         return EXIT_OK
+    start = parse_tile(args.start)
     steps = MAX_STEPS if args.max_steps is None else args.max_steps
-    traj = trace(w, parse_tile(args.start), max_steps=steps)
+    traj = trace(_conj_region(args.peaks), start, max_steps=steps)
     _emit(_traj_doc(traj, encode(traj)))
     return EXIT_OK if traj.closed else EXIT_BUDGET
 
 
 def _cmd_encode(args) -> int:
-    w = _conj_region(args.peaks)
-    traj = trace(w, parse_tile(args.start), max_steps=args.max_steps)
+    start = parse_tile(args.start)
+    traj = trace(_conj_region(args.peaks), start, max_steps=args.max_steps)
     sys.stdout.write(encode(traj) + "\n")
     return EXIT_OK if traj.closed else EXIT_BUDGET
 

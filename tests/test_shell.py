@@ -624,6 +624,16 @@ def test_max_steps_with_all_is_rejected(capsys, tmp_path, hex_peaks):
         assert captured.err == "error: --max-steps applies to --start only\n"
 
 
+@pytest.mark.parametrize("command", ["trajectories", "encode"])
+def test_bad_start_is_rejected_before_the_peaks_file(capsys, tmp_path, hex_peaks, command):
+    for peaks in (hex_peaks, str(tmp_path / "missing.json")):
+        code = main([command, "--peaks", peaks, "--start", "bad"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == "error: bad tile text 'bad'\n"
+
+
 def test_trajectories_start_budget_defaults_to_1000(capsys, octant_peaks):
     code, out = run(capsys, "trajectories", "--peaks", octant_peaks, "--start", "1,0,0:12")
     assert code == 3
