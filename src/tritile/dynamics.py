@@ -206,10 +206,10 @@ def chart_cover(tiles: Sequence[SlantTile]) -> list[Chart]:
                 break
             cone, j = grown, j + 1
         # Kept only for its on_surface calls and its charge (bench/run.py
-        # HAND_COUNTS, ROADMAP item 1); it cannot fail.  For j == i the cone
-        # is the octant at the tile's own base, which carries it; for j > i
-        # it repeats the fits(grown, ...) that just returned True on the same
-        # cone and segment, and on_surface is pure.
+        # HAND_COUNTS); it cannot fail.  For j == i the cone is the octant
+        # at the tile's own base, which carries it; for j > i it repeats the
+        # fits(grown, ...) that just returned True on the same cone and
+        # segment, and on_surface is pure.
         fits(cone, tiles[i : j + 1])
         charts.append(Chart(cone, i, j))
         if j == len(tiles) - 1:
@@ -250,23 +250,23 @@ def closed_trajectory_roofs(w: ConjUpSet, traj: Trajectory) -> tuple[StdUpSet, S
 def closed_trajectories_of_roof(w: ConjUpSet) -> list[Trajectory]:
     """Partition the norm tiles of a roof into closed trajectories.
 
-    Every trace must close and stay inside the norm region; an escape or
-    an open walk is reported rather than silently accepted, by a
-    ``GeometryError`` whose ``tile`` is the walk's start and whose
-    ``peaks`` are the generators of ``w``.
+    Each walk starts at the first norm tile that no earlier walk covers
+    and must close inside the uncovered tiles, so within as many tiles as
+    are uncovered.  One that does not raises ``GeometryError`` "walk from
+    T does not close inside the norm", with ``tile`` the start T and
+    ``peaks`` the generators of ``w``.
     """
-    lifted = [section_at(w, t) for t in norm(w)]  # bench/run.py HAND_COUNTS, ROADMAP item 1
+    lifted = [section_at(w, t) for t in norm(w)]  # bench/run.py HAND_COUNTS
     remaining = set(lifted)
-    budget = len(remaining) + 2
     out = []
     for start in lifted:  # in flat order, the order norm returns
         if start not in remaining:
             continue
-        traj = trace(w, start, max_steps=budget)
-        if not traj.closed:
-            raise GeometryError(f"open trajectory in norm from {start.text()}", tile=start, peaks=w.generators)
-        if not remaining.issuperset(traj.tiles):
-            raise GeometryError(f"trajectory from {start.text()} leaves the norm", tile=start, peaks=w.generators)
+        traj = trace(w, start, max_steps=len(remaining))
+        if not (traj.closed and remaining.issuperset(traj.tiles)):
+            raise GeometryError(
+                f"walk from {start.text()} does not close inside the norm", tile=start, peaks=w.generators
+            )
         remaining.difference_update(traj.tiles)
         out.append(traj)
     return out

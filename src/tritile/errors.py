@@ -1,15 +1,15 @@
 """The one exception raised by the geometry core.
 
 ``GeometryError`` covers inputs that are geometrically inconsistent:
-an empty region, a start tile off the surface, a step from a tile off
-the surface, a norm that holds an open walk, a failed reconstruction.
-Callers tell these cases apart by nothing but the message, which names
-the check that failed and the tile or region it failed on; the CLI
-prints it and exits 2.  A failed step, an off-surface start and an
-open or escaping walk in a norm also carry the state that replays
-them.  Running out of a budget is not an error: a walk that does
-not close within its step budget comes back as an open trajectory, and
-the CLI exits 3 for it.
+a section or height asked of the empty region, a start tile off the
+surface, a step from a tile off the surface, a norm walk that does not
+close inside the norm, a failed reconstruction.  Callers tell these
+cases apart by nothing but the message, which names the check that
+failed and the tile or region it failed on; the CLI prints it and exits
+2.  A failed step, an off-surface start and a norm walk also carry the
+state that replays them.  Running out of a budget is not an error: a
+walk that does not close within its step budget comes back as an open
+trajectory, and the CLI exits 3 for it.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ class GeometryError(Exception):
     - ``trace`` sets ``tile`` to the off-surface start, so
       ``trace(ConjUpSet(e.peaks), e.tile)`` raises it again;
     - ``closed_trajectories_of_roof`` sets ``tile`` to the start of the
-      open or escaping walk, on the roof-closed region ``e.peaks``.
+      walk that does not close inside the norm of the roof ``e.peaks``.
 
     The last two leave ``port`` ``None``, and other errors all three.
     """

@@ -222,9 +222,9 @@ def _cmd_roof_add(args) -> int:
 
 def _cmd_norm(args) -> int:
     w = _conj_region(args.peaks)
-    # The partition scans first, so an open or escaping walk fails after one
-    # scan; the norm is scanned again only after a partition that succeeded
-    # (bench/run.py HAND_COUNTS, ROADMAP item 1).
+    # The partition scans first, so a walk that does not close inside the
+    # norm fails after one scan; the norm is scanned again only after a
+    # partition that succeeded (bench/run.py HAND_COUNTS).
     trajs = closed_trajectories_of_roof(w)
     flats = norm(w)
     docs = [_traj_doc(traj, encode(traj)) for traj in trajs]
@@ -265,7 +265,7 @@ def _doc_tiles(doc) -> list[tuple[SlantTile, str | None]]:
     """
     if not isinstance(doc, dict):
         raise ValueError("document must be a JSON object")
-    if isinstance(doc.get("tiles"), list):
+    if "tiles" in doc:
         tiles = _tile_list(doc, "tiles")
         code = doc.get("code", "")
         if not isinstance(code, str) or set(code) - {"U", "D"}:

@@ -8,6 +8,9 @@ the heights of the three vertices of the canonical flat tile: a height
 rises by 0 or 1 per unit step and by exactly 1 per diagonal step
 (1,1,1), so those three give the base and top heights of all three
 shift phases, and with them the one phase that lies on the surface.
+The empty region has no surface, so ``on_surface``, ``surface_tiles``,
+``classify`` and ``norm`` answer it with False or nothing; only
+``section_at``, whose answer is one tile, raises on it.
 
 A window scan (``classify`` and ``surface_tiles``) reads those heights
 from one table instead: every one is the height ``H(u, v)`` of some
@@ -146,16 +149,14 @@ def on_surface(w: ConjUpSet, s: SlantTile) -> bool:
     ``base`` in ``w`` and ``base - e_d3`` not in ``w``.  A generator at
     or below the base lies at or below ``base - e_d3`` iff its d3
     coordinate is below the base's, so that one comparison decides.
+    Without generators the base is not in ``w``: the answer is False.
     """
-    gens = w.generators
-    if not gens:
-        raise GeometryError("empty region has no height function")
     base, d1, d2 = s
     x, y, z = base
     k = 5 - d1 - d2  # index of axis d3
     base_k = base[k]
     base_in = False
-    for g in gens:
+    for g in w.generators:
         a, b, c = g
         if a <= x and b <= y and c <= z:
             if g[k] < base_k:
@@ -277,11 +278,9 @@ def _sections(w: ConjUpSet, window: Window) -> Iterator[SlantTile]:
     """The section over every flat tile of the window, in canonical order,
     read from the height table of the module docstring."""
     u_min, u_max, v_min, v_max = window
-    if u_min > u_max or v_min > v_max:
-        return
     gens = w.generators
-    if not gens:
-        raise GeometryError("empty region has no height function")
+    if u_min > u_max or v_min > v_max or not gens:
+        return  # no flat to scan, or no surface over it
     m = u_max - u_min + 2  # u_min .. u_max+1
     n = v_max - v_min + 3  # v_min-1 .. v_max+1
     # table[i][j] = H(u_min + i, v_min - 1 + j), built along the longer side.
@@ -370,7 +369,7 @@ def in_tiles_expanded(w: ConjUpSet, points: Sequence[QPoint]) -> tuple[SlantTile
             f"In scan of {cells} cells over {gens} generators reads "
             f"{units} flat-generator pairs, more than {MAX_SCAN_UNITS}"
         )
-    # One section_at per flat: bench/run.py HAND_COUNTS, ROADMAP item 1.
+    # One section_at per flat: bench/run.py HAND_COUNTS.
     hits = [
         s
         for t in flat_tiles_in(window)

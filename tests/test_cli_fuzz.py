@@ -189,7 +189,7 @@ def test_peaks_commands_end_within_budget(argv, docs):
 
 @settings(max_examples=100, derandomize=True, deadline=None)
 @given(peaks_docs())
-# The smallest roof found whose norm holds an open walk.
+# The smallest roof found whose norm holds a walk that does not close inside it.
 @example({"peaks": [[-1, 0, 0], [0, -1, -1], [1, -2, 0]]})
 def test_norm_and_trajectories_all_fail_alike(doc):
     # Both commands partition the norm into closed walks first, so on any

@@ -162,7 +162,7 @@ def test_std_contains_example():
 
 
 def test_std_qpoints_rejects_off_lattice_corner():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^generator LHalf\(t1=0, t2=1, t3=1\) is not a lattice point$"):
         StdUpSet((LHalf(0, 1, 1),)).qpoints()
 
 

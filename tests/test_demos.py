@@ -69,6 +69,14 @@ def test_readme_layout_names_every_module():
     assert {p.name for p in SRC.glob("*.py")} - {"__init__.py"} - listed == set()
 
 
+def test_no_numbered_roadmap_references():
+    # ROADMAP.md renumbers its items whenever it is re-planned, so the
+    # README and the code name an item, never its number.
+    numbered = re.compile(r"ROADMAP\s+items?\s+\d")
+    texts = {"README.md": README, **{str(p.relative_to(ROOT)): p.read_text() for p in sorted(SRC.glob("*.py"))}}
+    assert [name for name, text in texts.items() if numbered.search(text)] == []
+
+
 def _public_names(path):
     """Public module-level functions and classes of ``path``, and the
     public methods of its public classes."""

@@ -128,7 +128,7 @@ def test_trace_max_steps_is_a_tile_budget(hexcone):
     assert not trace(hexcone, tile(1, 1, 0, 3, 1), max_steps=5).closed
     assert trace(hexcone, tile(1, 1, 0, 3, 1), max_steps=6).closed
     for bad in (0, -1):
-        with pytest.raises(ValueError, match="tile budget"):
+        with pytest.raises(ValueError, match=f"^max_steps is a tile budget and must be at least 1, got {bad}$"):
             trace(OCTANT, tile(1, 0, 0, 1, 2), max_steps=bad)
 
 
@@ -138,14 +138,16 @@ def test_trace_rejects_bad_start(hexcone):
 
 
 def test_off_surface_start_carries_its_replay(hexcone):
+    # The empty region has no surface, so every start fails this check.
     s = tile(0, 0, 0, 1, 2)
-    with pytest.raises(GeometryError) as first:
-        trace(hexcone, s)
-    err = first.value
-    assert (err.tile, err.port, err.peaks) == (s, None, hexcone.generators)
-    with pytest.raises(GeometryError) as replay:
-        trace(ConjUpSet(err.peaks), err.tile)
-    assert str(replay.value) == str(err) == "0,0,0:12 is not on the surface"
+    for w in (hexcone, ConjUpSet()):
+        with pytest.raises(GeometryError) as first:
+            trace(w, s)
+        err = first.value
+        assert (err.tile, err.port, err.peaks) == (s, None, w.generators)
+        with pytest.raises(GeometryError) as replay:
+            trace(ConjUpSet(err.peaks), err.tile)
+        assert str(replay.value) == str(err) == "0,0,0:12 is not on the surface"
 
 
 def test_trace_reverse_direction(hexcone):
@@ -173,9 +175,9 @@ def test_encode_constant_on_gradient_preserving_walk():
 
 def test_encode_validates_input(hexcone):
     traj = trace(hexcone, tile(1, 1, 0, 3, 1), max_steps=50)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^start sign must be U or D, got 'X'$"):
         encode(traj, "X")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^cannot encode an empty trajectory$"):
         encode(Trajectory((), False))
 
 
@@ -187,9 +189,9 @@ def test_decode_goldens():
 
 
 def test_decode_validates_alphabet():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^code must be over U/D, got 'DUX'$"):
         decode("DUX", tile(1, 1, 0, 3, 1))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^cannot decode an empty code$"):
         decode("", tile(1, 1, 0, 3, 1))
 
 
@@ -355,7 +357,7 @@ def test_closed_trajectory_roofs_reports_a_mismatch(monkeypatch, hexcone):
 
 def test_closed_trajectory_roofs_requires_closed(hexcone):
     open_traj = trace(OCTANT, tile(1, 0, 0, 1, 2), max_steps=5)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^roof reconstruction needs a closed trajectory$"):
         closed_trajectory_roofs(OCTANT, open_traj)
 
 
@@ -404,26 +406,32 @@ def test_closed_trajectories_of_roof(hexcone):
 
 
 def test_norm_partition_violation_is_reported():
-    # this roof's norm leaks into open trajectories; it must not pass silently
+    # this roof's norm holds a walk that does not close within as many
+    # tiles as the norm has; it must not pass silently
     w = ConjUpSet((QPoint(-3, -2, 0), QPoint(0, -3, -2), QPoint(2, 1, -3)))
-    with pytest.raises(GeometryError, match="^open trajectory in norm from -1,0,0:12$") as info:
+    msg = "^walk from -1,0,0:12 does not close inside the norm$"
+    with pytest.raises(GeometryError, match=msg) as info:
         closed_trajectories_of_roof(w)
     err = info.value
     assert (err.tile, err.port, err.peaks) == (tile(-1, 0, 0, 1, 2), None, w.generators)
-    # The walk from the error's tile on the error's region is the open one.
-    assert not trace(ConjUpSet(err.peaks), err.tile, max_steps=len(norm(w)) + 2).closed
+    # The walk from the error's tile on the error's region is the one.
+    assert not trace(ConjUpSet(err.peaks), err.tile, max_steps=len(norm(w))).closed
 
 
 def test_norm_escape_is_reported(monkeypatch, hexcone):
-    # With one flat left out of the norm, the six-tile orbit still closes
-    # within the budget of 5 + 2 tiles but leaves the remaining set.
+    # Five of the hexagon's six norm flats and one flat far away: the
+    # six-tile orbit closes within the budget of six tiles, but through the
+    # flat left out, so it closes yet not inside the norm.
     flats = norm(hexcone)
-    monkeypatch.setattr(dynamics, "norm", lambda w: flats[1:])
-    start = section_at(hexcone, flats[1]).text()
-    with pytest.raises(GeometryError, match=f"^trajectory from {start} leaves the norm$") as info:
+    patched = flats[1:] + (tile(9, 9, 0, 1, 2),)
+    monkeypatch.setattr(dynamics, "norm", lambda w: patched)
+    start = section_at(hexcone, flats[1])
+    walk = trace(hexcone, start, max_steps=len(patched))
+    assert walk.closed and flats[0] in {flatten(s) for s in walk.tiles}
+    with pytest.raises(GeometryError, match=f"^walk from {start.text()} does not close inside the norm$") as info:
         closed_trajectories_of_roof(hexcone)
     err = info.value
-    assert (err.tile.text(), err.port, err.peaks) == (start, None, hexcone.generators)
+    assert (err.tile, err.port, err.peaks) == (start, None, hexcone.generators)
 
 
 def test_norm_orbits_start_at_the_least_uncovered_flat(monkeypatch):
@@ -456,6 +464,17 @@ def _cone_in_flats(w: ConjUpSet, flats) -> set:
     return hits
 
 
+def _seeded_roofs():
+    """150 seeded roofs, random antichains and pit clusters in turn."""
+    rng = random.Random(42)
+    for i in range(150):
+        if i % 2 == 0:
+            gens = rand_antichain(rng, 3, rng.randint(2, 5))
+        else:
+            gens = rand_pit_gens(rng, rng.randint(0, 2))
+        yield conj_roof_generators(gens)
+
+
 def test_norm_contains_closed_walks():
     # The norm is sandwiched: In against the standard cone of the peaks,
     # then the closed walks that stay inside the norm, then the norm
@@ -463,18 +482,12 @@ def test_norm_contains_closed_walks():
     # meets the l-octant of a peak, which lies in the peak's q-octant,
     # only on three rays (the lemma in the surface.py docstring).  Both
     # gaps occur, so the norm is more than its closed-walk content: the
-    # rest is an open residue.
+    # rest is a residue that does not close inside the norm.
     w = conj_roof_generators([QPoint(-1, 0, 0), QPoint(0, -1, -1), QPoint(1, -2, 0)])
     flats = set(norm(w))
     assert len(flats) == 4 and brute_closed_orbits(w.generators, flats) == set()
-    rng = random.Random(42)
     lower_gap = upper_gap = 0
-    for i in range(150):
-        if i % 2 == 0:
-            gens = rand_antichain(rng, 3, rng.randint(2, 5))
-        else:
-            gens = rand_pit_gens(rng, rng.randint(0, 2))
-        w = conj_roof_generators(gens)
+    for w in _seeded_roofs():
         flats = set(norm(w))
         core = brute_closed_orbits(w.generators, flats)
         lower = _cone_in_flats(w, flats)
@@ -482,6 +495,30 @@ def test_norm_contains_closed_walks():
         lower_gap += lower != core
         upper_gap += core != flats
     assert lower_gap and upper_gap
+
+
+def test_norm_partition_verdict_against_closed_orbits():
+    # The partition succeeds iff every norm flat lies on a closed walk
+    # inside the norm (the brute orbits), and its orbits then partition
+    # the norm.  Otherwise it fails at the least flat on no such walk.
+    passed = failed = 0
+    for w in _seeded_roofs():
+        flats = norm(w)
+        core = brute_closed_orbits(w.generators, flats)
+        if core == set(flats):
+            trajs = closed_trajectories_of_roof(w)
+            assert all(traj.closed for traj in trajs)
+            assert sorted(flatten(s) for traj in trajs for s in traj.tiles) == sorted(flats)
+            passed += bool(flats)
+            continue
+        with pytest.raises(GeometryError) as info:
+            closed_trajectories_of_roof(w)
+        err = info.value
+        (start,) = brute_section(w.generators, min(set(flats) - core))
+        assert str(err) == f"walk from {start.text()} does not close inside the norm"
+        assert (err.tile, err.port, err.peaks) == (start, None, w.generators)
+        failed += 1
+    assert passed and failed
 
 
 def test_step_determinism_on_random_cones():

@@ -277,7 +277,7 @@ def test_norm_of_open_cone_file_is_a_usage_error(capsys, tmp_path, argv):
     captured = capsys.readouterr()
     assert code == 1
     assert captured.out == ""
-    assert "roof-closed" in captured.err
+    assert captured.err == "error: norm is defined for roof-closed regions only\n"
 
 
 def test_classify_command(capsys, hex_peaks, tmp_path):
@@ -474,11 +474,11 @@ def test_window_at_the_cell_cap_is_within_budget():
 
 # Every geometry failure exits 2 with its message on stderr and nothing on
 # stdout: a start tile off the hexagon's surface, and the smallest roof
-# whose norm holds an open walk.  A second stderr line holds the state
-# that replays it.
+# whose norm holds a walk that does not close inside it.  A second stderr
+# line holds the state that replays it.
 REPRO_PEAKS = {"peaks": [[-1, 0, 0], [0, -1, -1], [1, -2, 0]]}
 HEX_OFF = '{"peaks": [[0, 1, 1], [1, 0, 1], [1, 1, 0]], "port": null, "tile": "0,0,0:12"}'
-REPRO_OPEN = '{"peaks": [[-1, 0, 0], [0, -1, -1], [1, -2, 0]], "port": null, "tile": "0,-1,0:23"}'
+REPRO_WALK = '{"peaks": [[-1, 0, 0], [0, -1, -1], [1, -2, 0]], "port": null, "tile": "0,-1,0:23"}'
 
 
 @pytest.mark.parametrize(
@@ -489,8 +489,8 @@ REPRO_OPEN = '{"peaks": [[-1, 0, 0], [0, -1, -1], [1, -2, 0]], "port": null, "ti
             ["trajectories", "--peaks", "HEX", "--start", "0,0,0:12"],
             "0,0,0:12 is not on the surface",
         ),
-        (["norm", "--peaks", "REPRO"], "open trajectory in norm from 0,-1,0:23"),
-        (["trajectories", "--peaks", "REPRO", "--all"], "open trajectory in norm from 0,-1,0:23"),
+        (["norm", "--peaks", "REPRO"], "walk from 0,-1,0:23 does not close inside the norm"),
+        (["trajectories", "--peaks", "REPRO", "--all"], "walk from 0,-1,0:23 does not close inside the norm"),
     ],
 )
 def test_geometry_errors_exit_2_with_their_message(capsys, tmp_path, hex_peaks, argv, message):
@@ -501,7 +501,7 @@ def test_geometry_errors_exit_2_with_their_message(capsys, tmp_path, hex_peaks, 
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""
-    replay = {"HEX": HEX_OFF, "REPRO": REPRO_OPEN}[argv[2]]
+    replay = {"HEX": HEX_OFF, "REPRO": REPRO_WALK}[argv[2]]
     assert captured.err == f"geometry error: {message}\n{replay}\n"
 
 
@@ -523,7 +523,8 @@ def test_a_failing_norm_scans_once(monkeypatch, capsys, tmp_path, hex_peaks):
 def test_geometry_error_replays_from_its_stderr_line(capsys, tmp_path, hex_peaks, peaks, argv):
     # The printed peaks, as a cone file, and the printed tile as the start
     # of `trajectories --start` give the failure again: the same
-    # off-surface error, or the open walk that the norm could not close.
+    # off-surface error, or the norm walk, which here does not close within
+    # the default budget either.
     repro = tmp_path / "repro.json"
     repro.write_text(json.dumps(REPRO_PEAKS))
     files = {"HEX": hex_peaks, "REPRO": str(repro)}
@@ -647,7 +648,7 @@ def test_boolean_coordinates_are_rejected(capsys, tmp_path):
     captured = capsys.readouterr()
     assert code == 1
     assert captured.out == ""
-    assert "bad peak" in captured.err
+    assert captured.err == "error: bad peak [True, 0, 0]\n"
 
 
 def test_peaks_file_must_be_an_object(capsys, tmp_path):
@@ -655,7 +656,33 @@ def test_peaks_file_must_be_an_object(capsys, tmp_path):
     bad.write_text("[[0, 0, 0]]")
     code = main(["norm", "--peaks", str(bad)])
     assert code == 1
-    assert "JSON object" in capsys.readouterr().err
+    assert capsys.readouterr().err == "error: peaks file must hold a JSON object\n"
+
+
+NOT_A_PEAKS_LIST = "peaks must be a non-empty list of integer triples"
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        pytest.param('"peaks"', "peaks file must hold a JSON object", id="string"),
+        pytest.param('{"peaks": [[1, 1, 0]], "kind": "pyramid"}', "kind must be cone or roof, got 'pyramid'", id="kind"),
+        pytest.param('{"peaks": [[1, 1, 0]], "kind": null}', "kind must be cone or roof, got None", id="null-kind"),
+        pytest.param('{"peaks": []}', NOT_A_PEAKS_LIST, id="empty"),
+        pytest.param('{"peaks": {"0": [1, 1, 0]}}', NOT_A_PEAKS_LIST, id="object"),
+        pytest.param('{"peaks": "1,1,0"}', NOT_A_PEAKS_LIST, id="text"),
+        pytest.param("{}", NOT_A_PEAKS_LIST, id="missing"),
+        pytest.param('{"peaks": [[1, 1]]}', "bad peak [1, 1]", id="pair"),
+    ],
+)
+@pytest.mark.parametrize("command", [["norm", "--peaks"], ["roof", "add"]], ids=["norm", "roof-add"])
+def test_malformed_peaks_files_say_which_check_failed(capsys, tmp_path, command, text, message):
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    code = main([*command, str(bad)])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (1, "")
+    assert captured.err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize("command", ["trajectories", "encode"])
@@ -724,38 +751,45 @@ def test_pinned_public_call_counts(monkeypatch, tmp_path):
     assert problems == []
 
 
+NOT_AN_OBJECT = "document must be a JSON object"
+BAD_CODE = "'code' must be a string of U and D"
+MALFORMED_DOCUMENTS = [
+    (["tiles"], NOT_AN_OBJECT),
+    (None, NOT_AN_OBJECT),
+    ({"tiles": [1]}, "'tiles' must be a list of tile texts"),
+    ({"tiles": "0,0,0:12"}, "'tiles' must be a list of tile texts"),
+    ({"in": [], "out": 5}, "'out' must be a list of tile texts"),
+    ({"in": [None]}, "'in' must be a list of tile texts"),
+    ({"tiles": ["0,0,0:12"], "code": 5}, BAD_CODE),
+    ({"tiles": ["0,0,0:12"], "code": 0}, BAD_CODE),
+    ({"tiles": ["0,0,0:12"], "code": False}, BAD_CODE),
+    ({"tiles": ["0,0,0:12"], "code": []}, BAD_CODE),
+    ({"tiles": ["0,0,0:12"], "code": {}}, BAD_CODE),
+    ({"tiles": ["0,0,0:12"], "code": None}, BAD_CODE),
+    ({"norm": [], "trajectories": [{"tiles": ["0,0,0:12"], "code": False}]}, BAD_CODE),
+    ({"norm": ["0,0,0:12"], "trajectories": 3}, "'trajectories' must be a list of documents"),
+    ({"norm": [], "trajectories": [7]}, NOT_AN_OBJECT),
+    ({"tiles": ["0,0,0:1"]}, "bad tile text '0,0,0:1'"),
+    ({"tiles": ["0,0,0:12", "1,0,0:23"], "code": "<&"}, BAD_CODE),
+    ({"tiles": ["0,0,0:12"], "code": "UUU"}, "'code' has 3 letters for 1 tiles"),
+    ({"tiles": ["0,0,0:12", "1,0,0:23"], "code": "U"}, "'code' has 1 letters for 2 tiles"),
+    ({"out": []}, "document has no tiles to draw"),
+]
+
+
+# Each case is named by its position, docN, and the null document None.
 @pytest.mark.parametrize(
-    "doc",
-    [
-        ["tiles"],
-        None,
-        {"tiles": [1]},
-        {"tiles": "0,0,0:12"},
-        {"in": [], "out": 5},
-        {"in": [None]},
-        {"tiles": ["0,0,0:12"], "code": 5},
-        {"tiles": ["0,0,0:12"], "code": 0},
-        {"tiles": ["0,0,0:12"], "code": False},
-        {"tiles": ["0,0,0:12"], "code": []},
-        {"tiles": ["0,0,0:12"], "code": {}},
-        {"tiles": ["0,0,0:12"], "code": None},
-        {"norm": [], "trajectories": [{"tiles": ["0,0,0:12"], "code": False}]},
-        {"norm": ["0,0,0:12"], "trajectories": 3},
-        {"norm": [], "trajectories": [7]},
-        {"tiles": ["0,0,0:1"]},
-        {"tiles": ["0,0,0:12", "1,0,0:23"], "code": "<&"},
-        {"tiles": ["0,0,0:12"], "code": "UUU"},
-        {"tiles": ["0,0,0:12", "1,0,0:23"], "code": "U"},
-    ],
+    "doc, message",
+    [pytest.param(*case, id="None" if case[0] is None else f"doc{i}") for i, case in enumerate(MALFORMED_DOCUMENTS)],
 )
 @pytest.mark.parametrize("fmt", ["svg", "ascii"])
-def test_render_rejects_malformed_documents(capsys, monkeypatch, doc, fmt):
+def test_render_rejects_malformed_documents(capsys, monkeypatch, doc, message, fmt):
     monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(doc)))
     code = main(["render", "--format", fmt])
     captured = capsys.readouterr()
     assert code == 1
     assert captured.out == ""
-    assert captured.err.startswith("error: ")
+    assert captured.err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize("command", ["render", "norm"])

@@ -118,9 +118,15 @@ def test_on_surface_one_pass_against_heights(w, p, dirs, depth):
     assert on_surface(w, s) == expected
 
 
-def test_on_surface_of_empty_region_raises():
-    with pytest.raises(GeometryError, match="^empty region has no height function$"):
-        on_surface(ConjUpSet(), tile(0, 0, 0, 1, 2))
+def test_on_surface_of_empty_region_is_false():
+    # The empty region has no boundary point (the brute oracle), so no tile
+    # of any phase, slid anywhere along the diagonal, is on its surface.
+    for t in flat_tiles_in(Window(-1, 1, -1, 1)):
+        for phase in (t, sigma(t), sigma(sigma(t))):
+            for k in range(-2, 3):
+                s = SlantTile(q_shift(phase.base, k), phase.d1, phase.d2)
+                assert not any(brute_boundary((), v) for v in vertices(s))
+                assert on_surface(ConjUpSet(), s) is False
 
 
 def test_section_examples(hexcone):
@@ -207,12 +213,15 @@ def test_section_at_against_oracles(case, shifts, k):
     assert s == _three_height_section(w, flat)
 
 
-def test_section_and_classify_of_empty_region_raise():
-    t = tile(0, 0, 0, 1, 2)
+def test_empty_region_has_no_surface_tiles():
+    # The lists of surface tiles are empty, as the norm is; only
+    # section_at, whose answer would be one tile, raises.
+    window = Window(-1, 1, -1, 1)
+    assert surface_tiles(ConjUpSet(), window) == ()
+    assert classify(ConjUpSet(), STD_ORIGIN, window) == Classification((), (), ())
+    assert norm(ConjUpSet()) == ()
     with pytest.raises(GeometryError, match="^empty region has no height function$"):
-        section_at(ConjUpSet(), t)
-    with pytest.raises(GeometryError, match="^empty region has no height function$"):
-        classify(ConjUpSet(), STD_ORIGIN, Window(-1, 1, -1, 1))
+        section_at(ConjUpSet(), tile(0, 0, 0, 1, 2))
 
 
 def test_section_and_classify_work_counts(monkeypatch, hexcone):
@@ -385,7 +394,7 @@ def test_in_scan_budget_is_flats_times_generators(monkeypatch, hexcone):
 
 def test_norm_requires_roof():
     open_cone = ConjUpSet((QPoint(1, 0, 0), QPoint(0, 1, 0), QPoint(0, 0, 1)))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^norm is defined for roof-closed regions only$"):
         norm(open_cone)
 
 
@@ -519,14 +528,14 @@ def test_long_windows_build_the_table_in_pieces():
 
 
 def test_empty_windows_hold_no_sections(hexcone):
-    # A window without a flat reads no height, so even the empty region
-    # gives no tiles; a window holding one flat still needs a height.
+    # A window without a flat reads no height, so no region gives tiles
+    # over it; over a window of one flat the empty region gives none either.
     for window in (Window(0, -1, 0, -1), Window(3, 2, 0, 5), Window(0, 5, 1, 0)):
         for w in (ConjUpSet(), hexcone):
             assert surface_tiles(w, window) == ()
             assert classify(w, STD_ORIGIN, window) == Classification((), (), ())
-    with pytest.raises(GeometryError, match="^empty region has no height function$"):
-        surface_tiles(ConjUpSet(), Window(0, 0, 0, 0))
+    assert surface_tiles(ConjUpSet(), Window(0, 0, 0, 0)) == ()
+    assert len(surface_tiles(hexcone, Window(0, 0, 0, 0))) == 2
 
 
 def _is_flat_sorted(tiles) -> bool:
