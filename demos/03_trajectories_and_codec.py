@@ -10,8 +10,10 @@ traj = trace(w, tile(1, 1, 0, 3, 1), max_steps=50)
 print(f"closed={traj.closed} length={len(traj)}")
 for s in traj.tiles:
     print(f"  {s.text()}")
-code = encode(traj, "D")
-print(f"second derivative: {code}   (negated start: {encode(traj, 'U')})")
+code = encode(traj)
+negated = code.translate(str.maketrans("UD", "DU"))
+same = decode(negated, traj.tiles[0]) == list(traj.tiles)
+print(f"second derivative: {code}   (its complement {negated} decodes to the same tiles: {same})")
 
 print()
 print("== decoding a different code from the same start ==")
@@ -27,4 +29,4 @@ print(ascii_picture([(s, sym) for s, sym in zip(traj.tiles, code)]))
 
 print("an open walk on a single octant runs straight:")
 strip = trace(ConjUpSet((QPoint(0, 0, 0),)), tile(1, 0, 0, 1, 2), max_steps=12)
-print(f"closed={strip.closed} code={encode(strip, 'D')}")
+print(f"closed={strip.closed} code={encode(strip)}")

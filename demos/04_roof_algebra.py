@@ -34,7 +34,7 @@ total = roof_add(roof_add(w1, w2), w3)
 print(f"g(w1+w2+w3) = {[tuple(g) for g in total.generators]}")
 trajs = closed_trajectories_of_roof(total)
 print(f"|sum| = {len(norm(total))} tiles = union of the three norms")
-print(f"cycles: {[len(t) for t in trajs]}   code: {encode(trajs[0], 'D')}")
+print(f"cycles: {[len(t) for t in trajs]}   code: {encode(trajs[0])}")
 
 print()
 print("== three pits sharing one peak ==")

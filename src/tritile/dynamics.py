@@ -107,26 +107,24 @@ def trace(w: ConjUpSet, start: SlantTile, max_steps: int = MAX_STEPS) -> Traject
         port = nxt_port
 
 
-def encode(traj: Trajectory, start_sign: str = "D") -> str:
-    """U/D code of a trajectory: one symbol per tile, flipped with the
-    gradient.  Starting with the other sign negates the whole code."""
-    if start_sign not in ("U", "D"):
-        raise ValueError(f"start sign must be U or D, got {start_sign!r}")
+def encode(traj: Trajectory) -> str:
+    """U/D code of a trajectory: one symbol per tile, starting with D
+    and flipped with the gradient."""
     if not traj.tiles:
         raise ValueError("cannot encode an empty trajectory")
-    out = [start_sign]
+    out = ["D"]
     for prev, cur in pairwise(traj.tiles):
         out.append(out[-1] if gradient(cur) == gradient(prev) else _NEGATE[out[-1]])
     return "".join(out)
 
 
 def decode(code: str, start: SlantTile) -> list[SlantTile]:
-    """Tile sequence whose code from ``start`` is ``code``.
+    """Tile sequence from ``start`` whose code is ``code`` or its complement.
 
     Deterministic automaton on (tile, exit port), starting at the UP
     port: a repeated symbol takes the gradient-keeping candidate and
-    preserves the port, a change takes the flipping one and toggles it.
-    Decoding is total; no surface is involved.
+    preserves the port, a change takes the flipping one and toggles it,
+    so a code and its complement decode alike.  Total; reads no surface.
     """
     if not code:
         raise ValueError("cannot decode an empty code")

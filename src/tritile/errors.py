@@ -7,9 +7,9 @@ close inside the norm, a failed reconstruction.  Callers tell these
 cases apart by nothing but the message, which names the check that
 failed and the tile or region it failed on; the CLI prints it and exits
 2.  A failed step, an off-surface start and a norm walk also carry the
-state that replays them.  Running out of a budget is not an error: a
-walk that does not close within its step budget comes back as an open
-trajectory, and the CLI exits 3 for it.
+state that replays them.  A walk past its step budget comes back open
+and the CLI exits 3; every other budget (In scan, chart cover, CLI caps
+on windows, peaks, walks, pictures) raises ``ValueError``: exit 1.
 """
 
 from __future__ import annotations

@@ -331,8 +331,9 @@ def seed_window(points: Collection[QPoint]) -> Window:
     """Plane bounding box of ``points`` padded by 8; empty for no points.
 
     This is the box of the module docstring that holds every In tile
-    against the standard roof of ``points``: ``in_tiles_expanded``, and
-    so ``norm``, and ``closed_trajectory_roofs`` scan it.  The
+    against the standard roof of ``points``: ``in_tiles_expanded`` scans
+    it for a region's generators, ``closed_trajectory_roofs`` for a walk's
+    bases.  The
     ``surface`` and ``classify`` commands do not; they scan the
     ``--window`` they are given.
     """
@@ -343,24 +344,24 @@ def seed_window(points: Collection[QPoint]) -> Window:
     return Window(min(us) - 8, max(us) + 8, min(vs) - 8, max(vs) + 8)
 
 
-def in_tiles_expanded(w: ConjUpSet, points: Sequence[QPoint]) -> tuple[SlantTile, ...]:
+def in_tiles_expanded(w: ConjUpSet) -> tuple[SlantTile, ...]:
     """All In-tiles of the surface of ``w`` against the standard roof of
-    ``points``, which must lie in ``w``.
+    its own generators.
 
-    By the box bound of the module docstring one scan of
-    ``seed_window(points)`` holds them all.  When the roof adds no corner
-    to the standard cone of ``points`` (no points, one point, or two-peak
+    By the box bound of the module docstring, with ``P`` the generators,
+    one scan of ``seed_window(P)`` holds them all.  When the roof adds no
+    corner to the standard cone of ``P`` (no generators, one, or two-peak
     roofs, for example) there are none, by the lemma there, and the
     answer is ``()`` without a scan.  Otherwise each of the two flats
     per cell reads the generators of ``w`` and the corners of the roof,
     and a scan of more than ``MAX_SCAN_UNITS`` such reads is a
     ``ValueError`` before its first section.
     """
-    roof = std_roof_generators(points)
-    if roof == StdUpSet.from_qpoints(points):
+    roof = std_roof_generators(w.generators)
+    if roof == StdUpSet.from_qpoints(w.generators):
         return ()  # no corner beyond the cone: no In tile (module docstring)
     dgens = roof.dgens
-    window = seed_window(points)
+    window = seed_window(w.generators)
     cells = (window.u_max - window.u_min + 1) * (window.v_max - window.v_min + 1)
     gens = len(w.generators) + len(dgens)
     units = 2 * cells * gens
@@ -390,7 +391,7 @@ def norm(w: ConjUpSet) -> tuple[FlatTile, ...]:
     """
     if not is_roof(w):
         raise ValueError("norm is defined for roof-closed regions only")
-    return tuple(flatten(s) for s in in_tiles_expanded(w, w.generators))
+    return tuple(flatten(s) for s in in_tiles_expanded(w))
 
 
 def surface_tiles(w: ConjUpSet, window: Window) -> tuple[SlantTile, ...]:

@@ -155,7 +155,9 @@ def _span(gens, q) -> int:
 
 
 def brute_in_cone(gens, q) -> bool:
-    return any(all(q[t] >= g[t] for t in range(3)) for g in gens)
+    """Some generator lies at or below ``q`` in every coordinate."""
+    x, y, z = q
+    return any(a <= x and b <= y and c <= z for a, b, c in gens)
 
 
 def brute_boundary(gens, q) -> bool:

@@ -74,7 +74,7 @@ def test_criterion_01_hexagon_golden():
         and trajs[0].closed
         and len(trajs[0]) == 6
         and list(trajs[0].tiles) in _rotations(HEX_TILES)
-        and encode(trajs[0], "D") == "DUDUDU"
+        and encode(trajs[0]) == "DUDUDU"
         and elapsed < 1.0
     )
     report(1, ok, f"one closed 6-cycle, code DUDUDU, {elapsed:.3f}s")
@@ -186,12 +186,11 @@ def test_criterion_08_codec_round_trip():
         v = rng.randint(window.v_min, window.v_max)
         start = section_at(w, tile(u, v, 0, 1, rng.choice((2, 3))))
         traj = trace(w, start, max_steps=rng.randint(2, 40))
-        code_d = encode(traj, "D")
-        code_u = encode(traj, "U")
+        code_d = encode(traj)
         decoded = decode(code_d, traj.tiles[0])
         ok &= decoded == list(traj.tiles)
-        ok &= encode(Trajectory(tuple(decoded), False), "D") == code_d
-        ok &= code_u == code_d.translate(str.maketrans("UD", "DU"))
+        ok &= encode(Trajectory(tuple(decoded), False)) == code_d
+        ok &= decode(code_d.translate(str.maketrans("UD", "DU")), traj.tiles[0]) == decoded
         done += 1
         if not ok:
             break

@@ -1,6 +1,7 @@
 """Smoke test: every demo script runs to completion, and so does the
 README's library quick start; its command lines parse.  Every public
-name of the package has a caller outside its own unit tests, and every
+name of the package has a caller outside its own unit tests, every
+optional parameter is passed by the package or the benchmark, and every
 CLI option is set by a README command or a benchmark operation."""
 
 import argparse
@@ -102,6 +103,65 @@ def test_every_export_has_a_caller():
 
     assert "section_at" in names and "qpoints" in names
     assert [name for name in names if not called(name)] == []
+
+
+def _defaulted(name, args, skip):
+    """``(name, parameter, position)`` of each defaulted parameter of
+    ``args``, the position counted past ``skip`` leading parameters and
+    ``None`` for a keyword-only one."""
+    pos = args.posonlyargs + args.args
+    first = len(pos) - len(args.defaults)
+    for i, a in enumerate(pos[first:], first):
+        yield name, a.arg, i - skip
+    for a, default in zip(args.kwonlyargs, args.kw_defaults):
+        if default is not None:
+            yield name, a.arg, None
+
+
+def _optional_parameters(path):
+    """Defaulted parameters of the public functions of ``path``, and of
+    its public classes other than enums: the defaulted fields, the
+    ``__init__`` parameters and those of the public methods."""
+    for node in ast.parse(path.read_text()).body:
+        if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
+            continue
+        if isinstance(node, ast.FunctionDef):
+            yield from _defaulted(node.name, node.args, 0)
+            continue
+        if any(ast.unparse(b).endswith("Enum") for b in node.bases):
+            continue
+        fields = [item for item in node.body if isinstance(item, ast.AnnAssign)]
+        yield from ((node.name, f.target.id, i) for i, f in enumerate(fields) if f.value is not None)
+        for item in node.body:
+            if isinstance(item, ast.FunctionDef) and (item.name == "__init__" or not item.name.startswith("_")):
+                yield from _defaulted(node.name if item.name == "__init__" else item.name, item.args, 1)
+
+
+def test_every_optional_parameter_has_traffic():
+    # The parameter twin of the export check: a default that every call
+    # keeps is a constant.  A call in the package or the benchmark must
+    # pass the parameter, by keyword or by position; tests, demos and the
+    # README set values that no program path does, so they do not count.
+    calls = [
+        node
+        for p in [*SRC.glob("*.py"), *(ROOT / "bench").glob("*.py")]
+        for node in ast.walk(ast.parse(p.read_text()))
+        if isinstance(node, ast.Call)
+    ]
+
+    def callee(call):
+        return getattr(call.func, "id", None) or getattr(call.func, "attr", None)
+
+    def passed(name, param, position):
+        return any(
+            callee(c) == name
+            and (any(k.arg == param for k in c.keywords) or position is not None and len(c.args) > position)
+            for c in calls
+        )
+
+    optional = [o for p in sorted(SRC.glob("*.py")) for o in _optional_parameters(p)]
+    assert ("trace", "max_steps", 2) in optional and ("GeometryError", "peaks", None) in optional
+    assert [f"{name}({param})" for name, param, pos in optional if not passed(name, param, pos)] == []
 
 
 def _commands(parser, path=()):

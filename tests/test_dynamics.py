@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from itertools import product
 
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from conftest import (
     DECODE_DUDUDD,
     HEX_WALK,
+    brute_boundary,
     brute_closed_orbits,
     brute_in_tiles,
     brute_section,
@@ -49,7 +51,7 @@ from tritile import dynamics
 from tritile.cones import StdUpSet, conj_roof_generators, std_roof_generators
 from tritile.lattice import LHalf
 from tritile.surface import Classification, flat_tiles_in
-from tritile.tiles import Port, SlantTile, port_candidates, tile
+from tritile.tiles import Port, SlantTile, port_candidates, tile, vertices
 
 HEX_TILES = tuple(parse_tile(t) for t in HEX_WALK)
 OCTANT = ConjUpSet((QPoint(0, 0, 0),))
@@ -164,19 +166,16 @@ def test_trace_reverse_direction(hexcone):
 
 def test_encode_hexagon(hexcone):
     traj = trace(hexcone, tile(1, 1, 0, 3, 1), max_steps=50)
-    assert encode(traj, "D") == "DUDUDU"
-    assert encode(traj, "U") == "UDUDUD"
+    assert encode(traj) == "DUDUDU"
+    assert decode("UDUDUD", traj.tiles[0]) == list(traj.tiles)
 
 
 def test_encode_constant_on_gradient_preserving_walk():
     traj = trace(OCTANT, tile(1, 0, 0, 1, 2), max_steps=12)
-    assert encode(traj, "D") == "D" * 12
+    assert encode(traj) == "D" * 12
 
 
-def test_encode_validates_input(hexcone):
-    traj = trace(hexcone, tile(1, 1, 0, 3, 1), max_steps=50)
-    with pytest.raises(ValueError, match="^start sign must be U or D, got 'X'$"):
-        encode(traj, "X")
+def test_encode_validates_input():
     with pytest.raises(ValueError, match="^cannot encode an empty trajectory$"):
         encode(Trajectory((), False))
 
@@ -204,15 +203,17 @@ def test_codec_round_trip_random():
             *rng.choice([(a, b) for a in (1, 2, 3) for b in (1, 2, 3) if a != b]),
         )
         tiles = decode(code, start)
-        assert encode(Trajectory(tuple(tiles), False), code[0]) == code
+        complement = code.translate(str.maketrans("UD", "DU"))
+        assert decode(complement, start) == tiles
+        assert encode(Trajectory(tuple(tiles), False)) == (code if code[0] == "D" else complement)
 
 
 def test_closed_code_rotates_with_start(hexcone):
     base = trace(hexcone, tile(1, 1, 0, 3, 1), max_steps=50)
-    code = encode(base, "D")
+    code = encode(base)
     for k, s in enumerate(base.tiles):
         rotated = trace(hexcone, s, max_steps=50)
-        rcode = encode(rotated, "D")
+        rcode = encode(rotated)
         shifted = code[k:] + code[:k]
         assert rcode in (shifted, shifted.translate(str.maketrans("UD", "DU")))
 
@@ -302,6 +303,42 @@ def test_chart_cover_charges_tiles_times_generators(monkeypatch):
     monkeypatch.setattr(dynamics, "MAX_COVER_UNITS", units - 1)
     with pytest.raises(ValueError, match=f"of 40 tiles reads more than {units - 1} tile-generator pairs"):
         chart_cover(tiles)
+
+
+def test_chart_fit_rule():
+    # The rule a linear chart cover rests on: a segment of a walk fits the
+    # cone of its own bases iff no base of it lies at or below ``b - e_k``
+    # of any of its tiles, ``b`` the tile's base and ``k`` its third axis.
+    # Fitting is then closed under prefixes and suffixes, and every chart
+    # of ``chart_cover`` obeys the rule.  The oracle asks every vertex of
+    # every tile to be a boundary point of the cone of the bases.
+    def oracle(seg):
+        bases = {t.base for t in seg}
+        return all(brute_boundary(bases, x) for x in {x for t in seg for x in vertices(t)})
+
+    def rule(seg):
+        lows = [tuple(x - (i == t.d3 - 1) for i, x in enumerate(t.base)) for t in seg]
+        return not any(a <= x and b <= y and c <= z for a, b, c in (t.base for t in seg) for x, y, z in lows)
+
+    rng = random.Random(33)
+    pairs = [(a, b) for a in (1, 2, 3) for b in (1, 2, 3) if a != b]
+    walks = [decode("DUDUDD", tile(1, 1, 0, 3, 1)), list(HEX_TILES)]
+    for _ in range(40):
+        code = "".join(rng.choice("UD") for _ in range(rng.randint(1, 30)))
+        start = SlantTile(QPoint(*(rng.randint(-5, 5) for _ in range(3))), *rng.choice(pairs))
+        walks.append(decode(code, start))
+    walks.append(list(trace(OCTANT, tile(0, 0, 0, 1, 2), max_steps=60).tiles))
+    verdicts = Counter()
+    for tiles in walks:
+        n = len(tiles)
+        fits = {(i, j): oracle(tiles[i : j + 1]) for i in range(n) for j in range(i, n)}
+        for (i, j), ok in fits.items():
+            assert rule(tiles[i : j + 1]) == ok, (tiles, i, j)
+            assert not ok or all(fits[i, m] and fits[m, j] for m in range(i, j + 1)), (tiles, i, j)
+            verdicts[ok] += 1
+        for c in chart_cover(tiles):
+            assert rule(tiles[c.start : c.stop + 1]), (tiles, c)
+    assert verdicts[True] > 1000 and verdicts[False] > 1000, verdicts
 
 
 def test_closed_trajectory_roofs_hexagon(hexcone):

@@ -87,7 +87,7 @@ def test_window_scans_build_slant_tiles():
 def test_in_scan_builds_slant_tiles():
     found = 0
     for w in REGIONS:
-        for s in in_tiles_expanded(w, w.generators):
+        for s in in_tiles_expanded(w):
             assert_tile(s)
             found += 1
     assert found > 0

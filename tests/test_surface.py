@@ -13,6 +13,7 @@ from conftest import (
     brute_in_tiles,
     count_public_calls,
     padded_box,
+    pit,
     rand_antichain,
     rand_pit_gens,
     sample_in_closed,
@@ -42,7 +43,7 @@ from tritile import (
 import tritile
 from tritile import cones, surface
 from tritile.cones import StdUpSet, conj_roof_generators, std_roof_generators
-from tritile.lattice import q_shift
+from tritile.lattice import embed, q_shift
 from tritile.surface import _classify_tile, flat_tiles_in, in_tiles_expanded, seed_window
 from tritile.tiles import tile
 
@@ -251,7 +252,7 @@ def test_section_and_classify_work_counts(monkeypatch, hexcone):
         assert calls["section_at"] == 0
         scanned = len(list(flat_tiles_in(seed_window(w.generators)))) if w is hexcone else 0
         calls["section_at"] = 0
-        hits = surface.in_tiles_expanded(w, w.generators)
+        hits = surface.in_tiles_expanded(w)
         assert calls["section_at"] == scanned
         assert bool(hits) == (w is hexcone)
         calls["section_at"] = 0
@@ -356,14 +357,15 @@ def test_norm_of_hex_pit(hexcone):
     assert flats == tuple(sorted(flatten(s) for s in HEX_TILES))
 
 
-def test_the_box_of_no_points_is_empty(monkeypatch, hexcone):
-    # No points, no window: the In scan takes no section, and the roof of
-    # no peaks has an empty norm instead of a height error.
+def test_the_box_of_no_points_is_empty(monkeypatch):
+    # No points, no window: the In scan of the empty region takes no
+    # section, and the roof of no peaks has an empty norm instead of a
+    # height error.
     assert list(flat_tiles_in(seed_window(()))) == []
     calls = count_public_calls(monkeypatch, (surface.section_at,))
-    assert in_tiles_expanded(hexcone, ()) == ()
-    assert calls["section_at"] == 0
+    assert in_tiles_expanded(ConjUpSet()) == ()
     assert norm(ConjUpSet()) == ()
+    assert calls["section_at"] == 0
 
 
 def test_in_scan_over_its_budget_raises_before_any_section(monkeypatch):
@@ -373,7 +375,7 @@ def test_in_scan_over_its_budget_raises_before_any_section(monkeypatch):
     w = conj_roof_generators([*HEX_GENS, QPoint(10**6, -(10**6), 0)])
     calls = count_public_calls(monkeypatch, (surface.section_at,))
     with pytest.raises(ValueError, match=r"^In scan of 1000035000306 cells over 6 generators .* more than 2000000$"):
-        in_tiles_expanded(w, w.generators)
+        in_tiles_expanded(w)
     with pytest.raises(ValueError, match="more than 2000000"):
         norm(w)
     assert calls["section_at"] == 0
@@ -386,10 +388,10 @@ def test_in_scan_budget_is_flats_times_generators(monkeypatch, hexcone):
     assert len(std_roof_generators(HEX_GENS).dgens) == 1
     units = 722 * 4
     monkeypatch.setattr(surface, "MAX_SCAN_UNITS", units)
-    assert len(in_tiles_expanded(hexcone, HEX_GENS)) == 6
+    assert len(in_tiles_expanded(hexcone)) == 6
     monkeypatch.setattr(surface, "MAX_SCAN_UNITS", units - 1)
     with pytest.raises(ValueError, match=f"^In scan of 361 cells over 4 generators reads {units} "):
-        in_tiles_expanded(hexcone, HEX_GENS)
+        in_tiles_expanded(hexcone)
 
 
 def test_norm_requires_roof():
@@ -400,11 +402,12 @@ def test_norm_requires_roof():
 
 def test_no_new_corner_means_no_in_tile(monkeypatch):
     # When the standard roof of the points adds no corner to their
-    # standard cone, the brute In set at pad 8 is empty, and the In scan
-    # returns () without a section.  The points are roof generators, or
-    # points of a cone one unit step or none above its generators.  Every
-    # pit cluster, the hexagon included, adds its pit corner, so its scan
-    # is kept.
+    # standard cone, the brute In set at pad 8 is empty.  The points are
+    # roof generators, whose In scan returns () without a section, or
+    # points of a cone one unit step or none above its generators, whose
+    # In set `classify` reads over the box of the points.  Every pit
+    # cluster, the hexagon included, adds its pit corner, so its scan is
+    # kept.
     def adds_corner(points):
         return std_roof_generators(points) != StdUpSet.from_qpoints(points)
 
@@ -429,7 +432,10 @@ def test_no_new_corner_means_no_in_tile(monkeypatch):
             points, kind = w.generators, "roof"
         if adds_corner(points):
             continue
-        assert in_tiles_expanded(w, points) == () and calls["section_at"] == 0
+        if kind == "roof":
+            assert in_tiles_expanded(w) == () and calls["section_at"] == 0
+        else:
+            assert classify(w, std_roof_generators(points), seed_window(points)).in_tiles == ()
         assert brute_in_tiles(w, points, padded_box(points, 8)) == [], points
         shortcuts[kind] += 1
     assert shortcuts["roof"] >= 4 and shortcuts["cone"] >= 4, shortcuts
@@ -438,8 +444,9 @@ def test_no_new_corner_means_no_in_tile(monkeypatch):
 def test_in_tiles_lie_in_the_box_of_their_points():
     # The In-tiles against the roof of points P lying in w project into
     # the plane box of P, so one scan of that box finds them all.  P is
-    # the generators of a roof, or points of a cone one unit step or none
-    # above its generators.
+    # the generators of a roof, read by the In scan, or points of a cone
+    # one unit step or none above its generators, read by `classify` over
+    # the box as `closed_trajectory_roofs` reads a walk's bases.
     rng = random.Random(23)
     units = [QPoint(0, 0, 0), QPoint(1, 0, 0), QPoint(0, 1, 0), QPoint(0, 0, 1)]
     cases = []
@@ -462,9 +469,66 @@ def test_in_tiles_lie_in_the_box_of_their_points():
             for x in vertices(s):
                 u, v = project(x)
                 assert box.u_min <= u <= box.u_max and box.v_min <= v <= box.v_max, (points, s)
-        assert in_tiles_expanded(w, points) == tuple(hits)
+        if kind == "roof":
+            assert in_tiles_expanded(w) == tuple(hits)
+        else:
+            assert classify(w, std_roof_generators(points), seed_window(points)).in_tiles == tuple(hits)
         nonempty[kind] += bool(hits)
     assert nonempty["roof"] >= 3 and nonempty["cone"] >= 2, nonempty
+
+
+def _edge_pieces(tiles):
+    """The pieces of ``tiles``, two tiles neighbours when their projected
+    triangles share an edge."""
+    edges = {}
+    for s in tiles:
+        a, b, c = map(project, vertices(s))
+        edges[s] = [frozenset(e) for e in ((a, b), (b, c), (a, c))]
+    by_edge = {}
+    for s, es in edges.items():
+        for e in es:
+            by_edge.setdefault(e, []).append(s)
+    left, pieces = set(tiles), []
+    while left:
+        todo, piece = [left.pop()], []
+        while todo:
+            s = todo.pop()
+            piece.append(s)
+            for n in (n for e in edges[s] for n in by_edge[e] if n in left):
+                left.remove(n)
+                todo.append(n)
+        pieces.append(piece)
+    return pieces
+
+
+def test_every_in_piece_holds_a_tile_near_an_added_corner():
+    # Evidence, not a proof, for seeding a flood of the In set at the
+    # corners the standard roof adds: every piece of the In set holds a
+    # tile whose flat base cell lies within 2 cells (Chebyshev) of the
+    # projection of an added corner.  The roofs are pit clusters, random
+    # antichains and two pits 5 to 60 apart, and on them the nearest such
+    # tile is never more than 1 cell away.
+    rng = random.Random(2026)
+    roofs = []
+    for _ in range(40):
+        roofs.append(conj_roof_generators(rand_pit_gens(rng, rng.randint(0, 3))))
+        roofs.append(conj_roof_generators(rand_antichain(rng, rng.choice((2, 3, 4)), rng.randint(2, 6))))
+        d = rng.randint(5, 60)
+        far = QPoint(d, rng.randint(-d, d), rng.randint(-2, 2))
+        roofs.append(conj_roof_generators(pit(QPoint(0, 0, 0)) + pit(far)))
+    pieces = []
+    for w in roofs:
+        added = set(std_roof_generators(w.generators).dgens) - set(StdUpSet.from_qpoints(w.generators).dgens)
+        # embed of a doubled l-point is a doubled q-point, so these centres
+        # are in doubled plane coordinates.
+        centres = [(q[0] - q[2], q[1] - q[2]) for q in (embed(*t) for t in added)]
+        mine = _edge_pieces(in_tiles_expanded(w))
+        for piece in mine:
+            cells = [project(flatten(s).base) for s in piece]
+            near = min(max(abs(2 * u - cu), abs(2 * v - cv)) for u, v in cells for cu, cv in centres)
+            assert near <= 2 * 2, (w.generators, piece[0])
+        pieces.append(len(mine))
+    assert sum(n > 0 for n in pieces) >= 80 and sum(n > 1 for n in pieces) >= 5, pieces
 
 
 def test_surface_tiles_deterministic(hexcone):
@@ -562,7 +626,7 @@ def test_outputs_come_in_canonical_flat_order():
     for _ in range(25):
         gens = rand_antichain(rng, 3, rng.randint(2, 5)) + tuple(rand_pit_gens(rng, rng.randint(0, 2)))
         w = conj_roof_generators(gens)
-        assert _is_flat_sorted(in_tiles_expanded(w, w.generators))
+        assert _is_flat_sorted(in_tiles_expanded(w))
         flats = norm(w)
         assert list(flats) == sorted(flats, key=flatten) == sorted(flats)
         nonempty += bool(flats)
