@@ -7,8 +7,8 @@ as one JSON document per line with fields ``closed``, ``length``,
 ``tiles`` (text form ``q1,q2,q3:d1d2``), ``code`` and ``charts``.
 ``render`` reads any emitted document from stdin and draws it as SVG
 or ASCII; every command writes to stdout.  ``surface`` and ``classify``
-scan exactly their required ``--window``, which holds at most
-``MAX_WINDOW_CELLS`` cells and is checked before any file is read.
+scan exactly their required ``--window``, which is at most
+``MAX_WINDOW_SIDE`` cells across and is checked before any file is read.
 ``norm`` and ``trajectories --all`` take no window: the library scans
 the box that holds every In tile, within ``surface.MAX_SCAN_UNITS``.
 A peaks file holds at most ``MAX_PEAKS`` peaks, and so do the files of
@@ -51,13 +51,11 @@ EXIT_USAGE = 1
 EXIT_GEOMETRY = 2
 EXIT_BUDGET = 3
 
-# Cells of the largest --window: the slowest found at the cap is a window
-# one cell tall, whose height table holds three times its cells.  With
-# two peaks files of 100 points spread 600 wide, `classify` over it takes
-# about 3.8-4.4 s and 86 MB and prints 4.4 MB, and `surface` about 3 s;
-# over the hexagon pit `classify` takes about 1.4 s (2-vCPU Xeon,
-# Python 3.11).
-MAX_WINDOW_CELLS = 100_000
+# Cells across the widest --window, along u and along v: the slowest
+# window found at the cap is the square, over which `classify` with two
+# peaks files of 100 points spread 600 wide takes about 2.3 s and 73 MB,
+# and `surface` about 1.1 s (2-vCPU Xeon, Python 3.11).
+MAX_WINDOW_SIDE = 316
 
 # Peaks of one file, and of all `roof add` files together: on the slowest
 # family found, 99 peaks on three staggered chains, `roof add` takes
@@ -134,10 +132,9 @@ def _parse_window(text: str) -> Window:
         ) from exc
     if u_min > u_max or v_min > v_max:
         raise argparse.ArgumentTypeError(f"empty window {text!r}")
-    cells = (u_max - u_min + 1) * (v_max - v_min + 1)
-    if cells > MAX_WINDOW_CELLS:
+    if max(u_max - u_min, v_max - v_min) >= MAX_WINDOW_SIDE:
         raise argparse.ArgumentTypeError(
-            f"window {text!r} has {cells} cells, more than {MAX_WINDOW_CELLS}"
+            f"window {text!r} is more than {MAX_WINDOW_SIDE} cells across"
         )
     return Window(u_min, u_max, v_min, v_max)
 

@@ -102,8 +102,9 @@ def test_render_exits_0_or_1_without_a_traceback(doc, fmt):
 # README announces for the command: 99 peaks closed three times by `norm`
 # take about 2.2 s (`shell.MAX_PEAKS`); the slowest walk within the walk
 # cap and the chart cover's budget about 3.7 s (`shell.MAX_WALK`,
-# `dynamics.MAX_COVER_UNITS`); `classify` over a window at the cap, one
-# cell tall, with two 100-peak files about 4 s (`shell.MAX_WINDOW_CELLS`).
+# `dynamics.MAX_COVER_UNITS`). `classify` over the square window at the
+# side cap with two 100-peak files takes about 2.7 s in-process
+# (`shell.MAX_WINDOW_SIDE`); its bound stays at 8 s, about three times.
 CALL_S = 5.0
 WALK_S = 8.0
 WINDOW_S = 8.0
@@ -280,12 +281,12 @@ def test_walk_commands_end_within_budget(walk):
 @st.composite
 def windows(draw):
     """argv and peaks documents of ``surface`` or ``classify`` over a
-    window of any shape of up to a few cells past the cap, around a peak."""
+    window of any shape, each side up to a few cells past the cap, around
+    a peak."""
     command = draw(st.sampled_from(["surface", "classify"]))
     docs = [draw(peaks_docs()) for _ in range(1 if command == "surface" else 2)]
-    cells = draw(st.integers(min_value=1, max_value=shell.MAX_WINDOW_CELLS + 3))
-    width = draw(st.integers(min_value=1, max_value=cells))
-    height = cells // width
+    sides = st.integers(min_value=1, max_value=shell.MAX_WINDOW_SIDE + 3)
+    width, height = draw(sides), draw(sides)
     u, v = project(draw(st.sampled_from(docs[0]["peaks"])))
     u -= draw(st.integers(min_value=0, max_value=width - 1))
     v -= draw(st.integers(min_value=0, max_value=height - 1))
@@ -295,13 +296,13 @@ def windows(draw):
 
 @settings(max_examples=20, derandomize=True, deadline=None)
 @given(windows())
-# The slowest window found at the cap, one cell tall, over 100 plane points
-# 600 wide in both files; and one cell more.
+# The slowest window found at the cap, the square, over 100 plane points
+# 600 wide in both files; and one cell more across.
 @example((
-    ["classify", "--peaks", "FILE0", "--std-peaks", "FILE1", "--window=-50000:49999,0:0"],
+    ["classify", "--peaks", "FILE0", "--std-peaks", "FILE1", "--window=-158:157,-158:157"],
     [{"peaks": plane_peaks(100, 3, 300), "kind": "cone"}] * 2,
 ))
-@example((["surface", "--peaks", "FILE0", "--window=0:100000,0:0"], [{"peaks": [[0, 0, 0]]}]))
+@example((["surface", "--peaks", "FILE0", "--window=0:316,0:0"], [{"peaks": [[0, 0, 0]]}]))
 def test_window_commands_end_within_budget(window):
     argv, docs = window
     code, line = assert_ends_well(argv, cli(argv, docs), WINDOW_S)

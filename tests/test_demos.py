@@ -210,3 +210,6 @@ def test_every_cli_option_has_traffic(monkeypatch, tmp_path):
             else:
                 unused += [f"{option} {c}" for c in action.choices or () if c not in given]
     assert unused == []
+    # Every window of that traffic parses, so lies within the side cap.
+    windows = [build_parser().parse_args(argv).window for argv in argvs if any(_given(argv, ["--window"]))]
+    assert max(max(w.u_max - w.u_min, w.v_max - w.v_min) + 1 for w in windows) == 121

@@ -398,6 +398,10 @@ def test_usage_errors(capsys, tmp_path, hex_peaks):
     assert run(capsys, "norm", "--peaks", str(bad))[0] == 1
 
 
+HUGE = 10**2500  # 2,501 digits
+HUGE_WINDOW = f"{-HUGE}:{HUGE},{-HUGE}:{HUGE}"
+
+
 @pytest.mark.parametrize(
     "window, message",
     [
@@ -405,10 +409,11 @@ def test_usage_errors(capsys, tmp_path, hex_peaks):
         ("0:1,3:2", "empty window '0:1,3:2'"),
         ("1:2,3", "bad window '1:2,3', expected uMIN:uMAX,vMIN:vMAX"),
         ("a:b,0:1", "bad window 'a:b,0:1', expected uMIN:uMAX,vMIN:vMAX"),
-        (
-            "-158:158,-158:158",
-            "window '-158:158,-158:158' has 100489 cells, more than 100000",
-        ),
+        ("-158:158,-158:158", "window '-158:158,-158:158' is more than 316 cells across"),
+        ("-158:158,0:0", "window '-158:158,0:0' is more than 316 cells across"),
+        ("0:0,-158:158", "window '0:0,-158:158' is more than 316 cells across"),
+        # Its cell count has more digits than Python prints: none is computed.
+        pytest.param(HUGE_WINDOW, f"window {HUGE_WINDOW!r} is more than 316 cells across", id="huge"),
     ],
 )
 @pytest.mark.parametrize("command", ["surface", "classify"])
@@ -465,11 +470,12 @@ def test_window_is_required_before_any_file_is_read(capsys, tmp_path, command):
     assert captured.err.splitlines()[-1] == "error: the following arguments are required: --window"
 
 
-def test_window_at_the_cell_cap_is_within_budget():
-    # Parsed only: a scan of this window takes seconds.
-    argv = ["surface", "--peaks", "hex.json", "--window=-200:199,-125:124"]
-    assert shell.MAX_WINDOW_CELLS == 400 * 250
-    assert shell.build_parser().parse_args(argv).window == surface.Window(-200, 199, -125, 124)
+def test_window_at_the_side_cap_is_within_budget():
+    # Parsed only: a scan of the square takes seconds.
+    assert shell.MAX_WINDOW_SIDE == 316
+    for window in [(-158, 157, -158, 157), (-158, 157, 0, 0), (0, 0, -158, 157)]:
+        argv = ["surface", "--peaks", "hex.json", "--window={}:{},{}:{}".format(*window)]
+        assert shell.build_parser().parse_args(argv).window == surface.Window(*window)
 
 
 # Every geometry failure exits 2 with its message on stderr and nothing on
