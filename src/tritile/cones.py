@@ -22,7 +22,7 @@ brute-force membership oracle in the test suite.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable
 
 from .errors import GeometryError
@@ -31,9 +31,9 @@ from .lattice import LHalf, QPoint, componentwise_le, embed, inverse_embed
 Triple = tuple[int, int, int]
 
 
-def _antichain(triples: Iterable[Triple], point_type: type) -> tuple:
+def _antichain(triples: Iterable[Triple], point_type: type) -> tuple[tuple, tuple[Triple, ...]]:
     """Minimal elements of a finite triple set under componentwise order,
-    sorted, as ``point_type``s.
+    sorted: as ``point_type``s, and as exact tuples.
 
     In lexicographic order no point is followed by one below it, so one
     ascending pass keeps a point unless a kept one is below it, and the
@@ -42,9 +42,11 @@ def _antichain(triples: Iterable[Triple], point_type: type) -> tuple:
     the other two are compared.  Repeats need no set: a later copy of a
     point falls to the same test, as the first copy, if kept, lies at or
     below it, and whatever dropped the first copy drops it too.
-    Only the kept points are wrapped, and one that is already a
+    The pass compares the exact-tuple copies of the kept points; only
+    the kept points are wrapped, and one that is already a
     ``point_type`` is kept as it is.
     """
+    points: list = []
     keep: list[Triple] = []
     for p in sorted(triples):
         _, y, z = p
@@ -52,8 +54,9 @@ def _antichain(triples: Iterable[Triple], point_type: type) -> tuple:
             if b <= y and c <= z:
                 break
         else:
-            keep.append(p if type(p) is point_type else point_type(*p))
-    return tuple(keep)
+            points.append(p if type(p) is point_type else point_type(*p))
+            keep.append(tuple(p))
+    return tuple(points), tuple(keep)
 
 
 def _front(pairs: Iterable[tuple[int, int]]) -> list[tuple[int, int]]:
@@ -99,12 +102,22 @@ class ConjUpSet:
     Generators may be given as any integer triples; they come out as
     ``QPoint``s.  Only the minimal ones are wrapped, and a generator that
     is already a ``QPoint`` is kept as it is.
+
+    ``triples`` holds the same generators as exact tuples, for the
+    per-tile kernels of :mod:`tritile.surface` and
+    :mod:`tritile.dynamics`: CPython's specializing interpreter (PEP 659)
+    unpacks and indexes an exact ``tuple`` on its fast paths and a
+    ``NamedTuple`` only on the generic ones.  It is built once, here,
+    and is not part of equality, hashing or the repr.
     """
 
     generators: tuple[QPoint, ...] = ()
+    triples: tuple[Triple, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "generators", _antichain(self.generators, QPoint))
+        generators, triples = _antichain(self.generators, QPoint)
+        object.__setattr__(self, "generators", generators)
+        object.__setattr__(self, "triples", triples)
 
 
 @dataclass(frozen=True)
@@ -114,12 +127,17 @@ class StdUpSet:
     Roof closure in this frame can produce corners at half-integer
     l-points (doubled triples of mixed parity), so the doubled triple is
     the native representation and q-points are only a view.
+    ``triples`` holds ``dgens`` as exact tuples, as ``ConjUpSet.triples``
+    does its generators, for the tile classifier.
     """
 
     dgens: tuple[LHalf, ...] = ()
+    triples: tuple[Triple, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "dgens", _antichain(self.dgens, LHalf))
+        dgens, triples = _antichain(self.dgens, LHalf)
+        object.__setattr__(self, "dgens", dgens)
+        object.__setattr__(self, "triples", triples)
 
     @classmethod
     def from_qpoints(cls, points: Iterable[QPoint]) -> "StdUpSet":

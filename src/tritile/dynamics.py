@@ -150,7 +150,7 @@ def _grow(cone: ConjUpSet, p: QPoint) -> ConjUpSet:
     that lie above it: ``p`` sorts before each of them and lies below it.
     """
     x, y, z = p
-    for a, b, c in cone.generators:
+    for a, b, c in cone.triples:
         if a <= x and b <= y and c <= z:
             return cone
     return ConjUpSet(cone.generators + (p,))
@@ -178,7 +178,7 @@ def chart_cover(tiles: Sequence[SlantTile]) -> list[Chart]:
     """
     units = 0
 
-    def fits(cone: ConjUpSet, seg: Sequence[SlantTile]) -> bool:
+    def fits(cone: ConjUpSet, seg: Sequence[tuple]) -> bool:
         """True iff every tile of ``seg`` is on the surface of ``cone``; stops at the first that is not."""
         nonlocal units
         units += len(seg) * len(cone.generators)
@@ -193,6 +193,9 @@ def chart_cover(tiles: Sequence[SlantTile]) -> list[Chart]:
 
     if not tiles:
         return []
+    # The checks read exact-tuple copies of the tiles, as on_surface reads
+    # the cones' triples; the cones are built from the original bases.
+    plain = [(tuple(base), d1, d2) for base, d1, d2 in tiles]
     charts: list[Chart] = []
     i = 0
     while True:
@@ -200,7 +203,7 @@ def chart_cover(tiles: Sequence[SlantTile]) -> list[Chart]:
         cone = ConjUpSet((tiles[i].base,))
         while j + 1 < len(tiles):
             grown = _grow(cone, tiles[j + 1].base)
-            if not fits(grown, tiles[i : j + 2]):
+            if not fits(grown, plain[i : j + 2]):
                 break
             cone, j = grown, j + 1
         # Kept only for its on_surface calls and its charge (bench/run.py
@@ -208,7 +211,7 @@ def chart_cover(tiles: Sequence[SlantTile]) -> list[Chart]:
         # at the tile's own base, which carries it; for j > i it repeats the
         # fits(grown, ...) that just returned True on the same cone and
         # segment, and on_surface is pure.
-        fits(cone, tiles[i : j + 1])
+        fits(cone, plain[i : j + 1])
         charts.append(Chart(cone, i, j))
         if j == len(tiles) - 1:
             return charts
@@ -217,7 +220,7 @@ def chart_cover(tiles: Sequence[SlantTile]) -> list[Chart]:
         for k in range(j, i, -1):
             suffix.append(_grow(suffix[-1], tiles[k].base))
         suffix.reverse()
-        i = next(k for k, c in zip(range(i + 1, j + 2), suffix) if fits(c, tiles[k : j + 2]))
+        i = next(k for k, c in zip(range(i + 1, j + 2), suffix) if fits(c, plain[k : j + 2]))
 
 
 def closed_trajectory_roofs(w: ConjUpSet, traj: Trajectory) -> tuple[StdUpSet, StdUpSet]:

@@ -88,11 +88,16 @@ are not re-sorted.
 The per-tile kernels (``flat_tiles_in``, ``section_at`` and the table
 scan) build their points and tiles with ``tuple.__new__``, which gives
 the same type and fields without the Python-level ``__new__`` frame of
-a NamedTuple constructor.
+a NamedTuple constructor.  The loops over generators (``on_surface``,
+``section_at``, the table scan and ``_classify_tile``) read them from
+the regions' exact-tuple ``triples``: CPython's specializing interpreter
+unpacks and indexes an exact tuple on fast paths that a NamedTuple does
+not get.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Collection, Iterator, NamedTuple, Sequence
 
@@ -151,13 +156,15 @@ def on_surface(w: ConjUpSet, s: SlantTile) -> bool:
     or below the base lies at or below ``base - e_d3`` iff its d3
     coordinate is below the base's, so that one comparison decides.
     Without generators the base is not in ``w``: the answer is False.
+    ``s`` may also be a plain ``(base, d1, d2)`` triple of the same
+    values, as ``chart_cover`` passes it: the answer is the same.
     """
     base, d1, d2 = s
     x, y, z = base
     k = 5 - d1 - d2  # index of axis d3
     base_k = base[k]
     base_in = False
-    for g in w.generators:
+    for g in w.triples:
         a, b, c = g
         if a <= x and b <= y and c <= z:
             if g[k] < base_k:
@@ -191,7 +198,7 @@ def section_at(w: ConjUpSet, t: FlatTile) -> SlantTile:
     diagonal lies in ``w``, so that pass looks for a generator at or
     below ``b+e1+e_d2-(A+1)``, the base of the third phase.
     """
-    gens = w.generators
+    gens = w.triples
     if not gens:
         raise GeometryError("empty region has no height function")
     base, d1, d2 = t
@@ -269,7 +276,7 @@ def _sections(w: ConjUpSet, window: Window) -> Iterator[SlantTile]:
     """The section over every flat tile of the window, in canonical order,
     read from the height table of the module docstring."""
     u_min, u_max, v_min, v_max = window
-    gens = w.generators
+    gens = w.triples
     if u_min > u_max or v_min > v_max or not gens:
         return  # no flat to scan, or no surface over it
     n = v_max - v_min + 3  # v_min-1 .. v_max+1
@@ -302,7 +309,7 @@ def classify(w1: ConjUpSet, w2: StdUpSet, window: Window) -> Classification:
     """Partition the surface tiles of ``w1`` over the window against ``w2``;
     unbudgeted: its height table costs one line build per ``u``."""
     buckets: dict[str, list[SlantTile]] = {"in": [], "out": [], "bd": []}
-    dgens = w2.dgens
+    dgens = w2.triples
     for s in _sections(w1, window):
         buckets[_classify_tile(s, dgens)].append(s)
     return Classification(
@@ -331,6 +338,22 @@ def seed_window(points: Collection[QPoint]) -> Window:
     return Window(min(us) - 8, max(us) + 8, min(vs) - 8, max(vs) + 8)
 
 
+def _count_text(n: int) -> str:
+    """``n`` in decimal, or past 100 digits "a D-digit number of", to
+    stand before a unit.
+
+    Python refuses to write an int of more than 4,300 digits as text (at
+    least 640 under any setting), and a peak of 3,000 digits makes an In
+    scan of 6,000.  The digit count is read off ``log10`` and made exact
+    by two powers of ten.
+    """
+    if n < 10**100:
+        return str(n)
+    digits = int(math.log10(n)) + 1
+    digits += (n >= 10**digits) - (n < 10 ** (digits - 1))
+    return f"a {digits}-digit number of"
+
+
 def in_tiles_expanded(w: ConjUpSet) -> tuple[SlantTile, ...]:
     """All In-tiles of the surface of ``w`` against the standard roof of
     its own generators.
@@ -347,15 +370,15 @@ def in_tiles_expanded(w: ConjUpSet) -> tuple[SlantTile, ...]:
     roof = std_roof_generators(w.generators)
     if roof == StdUpSet.from_qpoints(w.generators):
         return ()  # no corner beyond the cone: no In tile (module docstring)
-    dgens = roof.dgens
+    dgens = roof.triples
     window = seed_window(w.generators)
     cells = (window.u_max - window.u_min + 1) * (window.v_max - window.v_min + 1)
     gens = len(w.generators) + len(dgens)
     units = 2 * cells * gens
     if units > MAX_SCAN_UNITS:
         raise ValueError(
-            f"In scan of {cells} cells over {gens} generators reads "
-            f"{units} flat-generator pairs, more than {MAX_SCAN_UNITS}"
+            f"In scan of {_count_text(cells)} cells over {gens} generators reads "
+            f"{_count_text(units)} flat-generator pairs, more than {MAX_SCAN_UNITS}"
         )
     # One section_at per flat: bench/run.py HAND_COUNTS.
     hits = [

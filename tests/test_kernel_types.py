@@ -5,8 +5,14 @@ checks neither the arity nor the type of what it wraps, and a plain
 tuple compares equal to a ``SlantTile``.  So no equality test catches
 a missed wrap; these tests check the exact types, on seeded roofs and
 cones, and check that every construction branch was reached.
+
+The kernels read the regions' generators from their exact-tuple
+``triples`` views, and ``on_surface`` takes the plain tile triples of
+``chart_cover``.  The last tests check the views themselves, and that
+each kernel answers plain and NamedTuple inputs alike.
 """
 
+import dataclasses
 import random
 
 import pytest
@@ -14,8 +20,10 @@ import pytest
 from conftest import DECODE_DUDUDD, rand_antichain, rand_pit_gens
 from tritile import (
     ConjUpSet,
+    LHalf,
     QPoint,
     SlantTile,
+    StdUpSet,
     Window,
     classify,
     conj_roof_generators,
@@ -27,7 +35,7 @@ from tritile import (
     surface_tiles,
     trace,
 )
-from tritile.surface import flat_tiles_in, in_tiles_expanded
+from tritile.surface import _classify_tile, flat_tiles_in, in_tiles_expanded, on_surface
 from tritile.tiles import Port, PortPair, port_candidates
 
 WINDOW = Window(-4, 4, -4, 4)
@@ -111,3 +119,72 @@ def test_walk_tiles_are_slant_tiles(hexcone):
     assert walk.closed
     for s in (*tiles, *walk.tiles):
         assert_tile(s)
+
+
+# -- exact-tuple views --------------------------------------------------------
+
+STD_REGIONS = [
+    std for w in REGIONS for std in (std_roof_generators(w.generators), StdUpSet.from_qpoints(w.generators))
+]
+
+
+def named_view(region):
+    """A copy of ``region`` whose ``triples`` hold the NamedTuple generators."""
+    twin = dataclasses.replace(region)
+    object.__setattr__(twin, "triples", region.dgens if isinstance(region, StdUpSet) else region.generators)
+    return twin
+
+
+def plain(s) -> tuple:
+    """``s`` as an exact ``(base, d1, d2)`` triple, as ``chart_cover`` passes it."""
+    base, d1, d2 = s
+    return tuple(base), d1, d2
+
+
+def test_views_are_the_generators_as_exact_tuples():
+    assert len(STD_REGIONS) == 80
+    for region in [*REGIONS, *STD_REGIONS]:
+        named, point_type = (region.dgens, LHalf) if isinstance(region, StdUpSet) else (region.generators, QPoint)
+        assert type(region.triples) is tuple and len(region.triples) == len(named) > 0
+        for view, g in zip(region.triples, named):
+            assert type(g) is point_type
+            assert type(view) is tuple and len(view) == 3
+            assert all(type(c) is int for c in view)
+            assert view == g
+    assert ConjUpSet().triples == () and StdUpSet().triples == ()
+
+
+def test_views_are_left_out_of_equality_hash_and_repr():
+    for region in [*REGIONS, *STD_REGIONS]:
+        twin = dataclasses.replace(region)
+        object.__setattr__(twin, "triples", ())
+        assert twin == region and hash(twin) == hash(region)
+        assert repr(twin) == repr(region) and "triples" not in repr(region)
+    assert [f.name for f in dataclasses.fields(ConjUpSet) if f.init] == ["generators"]
+    assert [f.name for f in dataclasses.fields(StdUpSet) if f.init] == ["dgens"]
+
+
+def test_kernels_answer_plain_and_named_inputs_alike():
+    on_off, phases, kinds = set(), set(), set()
+    for w in REGIONS:
+        named = named_view(w)
+        assert surface_tiles(named, WINDOW) == surface_tiles(w, WINDOW)
+        for t in flat_tiles_in(WINDOW):
+            for probe in (t, sigma(t), sigma(sigma(t))):  # section_at flattens the last two
+                s = section_at(w, probe)
+                assert_tile(s)
+                assert section_at(named, probe) == s
+                phases.add(s.d1)
+            for cand in (s, *port_candidates(s, Port.UP), *port_candidates(s, Port.DOWN)):
+                answer = on_surface(w, cand)
+                assert on_surface(w, plain(cand)) is on_surface(named, cand) is answer
+                on_off.add(answer)
+    for std in STD_REGIONS[:20]:
+        named = named_view(std)
+        for w in REGIONS[:10]:
+            for s in surface_tiles(w, WINDOW):
+                kind = _classify_tile(s, std.triples)
+                assert _classify_tile(plain(s), std.triples) == _classify_tile(s, named.triples) == kind
+                kinds.add(kind)
+            assert classify(w, named, WINDOW) == classify(w, std, WINDOW)
+    assert on_off == {True, False} and phases == {1, 2, 3} and kinds == {"in", "out", "bd"}

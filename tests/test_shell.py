@@ -171,7 +171,9 @@ def test_norm_of_far_apart_peaks_scans_nothing(tmp_path):
 # pit plus a peak 10**6 away (a box of 1,000,035,000,306 cells), 100 plane
 # points 600 wide (29 generators and 26 standard-roof corners over
 # 2,688,231 cells; 134 s), and the 600-peak chain (i, -i, -2i), which
-# `roof add` took 15.6 s and `norm` 44.8 s to close.
+# `roof add` took 15.6 s and `norm` 44.8 s to close.  A peak 10**3000 away
+# makes counts too long for Python to write as text, so the message gives
+# their digits.
 @pytest.mark.parametrize(
     "argv, peaks, message",
     [
@@ -195,8 +197,25 @@ def test_norm_of_far_apart_peaks_scans_nothing(tmp_path):
         ),
         (["norm"], [[i, -i, -2 * i] for i in range(600)], "PEAKS has 600 peaks, more than 100"),
         (["roof", "add"], [[i, -i, -2 * i] for i in range(600)], "PEAKS has 600 peaks, more than 100"),
+        *(
+            (
+                argv,
+                [[1, 1, 0], [0, 1, 1], [1, 0, 1], [10**3000, -(10**3000), 0]],
+                "In scan of a 6001-digit number of cells over 6 generators reads a 6002-digit number of "
+                "flat-generator pairs, more than 2000000",
+            )
+            for argv in (["norm"], ["trajectories", "--all"])
+        ),
     ],
-    ids=["pit_and_far_peak", "plane_norm", "plane_all", "chain_norm", "chain_roof_add"],
+    ids=[
+        "pit_and_far_peak",
+        "plane_norm",
+        "plane_all",
+        "chain_norm",
+        "chain_roof_add",
+        "pit_and_huge_peak_norm",
+        "pit_and_huge_peak_all",
+    ],
 )
 def test_over_budget_inputs_exit_1_at_once(tmp_path, argv, peaks, message):
     p = tmp_path / "peaks.json"

@@ -394,6 +394,17 @@ def test_in_scan_budget_is_flats_times_generators(monkeypatch, hexcone):
         in_tiles_expanded(hexcone)
 
 
+def test_scan_counts_past_100_digits_are_written_as_digit_counts():
+    for n in (0, 1, 722 * 4, 12000420003672, 10**99, 10**100 - 1):
+        assert surface._count_text(n) == str(n)
+    # Around the powers of ten where log10 may round, up to past the
+    # 4,300 digits that Python would refuse to write.
+    for k in (101, 102, 640, 4300, 4301, 6000):
+        assert surface._count_text(10**k - 1) == f"a {k}-digit number of"
+        assert surface._count_text(10**k) == surface._count_text(10**k + 1) == f"a {k + 1}-digit number of"
+    assert surface._count_text(10**100) == "a 101-digit number of"
+
+
 def test_norm_requires_roof():
     open_cone = ConjUpSet((QPoint(1, 0, 0), QPoint(0, 1, 0), QPoint(0, 0, 1)))
     with pytest.raises(ValueError, match="^norm is defined for roof-closed regions only$"):
