@@ -77,13 +77,21 @@ the roof adds.  In ideal terms the standard roof is the saturation of
 the monomial ideal of ``P``, and a saturation that adds no generator
 leaves no In tile.
 
+The same argument shows that the In verdict needs only the added
+corners: the roof corners that are not generators of the standard cone
+of ``P``.  A tile is In when the octant of one roof corner holds both
+its probes, so that octant holds both open half squares, and by the
+lemma that corner is an added one.  A tile is therefore In against the
+roof exactly when it is In against the added corners, and the In scan
+classifies against those alone.
+
 ``flat_tiles_in`` enumerates flats in canonical order: by ``u``, then
 ``v``, then ``[1 2]`` before ``[1 3]``, which is the sort order of the
-flat tiles themselves.  A section flattens back to the flat it was taken
-over, so every tile list built by one pass over the window (the
-``classify`` buckets, ``surface_tiles``, the In set and ``norm``)
-already comes out sorted by flat tile.  Outputs rely on that order and
-are not re-sorted.
+flat tiles themselves, and the In scan walks them in that order too.
+A section flattens back to the flat it was taken over, so every tile
+list built by one pass over the window (the ``classify`` buckets,
+``surface_tiles``, the In set and ``norm``) already comes out sorted by
+flat tile.  Outputs rely on that order and are not re-sorted.
 
 The per-tile kernels (``flat_tiles_in``, ``section_at`` and the table
 scan) build their points and tiles with ``tuple.__new__``, which gives
@@ -92,7 +100,9 @@ a NamedTuple constructor.  The loops over generators (``on_surface``,
 ``section_at``, the table scan and ``_classify_tile``) read them from
 the regions' exact-tuple ``triples``: CPython's specializing interpreter
 unpacks and indexes an exact tuple on fast paths that a NamedTuple does
-not get.
+not get.  For the same reason the In scan walks its cells in two
+``range`` loops and passes each flat to ``section_at`` as a plain
+``((u, v, 0), 1, d2)`` tuple, not as a ``SlantTile``.
 """
 
 from __future__ import annotations
@@ -108,8 +118,9 @@ from .tiles import FlatTile, SlantTile, flatten
 
 _new = tuple.__new__  # a NamedTuple built without its constructor frame
 
-# Flat-generator pairs read by the largest In scan, two flats a cell: a
-# scan at the cap takes about 1.7 s (2-vCPU Xeon, Python 3.11).
+# Flat-generator pairs charged to the largest In scan, two flats a cell
+# times the region's generators and every roof corner: a scan at the cap
+# takes about 0.7 s (2-vCPU Xeon, Python 3.11).
 MAX_SCAN_UNITS = 2_000_000
 
 
@@ -207,7 +218,12 @@ def section_at(w: ConjUpSet, t: FlatTile) -> SlantTile:
     u, v, _ = base
     d3 = 5 - d2
     a, b, c = gens[0]
-    ha = hb = min(u - a, v - b, -c)  # a lower bound of A, and so of B
+    ha = u - a  # the first generator's term: a lower bound of A, and so of B
+    if v - b < ha:
+        ha = v - b
+    if -c < ha:
+        ha = -c
+    hb = ha
     for a, b, c in gens:
         m = v - b
         if -c < m:
@@ -362,30 +378,36 @@ def in_tiles_expanded(w: ConjUpSet) -> tuple[SlantTile, ...]:
     one scan of ``seed_window(P)`` holds them all.  When the roof adds no
     corner to the standard cone of ``P`` (no generators, one, or two-peak
     roofs, for example) there are none, by the lemma there, and the
-    answer is ``()`` without a scan.  Otherwise each of the two flats
-    per cell reads the generators of ``w`` and the corners of the roof,
-    and a scan of more than ``MAX_SCAN_UNITS`` such reads is a
-    ``ValueError`` before its first section.
+    answer is ``()`` without a scan.  Otherwise each flat is classified
+    against the added corners alone, which decide its In verdict (module
+    docstring).  The budget still charges each of the two flats per cell
+    the generators of ``w`` and every corner of the roof, so a scan of
+    more than ``MAX_SCAN_UNITS`` such reads is a ``ValueError`` before
+    its first section.
     """
     roof = std_roof_generators(w.generators)
-    if roof == StdUpSet.from_qpoints(w.generators):
+    cone = StdUpSet.from_qpoints(w.generators).triples
+    added = [g for g in roof.triples if g not in cone]
+    if not added:
         return ()  # no corner beyond the cone: no In tile (module docstring)
-    dgens = roof.triples
-    window = seed_window(w.generators)
-    cells = (window.u_max - window.u_min + 1) * (window.v_max - window.v_min + 1)
-    gens = len(w.generators) + len(dgens)
+    u_min, u_max, v_min, v_max = seed_window(w.generators)
+    cells = (u_max - u_min + 1) * (v_max - v_min + 1)
+    gens = len(w.generators) + len(roof.triples)
     units = 2 * cells * gens
     if units > MAX_SCAN_UNITS:
         raise ValueError(
             f"In scan of {_count_text(cells)} cells over {gens} generators reads "
             f"{_count_text(units)} flat-generator pairs, more than {MAX_SCAN_UNITS}"
         )
-    # One section_at per flat: bench/run.py HAND_COUNTS.
-    hits = [
-        s
-        for t in flat_tiles_in(window)
-        if _classify_tile(s := section_at(w, t), dgens) == "in"
-    ]
+    # One section_at per flat, in canonical order: bench/run.py HAND_COUNTS.
+    hits = []
+    vs = range(v_min, v_max + 1)
+    for u in range(u_min, u_max + 1):
+        for v in vs:
+            for d2 in (2, 3):
+                s = section_at(w, ((u, v, 0), 1, d2))
+                if _classify_tile(s, added) == "in":
+                    hits.append(s)
     return tuple(hits)
 
 

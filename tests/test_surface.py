@@ -14,6 +14,7 @@ from conftest import (
     count_public_calls,
     padded_box,
     pit,
+    plane_peaks,
     rand_antichain,
     rand_pit_gens,
     sample_in_closed,
@@ -450,6 +451,50 @@ def test_no_new_corner_means_no_in_tile(monkeypatch):
         assert brute_in_tiles(w, points, padded_box(points, 8)) == [], points
         shortcuts[kind] += 1
     assert shortcuts["roof"] >= 4 and shortcuts["cone"] >= 4, shortcuts
+
+
+def test_in_verdict_reads_only_the_added_corners():
+    # The In scan classifies against the corners the standard roof adds
+    # to the standard cone of the generators, not against every roof
+    # corner: by the lemma of the surface.py docstring, a corner whose
+    # closed l-octant holds a half square of a surface tile is never a
+    # point of the generators.  Judged on every section over the seed
+    # window, read from the height table and not from the scan, whose
+    # answer must then be the In list they give; its no-corner shortcut
+    # is "no added corner".  The roofs are
+    # pit clusters, pit clusters with random peaks, two pits 5 to 60
+    # apart, random antichains (some add no corner) and one roof of 20
+    # plane peaks.
+    rng = random.Random(37)
+    roofs = [conj_roof_generators([QPoint(*p) for p in plane_peaks(20, 3, 12)])]
+    for _ in range(10):
+        roofs.append(conj_roof_generators(rand_pit_gens(rng, rng.randint(0, 3))))
+        extra = rand_antichain(rng, 3, rng.randint(1, 4))
+        roofs.append(conj_roof_generators(rand_pit_gens(rng, rng.randint(0, 2)) + list(extra)))
+        d = rng.randint(5, 60)
+        far = QPoint(d, rng.randint(-d, d), rng.randint(-2, 2))
+        roofs.append(conj_roof_generators(pit(QPoint(0, 0, 0)) + pit(far)))
+        roofs.append(conj_roof_generators(rand_antichain(rng, rng.choice((2, 3, 4)), rng.randint(1, 5))))
+    seen = {"shortcut": 0, "in": 0, "dropped": 0}
+    for w in roofs:
+        roof = std_roof_generators(w.generators)
+        cone = StdUpSet.from_qpoints(w.generators)
+        added = [g for g in roof.triples if g not in cone.triples]
+        assert (not added) == (roof == cone), w.generators
+        if not added:
+            assert in_tiles_expanded(w) == ()
+            seen["shortcut"] += 1
+            continue
+        hits = []
+        for s in surface_tiles(w, seed_window(w.generators)):
+            verdict = _classify_tile(s, roof.triples)
+            assert (_classify_tile(s, added) == "in") == (verdict == "in"), (w.generators, s)
+            if verdict == "in":
+                hits.append(s)
+        assert in_tiles_expanded(w) == tuple(hits)
+        seen["in"] += len(hits)
+        seen["dropped"] += len(roof.triples) - len(added)
+    assert seen["shortcut"] >= 3 and seen["in"] >= 1000 and seen["dropped"] >= 40, seen
 
 
 def test_in_tiles_lie_in_the_box_of_their_points():
