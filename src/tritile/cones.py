@@ -22,18 +22,18 @@ brute-force membership oracle in the test suite.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable
 
 from .errors import GeometryError
-from .lattice import LHalf, QPoint, componentwise_le, embed, inverse_embed
+from .lattice import QPoint, componentwise_le, embed, inverse_embed
 
 Triple = tuple[int, int, int]
 
 
-def _antichain(triples: Iterable[Triple], point_type: type) -> tuple[tuple, tuple[Triple, ...]]:
+def _antichain(triples: Iterable[Triple]) -> tuple[Triple, ...]:
     """Minimal elements of a finite triple set under componentwise order,
-    sorted: as ``point_type``s, and as exact tuples.
+    sorted, as exact tuples.
 
     In lexicographic order no point is followed by one below it, so one
     ascending pass keeps a point unless a kept one is below it, and the
@@ -42,11 +42,9 @@ def _antichain(triples: Iterable[Triple], point_type: type) -> tuple[tuple, tupl
     the other two are compared.  Repeats need no set: a later copy of a
     point falls to the same test, as the first copy, if kept, lies at or
     below it, and whatever dropped the first copy drops it too.
-    The pass compares the exact-tuple copies of the kept points; only
-    the kept points are wrapped, and one that is already a
-    ``point_type`` is kept as it is.
+    Only the kept points are copied, and one that is already an exact
+    tuple is kept as it is.
     """
-    points: list = []
     keep: list[Triple] = []
     for p in sorted(triples):
         _, y, z = p
@@ -54,9 +52,8 @@ def _antichain(triples: Iterable[Triple], point_type: type) -> tuple[tuple, tupl
             if b <= y and c <= z:
                 break
         else:
-            points.append(p if type(p) is point_type else point_type(*p))
-            keep.append(tuple(p))
-    return tuple(points), tuple(keep)
+            keep.append(p if type(p) is tuple else tuple(p))
+    return tuple(keep)
 
 
 def _front(pairs: Iterable[tuple[int, int]]) -> list[tuple[int, int]]:
@@ -99,25 +96,18 @@ def _roof_closure(triples: Iterable[Triple]) -> set[Triple]:
 class ConjUpSet:
     """Up-set of q-space octants, normalized to its sorted antichain.
 
-    Generators may be given as any integer triples; they come out as
-    ``QPoint``s.  Only the minimal ones are wrapped, and a generator that
-    is already a ``QPoint`` is kept as it is.
-
-    ``triples`` holds the same generators as exact tuples, for the
-    per-tile kernels of :mod:`tritile.surface` and
-    :mod:`tritile.dynamics`: CPython's specializing interpreter (PEP 659)
-    unpacks and indexes an exact ``tuple`` on its fast paths and a
-    ``NamedTuple`` only on the generic ones.  It is built once, here,
-    and is not part of equality, hashing or the repr.
+    Generators may be given as any integer triples (``QPoint``s, tuples
+    or lists); they come out as exact ``tuple[int, int, int]``s, which
+    the per-tile kernels of :mod:`tritile.surface` and
+    :mod:`tritile.dynamics` read directly: CPython's specializing
+    interpreter (PEP 659) unpacks and indexes an exact ``tuple`` on its
+    fast paths and a ``NamedTuple`` only on the generic ones.
     """
 
-    generators: tuple[QPoint, ...] = ()
-    triples: tuple[Triple, ...] = field(init=False, repr=False, compare=False)
+    generators: tuple[Triple, ...] = ()
 
     def __post_init__(self) -> None:
-        generators, triples = _antichain(self.generators, QPoint)
-        object.__setattr__(self, "generators", generators)
-        object.__setattr__(self, "triples", triples)
+        object.__setattr__(self, "generators", _antichain(self.generators))
 
 
 @dataclass(frozen=True)
@@ -126,25 +116,22 @@ class StdUpSet:
 
     Roof closure in this frame can produce corners at half-integer
     l-points (doubled triples of mixed parity), so the doubled triple is
-    the native representation and q-points are only a view.
-    ``triples`` holds ``dgens`` as exact tuples, as ``ConjUpSet.triples``
-    does its generators, for the tile classifier.
+    the native representation and q-points are only a view.  ``dgens``
+    are exact tuples, as ``ConjUpSet.generators`` are.
     """
 
-    dgens: tuple[LHalf, ...] = ()
-    triples: tuple[Triple, ...] = field(init=False, repr=False, compare=False)
+    dgens: tuple[Triple, ...] = ()
 
     def __post_init__(self) -> None:
-        dgens, triples = _antichain(self.dgens, LHalf)
-        object.__setattr__(self, "dgens", dgens)
-        object.__setattr__(self, "triples", triples)
+        object.__setattr__(self, "dgens", _antichain(self.dgens))
 
     @classmethod
     def from_qpoints(cls, points: Iterable[QPoint]) -> "StdUpSet":
         return cls(tuple(map(inverse_embed, points)))
 
     def qpoints(self) -> tuple[QPoint, ...]:
-        """Generators as q-points; fails if any corner is off-lattice."""
+        """Generators as q-points; fails if any corner is off-lattice,
+        naming that corner as its doubled l-triple."""
         out = []
         for t in self.dgens:
             q2 = embed(*t)

@@ -20,9 +20,8 @@ from dataclasses import dataclass
 from itertools import pairwise
 from typing import Sequence
 
-from .cones import ConjUpSet, StdUpSet, std_roof_generators
+from .cones import ConjUpSet, StdUpSet, Triple, std_roof_generators
 from .errors import GeometryError
-from .lattice import QPoint
 from .surface import classify, norm, on_surface, section_at, seed_window
 from .tiles import Port, SlantTile, gradient, port_candidates
 
@@ -142,7 +141,7 @@ def decode(code: str, start: SlantTile) -> list[SlantTile]:
     return tiles
 
 
-def _grow(cone: ConjUpSet, p: QPoint) -> ConjUpSet:
+def _grow(cone: ConjUpSet, p: Triple) -> ConjUpSet:
     """The cone of ``cone``'s generators and ``p``.
 
     If a generator lies at or below ``p``, that is ``cone`` itself.
@@ -150,7 +149,7 @@ def _grow(cone: ConjUpSet, p: QPoint) -> ConjUpSet:
     that lie above it: ``p`` sorts before each of them and lies below it.
     """
     x, y, z = p
-    for a, b, c in cone.triples:
+    for a, b, c in cone.generators:
         if a <= x and b <= y and c <= z:
             return cone
     return ConjUpSet(cone.generators + (p,))
@@ -193,16 +192,14 @@ def chart_cover(tiles: Sequence[SlantTile]) -> list[Chart]:
 
     if not tiles:
         return []
-    # The checks read exact-tuple copies of the tiles, as on_surface reads
-    # the cones' triples; the cones are built from the original bases.
     plain = [(tuple(base), d1, d2) for base, d1, d2 in tiles]
     charts: list[Chart] = []
     i = 0
     while True:
         j = i
-        cone = ConjUpSet((tiles[i].base,))
+        cone = ConjUpSet((plain[i][0],))
         while j + 1 < len(tiles):
-            grown = _grow(cone, tiles[j + 1].base)
+            grown = _grow(cone, plain[j + 1][0])
             if not fits(grown, plain[i : j + 2]):
                 break
             cone, j = grown, j + 1
@@ -216,9 +213,9 @@ def chart_cover(tiles: Sequence[SlantTile]) -> list[Chart]:
         if j == len(tiles) - 1:
             return charts
         # The cones of tiles[k:j+2] for k from j+1 down to i+1, then in search order.
-        suffix = [ConjUpSet((tiles[j + 1].base,))]
+        suffix = [ConjUpSet((plain[j + 1][0],))]
         for k in range(j, i, -1):
-            suffix.append(_grow(suffix[-1], tiles[k].base))
+            suffix.append(_grow(suffix[-1], plain[k][0]))
         suffix.reverse()
         i = next(k for k, c in zip(range(i + 1, j + 2), suffix) if fits(c, plain[k : j + 2]))
 

@@ -17,7 +17,6 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
-    from .lattice import QPoint
     from .tiles import Port, SlantTile
 
 
@@ -25,7 +24,7 @@ class GeometryError(Exception):
     """A region or trajectory violates a structural assumption.
 
     ``peaks`` holds the generators of the region the error was raised
-    on, and ``tile`` the tile it names:
+    on, as exact int triples, and ``tile`` the tile it names:
 
     - ``step`` sets ``tile`` and ``port`` to the tile and the port it
       tried to leave by, so ``step(ConjUpSet(e.peaks), e.tile, e.port)``
@@ -44,7 +43,7 @@ class GeometryError(Exception):
         *,
         tile: SlantTile | None = None,
         port: Port | None = None,
-        peaks: tuple[QPoint, ...] | None = None,
+        peaks: tuple[tuple[int, int, int], ...] | None = None,
     ) -> None:
         super().__init__(message)
         self.tile = tile

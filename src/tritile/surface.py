@@ -22,7 +22,8 @@ row, so a table costs one line build per ``u``.  Over the flat
 ``B > A`` the section is ``(u+1-B, v-B, -B)[d2 d3]``.  Otherwise let
 ``C = H(u+1, v+1)`` for ``d2 = 2`` and ``C = H(u, v-1) + 1`` for
 ``d2 = 3``: if ``C > A`` the section is
-``(u+1-C, v+(d2==2)-C, (d2==3)-C)[d3 1]``, else ``(u-A, v-A, -A)[1 d2]``.  The In scan, when it scans, keeps one
+``(u+1-C, v+(d2==2)-C, (d2==3)-C)[d3 1]``, else
+``(u-A, v-A, -A)[1 d2]``.  The In scan, when it scans, keeps one
 ``section_at`` per flat, whose count the benchmark pins.
 
 ``classify`` splits the surface tiles over a window against a standard
@@ -97,12 +98,13 @@ The per-tile kernels (``flat_tiles_in``, ``section_at`` and the table
 scan) build their points and tiles with ``tuple.__new__``, which gives
 the same type and fields without the Python-level ``__new__`` frame of
 a NamedTuple constructor.  The loops over generators (``on_surface``,
-``section_at``, the table scan and ``_classify_tile``) read them from
-the regions' exact-tuple ``triples``: CPython's specializing interpreter
-unpacks and indexes an exact tuple on fast paths that a NamedTuple does
-not get.  For the same reason the In scan walks its cells in two
-``range`` loops and passes each flat to ``section_at`` as a plain
-``((u, v, 0), 1, d2)`` tuple, not as a ``SlantTile``.
+``section_at``, the table scan and ``_classify_tile``) read the
+regions' ``generators`` and ``dgens``, which are exact int triples:
+CPython's specializing interpreter unpacks and indexes an exact tuple
+on fast paths that a NamedTuple does not get.  For the same reason the
+In scan walks its cells in two ``range`` loops and passes each flat to
+``section_at`` as a plain ``((u, v, 0), 1, d2)`` tuple, not as a
+``SlantTile``.
 """
 
 from __future__ import annotations
@@ -175,7 +177,7 @@ def on_surface(w: ConjUpSet, s: SlantTile) -> bool:
     k = 5 - d1 - d2  # index of axis d3
     base_k = base[k]
     base_in = False
-    for g in w.triples:
+    for g in w.generators:
         a, b, c = g
         if a <= x and b <= y and c <= z:
             if g[k] < base_k:
@@ -209,7 +211,7 @@ def section_at(w: ConjUpSet, t: FlatTile) -> SlantTile:
     diagonal lies in ``w``, so that pass looks for a generator at or
     below ``b+e1+e_d2-(A+1)``, the base of the third phase.
     """
-    gens = w.triples
+    gens = w.generators
     if not gens:
         raise GeometryError("empty region has no height function")
     base, d1, d2 = t
@@ -292,7 +294,7 @@ def _sections(w: ConjUpSet, window: Window) -> Iterator[SlantTile]:
     """The section over every flat tile of the window, in canonical order,
     read from the height table of the module docstring."""
     u_min, u_max, v_min, v_max = window
-    gens = w.triples
+    gens = w.generators
     if u_min > u_max or v_min > v_max or not gens:
         return  # no flat to scan, or no surface over it
     n = v_max - v_min + 3  # v_min-1 .. v_max+1
@@ -325,7 +327,7 @@ def classify(w1: ConjUpSet, w2: StdUpSet, window: Window) -> Classification:
     """Partition the surface tiles of ``w1`` over the window against ``w2``;
     unbudgeted: its height table costs one line build per ``u``."""
     buckets: dict[str, list[SlantTile]] = {"in": [], "out": [], "bd": []}
-    dgens = w2.triples
+    dgens = w2.dgens
     for s in _sections(w1, window):
         buckets[_classify_tile(s, dgens)].append(s)
     return Classification(
@@ -386,13 +388,13 @@ def in_tiles_expanded(w: ConjUpSet) -> tuple[SlantTile, ...]:
     its first section.
     """
     roof = std_roof_generators(w.generators)
-    cone = StdUpSet.from_qpoints(w.generators).triples
-    added = [g for g in roof.triples if g not in cone]
+    cone = StdUpSet.from_qpoints(w.generators).dgens
+    added = [g for g in roof.dgens if g not in cone]
     if not added:
         return ()  # no corner beyond the cone: no In tile (module docstring)
     u_min, u_max, v_min, v_max = seed_window(w.generators)
     cells = (u_max - u_min + 1) * (v_max - v_min + 1)
-    gens = len(w.generators) + len(roof.triples)
+    gens = len(w.generators) + len(roof.dgens)
     units = 2 * cells * gens
     if units > MAX_SCAN_UNITS:
         raise ValueError(

@@ -118,19 +118,10 @@ def _defaulted(name, args, skip):
             yield name, a.arg, None
 
 
-def _set_by_the_class(node):
-    value = node.value
-    return isinstance(value, ast.Call) and any(
-        k.arg == "init" and isinstance(k.value, ast.Constant) and k.value.value is False for k in value.keywords
-    )
-
-
 def _optional_parameters(path):
     """Defaulted parameters of the public functions of ``path``, and of
     its public classes other than enums: the defaulted fields, the
-    ``__init__`` parameters and those of the public methods.  A field
-    declared ``field(init=False, ...)`` is set by the class itself and
-    is no parameter."""
+    ``__init__`` parameters and those of the public methods."""
     for node in ast.parse(path.read_text()).body:
         if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
             continue
@@ -139,7 +130,7 @@ def _optional_parameters(path):
             continue
         if any(ast.unparse(b).endswith("Enum") for b in node.bases):
             continue
-        fields = [item for item in node.body if isinstance(item, ast.AnnAssign) and not _set_by_the_class(item)]
+        fields = [item for item in node.body if isinstance(item, ast.AnnAssign)]
         yield from ((node.name, f.target.id, i) for i, f in enumerate(fields) if f.value is not None)
         for item in node.body:
             if isinstance(item, ast.FunctionDef) and (item.name == "__init__" or not item.name.startswith("_")):
@@ -170,7 +161,7 @@ def test_every_optional_parameter_has_traffic():
 
     optional = [o for p in sorted(SRC.glob("*.py")) for o in _optional_parameters(p)]
     assert ("trace", "max_steps", 2) in optional and ("GeometryError", "peaks", None) in optional
-    assert ("ConjUpSet", "generators", 0) in optional and ("ConjUpSet", "triples", 1) not in optional
+    assert ("ConjUpSet", "generators", 0) in optional
     assert [f"{name}({param})" for name, param, pos in optional if not passed(name, param, pos)] == []
 
 

@@ -399,30 +399,29 @@ def test_closed_trajectory_roofs_requires_closed(hexcone):
 
 
 def test_closed_trajectory_roofs_on_random_pits():
+    # 22 draws reach the target on this seed; the bound makes a fault that
+    # empties the norms fail here instead of drawing for ever.
     rng = random.Random(23)
     done = 0
-    while done < 12:
+    for _ in range(100):
         w = conj_roof_generators(rand_pit_gens(rng, rng.randint(0, 2)))
-        try:
-            flats = norm(w)
-        except Exception:
-            continue
-        for t in flats[:1]:
+        for t in norm(w)[:1]:
             traj = trace(w, section_at(w, t), max_steps=300)
             if traj.closed:
                 closed_trajectory_roofs(w, traj)  # raises on violation
                 done += 1
+        if done == 12:
+            break
+    assert done == 12
 
 
 def test_first_chart_of_closed_walk_sits_inside_its_cone():
+    # 28 draws reach the target on this seed; bounded as above.
     rng = random.Random(25)
     done = 0
-    while done < 10:
+    for _ in range(100):
         w = conj_roof_generators(rand_pit_gens(rng, rng.randint(0, 2)))
-        try:
-            flats = norm(w)
-        except Exception:
-            continue
+        flats = norm(w)
         if not flats:
             continue
         traj = trace(w, section_at(w, flats[0]), max_steps=300)
@@ -432,6 +431,9 @@ def test_first_chart_of_closed_walk_sits_inside_its_cone():
         for g in first.cone.generators:
             assert conj_contains(w, g)
         done += 1
+        if done == 10:
+            break
+    assert done == 10
 
 
 def test_closed_trajectories_of_roof(hexcone):

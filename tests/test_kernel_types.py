@@ -6,10 +6,11 @@ tuple compares equal to a ``SlantTile``.  So no equality test catches
 a missed wrap; these tests check the exact types, on seeded roofs and
 cones, and check that every construction branch was reached.
 
-The kernels read the regions' generators from their exact-tuple
-``triples`` views, and ``on_surface`` takes the plain tile triples of
-``chart_cover``.  The last tests check the views themselves, and that
-each kernel answers plain and NamedTuple inputs alike.
+The regions hold their generators as exact int triples, which the
+kernels read directly, and ``on_surface`` takes the plain tile triples
+of ``chart_cover``.  The last tests check that every way of building a
+region gives such generators, and that the kernels answer plain and
+``SlantTile`` tiles alike.
 """
 
 import dataclasses
@@ -25,10 +26,12 @@ from tritile import (
     SlantTile,
     StdUpSet,
     Window,
+    chart_cover,
     classify,
     conj_roof_generators,
     decode,
     parse_tile,
+    roof_add,
     section_at,
     sigma,
     std_roof_generators,
@@ -121,18 +124,11 @@ def test_walk_tiles_are_slant_tiles(hexcone):
         assert_tile(s)
 
 
-# -- exact-tuple views --------------------------------------------------------
+# -- exact-tuple generators --------------------------------------------------
 
 STD_REGIONS = [
     std for w in REGIONS for std in (std_roof_generators(w.generators), StdUpSet.from_qpoints(w.generators))
 ]
-
-
-def named_view(region):
-    """A copy of ``region`` whose ``triples`` hold the NamedTuple generators."""
-    twin = dataclasses.replace(region)
-    object.__setattr__(twin, "triples", region.dgens if isinstance(region, StdUpSet) else region.generators)
-    return twin
 
 
 def plain(s) -> tuple:
@@ -141,50 +137,44 @@ def plain(s) -> tuple:
     return tuple(base), d1, d2
 
 
-def test_views_are_the_generators_as_exact_tuples():
+def test_generators_are_exact_int_triples():
+    """Every way of building a region keeps its generators as exact int
+    triples, and they are its only field."""
     assert len(STD_REGIONS) == 80
-    for region in [*REGIONS, *STD_REGIONS]:
-        named, point_type = (region.dgens, LHalf) if isinstance(region, StdUpSet) else (region.generators, QPoint)
-        assert type(region.triples) is tuple and len(region.triples) == len(named) > 0
-        for view, g in zip(region.triples, named):
-            assert type(g) is point_type
-            assert type(view) is tuple and len(view) == 3
-            assert all(type(c) is int for c in view)
-            assert view == g
-    assert ConjUpSet().triples == () and StdUpSet().triples == ()
-
-
-def test_views_are_left_out_of_equality_hash_and_repr():
-    for region in [*REGIONS, *STD_REGIONS]:
-        twin = dataclasses.replace(region)
-        object.__setattr__(twin, "triples", ())
-        assert twin == region and hash(twin) == hash(region)
-        assert repr(twin) == repr(region) and "triples" not in repr(region)
-    assert [f.name for f in dataclasses.fields(ConjUpSet) if f.init] == ["generators"]
-    assert [f.name for f in dataclasses.fields(StdUpSet) if f.init] == ["dgens"]
+    walk = decode("DUDUDD" * 20, parse_tile(DECODE_DUDUDD[0]))
+    built = [
+        *REGIONS,
+        *STD_REGIONS,
+        ConjUpSet(tuple(QPoint(*g) for g in REGIONS[1].generators)),
+        ConjUpSet(tuple(list(g) for g in REGIONS[1].generators)),
+        StdUpSet(tuple(LHalf(*g) for g in STD_REGIONS[0].dgens)),
+        roof_add(REGIONS[0], REGIONS[2]),
+        *(c.cone for c in chart_cover(walk)),
+    ]
+    for region in built:
+        gens = region.dgens if isinstance(region, StdUpSet) else region.generators
+        assert type(gens) is tuple and len(gens) > 0
+        for g in gens:
+            assert type(g) is tuple and len(g) == 3
+            assert all(type(c) is int for c in g)
+    assert ConjUpSet().generators == () and StdUpSet().dgens == ()
+    assert [f.name for f in dataclasses.fields(ConjUpSet)] == ["generators"]
+    assert [f.name for f in dataclasses.fields(StdUpSet)] == ["dgens"]
 
 
 def test_kernels_answer_plain_and_named_inputs_alike():
-    on_off, phases, kinds = set(), set(), set()
+    on_off, kinds = set(), set()
     for w in REGIONS:
-        named = named_view(w)
-        assert surface_tiles(named, WINDOW) == surface_tiles(w, WINDOW)
         for t in flat_tiles_in(WINDOW):
-            for probe in (t, sigma(t), sigma(sigma(t))):  # section_at flattens the last two
-                s = section_at(w, probe)
-                assert_tile(s)
-                assert section_at(named, probe) == s
-                phases.add(s.d1)
+            s = section_at(w, t)
             for cand in (s, *port_candidates(s, Port.UP), *port_candidates(s, Port.DOWN)):
                 answer = on_surface(w, cand)
-                assert on_surface(w, plain(cand)) is on_surface(named, cand) is answer
+                assert on_surface(w, plain(cand)) is answer
                 on_off.add(answer)
     for std in STD_REGIONS[:20]:
-        named = named_view(std)
         for w in REGIONS[:10]:
             for s in surface_tiles(w, WINDOW):
-                kind = _classify_tile(s, std.triples)
-                assert _classify_tile(plain(s), std.triples) == _classify_tile(s, named.triples) == kind
+                kind = _classify_tile(s, std.dgens)
+                assert _classify_tile(plain(s), std.dgens) == kind
                 kinds.add(kind)
-            assert classify(w, named, WINDOW) == classify(w, std, WINDOW)
-    assert on_off == {True, False} and phases == {1, 2, 3} and kinds == {"in", "out", "bd"}
+    assert on_off == {True, False} and kinds == {"in", "out", "bd"}

@@ -479,7 +479,7 @@ def test_in_verdict_reads_only_the_added_corners():
     for w in roofs:
         roof = std_roof_generators(w.generators)
         cone = StdUpSet.from_qpoints(w.generators)
-        added = [g for g in roof.triples if g not in cone.triples]
+        added = [g for g in roof.dgens if g not in cone.dgens]
         assert (not added) == (roof == cone), w.generators
         if not added:
             assert in_tiles_expanded(w) == ()
@@ -487,13 +487,13 @@ def test_in_verdict_reads_only_the_added_corners():
             continue
         hits = []
         for s in surface_tiles(w, seed_window(w.generators)):
-            verdict = _classify_tile(s, roof.triples)
+            verdict = _classify_tile(s, roof.dgens)
             assert (_classify_tile(s, added) == "in") == (verdict == "in"), (w.generators, s)
             if verdict == "in":
                 hits.append(s)
         assert in_tiles_expanded(w) == tuple(hits)
         seen["in"] += len(hits)
-        seen["dropped"] += len(roof.triples) - len(added)
+        seen["dropped"] += len(roof.dgens) - len(added)
     assert seen["shortcut"] >= 3 and seen["in"] >= 1000 and seen["dropped"] >= 40, seen
 
 
