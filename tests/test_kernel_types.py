@@ -137,9 +137,10 @@ def plain(s) -> tuple:
     return tuple(base), d1, d2
 
 
-def test_generators_are_exact_int_triples():
-    """Every way of building a region keeps its generators as exact int
-    triples, and they are its only field."""
+def test_views_are_the_generators_as_exact_tuples():
+    """The kernels read ``generators``/``dgens`` directly, so the view of
+    the antichain they see is the generators themselves: exact int
+    triples, whichever way the region was built."""
     assert len(STD_REGIONS) == 80
     walk = decode("DUDUDD" * 20, parse_tile(DECODE_DUDUDD[0]))
     built = [
@@ -158,6 +159,17 @@ def test_generators_are_exact_int_triples():
             assert type(g) is tuple and len(g) == 3
             assert all(type(c) is int for c in g)
     assert ConjUpSet().generators == () and StdUpSet().dgens == ()
+
+
+def test_views_are_left_out_of_equality_hash_and_repr():
+    """No second view of the antichain is stored: ``generators``/``dgens``
+    are the only fields, and equality, hash and repr read them alone."""
+    for region in [*REGIONS, *STD_REGIONS]:
+        twin = dataclasses.replace(region)
+        assert twin == region and hash(twin) == hash(region)
+        assert repr(twin) == repr(region) and "triples" not in repr(region)
+    named = ConjUpSet(tuple(QPoint(*g) for g in REGIONS[1].generators))
+    assert named == REGIONS[1] and hash(named) == hash(REGIONS[1]) and repr(named) == repr(REGIONS[1])
     assert [f.name for f in dataclasses.fields(ConjUpSet)] == ["generators"]
     assert [f.name for f in dataclasses.fields(StdUpSet)] == ["dgens"]
 
