@@ -7,7 +7,6 @@ exact.
 """
 
 from tritile import (
-    QPoint,
     conj_contains,
     conj_height,
     conj_roof_generators,
@@ -20,26 +19,26 @@ from tritile import (
 
 print("== frames ==")
 q = embed(1, 0, 0)
-print(f"l-point (1,0,0) embeds to q-point {tuple(q)}")
-print(f"back again (doubled): {tuple(inverse_embed(q))}")
-print(f"q-point (1,0,0) has half-integer l-coordinates: {tuple(inverse_embed(QPoint(1,0,0)))} / 2")
-print(f"projection along the diagonal: {tuple(project(QPoint(5,3,2)))}")
-print(f"monomial display: {monomial_text(QPoint(-1,2,1))}")
+print(f"l-point (1,0,0) embeds to q-point {q}")
+print(f"back again (doubled): {inverse_embed(q)}")
+print(f"q-point (1,0,0) has half-integer l-coordinates: {inverse_embed((1,0,0))} / 2")
+print(f"projection along the diagonal: {project((5,3,2))}")
+print(f"monomial display: {monomial_text((-1,2,1))}")
 
 print()
 print("== cones and heights ==")
-pit = [QPoint(1, 1, 0), QPoint(0, 1, 1), QPoint(1, 0, 1)]
+pit = [(1, 1, 0), (0, 1, 1), (1, 0, 1)]
 w = conj_roof_generators(pit)
-print(f"three peaks around a pit: {[tuple(g) for g in w.generators]}")
-for p in [QPoint(1, 1, 1), QPoint(2, 2, 2), QPoint(0, 0, 0)]:
+print(f"three peaks around a pit: {list(w.generators)}")
+for p in [(1, 1, 1), (2, 2, 2), (0, 0, 0)]:
     print(
-        f"  height of {tuple(p)} = {conj_height(w, p):+d}"
+        f"  height of {p} = {conj_height(w, p):+d}"
         f"   (member: {conj_contains(w, p)})"
     )
 
 print()
 print("== roof closure fills valleys ==")
-octants = [QPoint(1, 0, 0), QPoint(0, 1, 0), QPoint(0, 0, 1)]
-print(f"three unit octants close to {[tuple(g) for g in conj_roof_generators(octants).generators]}")
+octants = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
+print(f"three unit octants close to {list(conj_roof_generators(octants).generators)}")
 print("the same points in the l-frame are already closed:")
-print(f"  standard roof keeps {[tuple(p) for p in std_roof_generators(octants).qpoints()]}")
+print(f"  standard roof keeps {list(std_roof_generators(octants).qpoints())}")

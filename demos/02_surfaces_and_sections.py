@@ -4,7 +4,6 @@ decomposition against a standard region."""
 
 from tritile import (
     ConjUpSet,
-    QPoint,
     Window,
     classify,
     flatten,
@@ -14,7 +13,7 @@ from tritile import (
 )
 from tritile.cones import StdUpSet
 
-w = ConjUpSet((QPoint(1, 1, 0), QPoint(0, 1, 1), QPoint(1, 0, 1)))
+w = ConjUpSet(((1, 1, 0), (0, 1, 1), (1, 0, 1)))
 
 print("== sections ==")
 for t in [tile(0, 0, 0, 1, 2), tile(-1, 0, 0, 1, 3), tile(3, 3, 0, 1, 2)]:
@@ -24,7 +23,7 @@ for t in [tile(0, 0, 0, 1, 2), tile(-1, 0, 0, 1, 3), tile(3, 3, 0, 1, 2)]:
 
 print()
 print("== decomposition against the standard cone at the origin ==")
-std = StdUpSet.from_qpoints([QPoint(0, 0, 0)])
+std = StdUpSet.from_qpoints([(0, 0, 0)])
 cl = classify(w, std, Window(-6, 6, -6, 6))
 print(f"In  ({len(cl.in_tiles)}): {[s.text() for s in cl.in_tiles]}")
 print(f"Bd  ({len(cl.bd_tiles)}): {[s.text() for s in cl.bd_tiles]}")
@@ -32,8 +31,8 @@ print(f"Out ({len(cl.out_tiles)}) tiles surround them; consistency = no Bd tiles
 
 print()
 print("== a properly cut tile ==")
-w1 = ConjUpSet((QPoint(0, 0, 0),))
-w2 = StdUpSet.from_qpoints([QPoint(1, 0, -1)])
+w1 = ConjUpSet(((0, 0, 0),))
+w2 = StdUpSet.from_qpoints([(1, 0, -1)])
 cl = classify(w1, w2, Window(-3, 3, -3, 3))
 print(f"octant surface vs a tilted standard cone: Bd = {[s.text() for s in cl.bd_tiles]}")
 print(f"(flat positions: {[flatten(s).text() for s in cl.bd_tiles]})")

@@ -24,15 +24,7 @@ from .dynamics import (
     trace,
 )
 from .errors import GeometryError
-from .lattice import (
-    LHalf,
-    PlanePoint,
-    QPoint,
-    embed,
-    inverse_embed,
-    monomial_text,
-    project,
-)
+from .lattice import embed, inverse_embed, monomial_text, project
 from .surface import (
     Classification,
     Window,

@@ -3,9 +3,10 @@
 An up-set here is the union of the positive octants based at finitely
 many generator points.  A *conjugate* up-set orders points in
 q-coordinates; a *standard* up-set orders them in l-coordinates (stored
-doubled, see :mod:`tritile.lattice`).  Regions are identified with their
-minimal generators, so value equality is equality of the normalized
-generator tuple.
+doubled, see :mod:`tritile.lattice`).  Every point, given or returned,
+is an exact int triple.  Regions are identified with their minimal
+generators, so value equality is equality of the normalized generator
+tuple.
 
 A *roof* enlarges a cone by every point whose three axis rays all
 eventually enter the cone.  The ray along axis i enters it iff some
@@ -26,9 +27,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .errors import GeometryError
-from .lattice import QPoint, componentwise_le, embed, inverse_embed
-
-Triple = tuple[int, int, int]
+from .lattice import Triple, componentwise_le, embed, inverse_embed
 
 
 def _antichain(triples: Iterable[Triple]) -> tuple[Triple, ...]:
@@ -96,12 +95,10 @@ def _roof_closure(triples: Iterable[Triple]) -> set[Triple]:
 class ConjUpSet:
     """Up-set of q-space octants, normalized to its sorted antichain.
 
-    Generators may be given as any integer triples (``QPoint``s, tuples
-    or lists); they come out as exact ``tuple[int, int, int]``s, which
-    the per-tile kernels of :mod:`tritile.surface` and
-    :mod:`tritile.dynamics` read directly: CPython's specializing
-    interpreter (PEP 659) unpacks and indexes an exact ``tuple`` on its
-    fast paths and a ``NamedTuple`` only on the generic ones.
+    Generators may be given as any integer triples (tuples or lists);
+    they come out as exact ``tuple[int, int, int]``s, which the per-tile
+    kernels of :mod:`tritile.surface` and :mod:`tritile.dynamics` read
+    directly (see :mod:`tritile.lattice` on exact tuples).
     """
 
     generators: tuple[Triple, ...] = ()
@@ -117,7 +114,7 @@ class StdUpSet:
     Roof closure in this frame can produce corners at half-integer
     l-points (doubled triples of mixed parity), so the doubled triple is
     the native representation and q-points are only a view.  ``dgens``
-    are exact tuples, as ``ConjUpSet.generators`` are.
+    are exact int triples, as ``ConjUpSet.generators`` are.
     """
 
     dgens: tuple[Triple, ...] = ()
@@ -126,10 +123,10 @@ class StdUpSet:
         object.__setattr__(self, "dgens", _antichain(self.dgens))
 
     @classmethod
-    def from_qpoints(cls, points: Iterable[QPoint]) -> "StdUpSet":
+    def from_qpoints(cls, points: Iterable[Triple]) -> "StdUpSet":
         return cls(tuple(map(inverse_embed, points)))
 
-    def qpoints(self) -> tuple[QPoint, ...]:
+    def qpoints(self) -> tuple[Triple, ...]:
         """Generators as q-points; fails if any corner is off-lattice,
         naming that corner as its doubled l-triple."""
         out = []
@@ -137,7 +134,7 @@ class StdUpSet:
             q2 = embed(*t)
             if any(c % 2 for c in q2):
                 raise ValueError(f"generator {t} is not a lattice point")
-            out.append(QPoint(q2[0] // 2, q2[1] // 2, q2[2] // 2))
+            out.append((q2[0] // 2, q2[1] // 2, q2[2] // 2))
         return tuple(out)
 
 
@@ -154,21 +151,21 @@ def conj_height(w: ConjUpSet, q: Triple) -> int:
     return max(min(x - a, y - b, z - c) for a, b, c in w.generators)
 
 
-def conj_contains(w: ConjUpSet, q: QPoint) -> bool:
+def conj_contains(w: ConjUpSet, q: Triple) -> bool:
     return any(componentwise_le(a, q) for a in w.generators)
 
 
-def conj_roof_generators(points: Iterable[QPoint]) -> ConjUpSet:
+def conj_roof_generators(points: Iterable[Triple]) -> ConjUpSet:
     """Roof closure of the q-space cone over ``points``."""
     return ConjUpSet(_roof_closure(points))
 
 
-def std_contains(w: StdUpSet, q: QPoint) -> bool:
+def std_contains(w: StdUpSet, q: Triple) -> bool:
     dq = inverse_embed(q)
     return any(componentwise_le(g, dq) for g in w.dgens)
 
 
-def std_roof_generators(points: Iterable[QPoint]) -> StdUpSet:
+def std_roof_generators(points: Iterable[Triple]) -> StdUpSet:
     """Roof closure of the l-space cone over ``points`` (doubled frame)."""
     return StdUpSet(_roof_closure(map(inverse_embed, points)))
 

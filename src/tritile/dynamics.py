@@ -20,8 +20,9 @@ from dataclasses import dataclass
 from itertools import pairwise
 from typing import Sequence
 
-from .cones import ConjUpSet, StdUpSet, Triple, std_roof_generators
+from .cones import ConjUpSet, StdUpSet, std_roof_generators
 from .errors import GeometryError
+from .lattice import Triple
 from .surface import classify, norm, on_surface, section_at, seed_window
 from .tiles import Port, SlantTile, gradient, port_candidates
 
@@ -192,7 +193,7 @@ def chart_cover(tiles: Sequence[SlantTile]) -> list[Chart]:
 
     if not tiles:
         return []
-    plain = [(tuple(base), d1, d2) for base, d1, d2 in tiles]
+    plain = [(base, d1, d2) for base, d1, d2 in tiles]
     charts: list[Chart] = []
     i = 0
     while True:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 
-from .lattice import QPoint
+from .lattice import Triple
 from .tiles import SlantTile, flatten, vertices
 
 _SQ3 = math.sqrt(3.0) / 2.0
@@ -23,7 +23,7 @@ _MAX_SVG_COORD = 10**300
 MAX_ASCII_CHARS = 10_000_000
 
 
-def _xy(q: QPoint) -> tuple[float, float]:
+def _xy(q: Triple) -> tuple[float, float]:
     # Past the bound a float conversion overflows or a width is infinite.
     if max(q) > _MAX_SVG_COORD or min(q) < -_MAX_SVG_COORD:
         raise ValueError("a tile coordinate beyond 10^300 is too large to draw as SVG")

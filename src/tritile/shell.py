@@ -41,7 +41,7 @@ from .dynamics import (
     trace,
 )
 from .errors import GeometryError
-from .lattice import QPoint
+from .lattice import Triple
 from .render import ascii_picture, svg_picture
 from .surface import Window, classify, norm, surface_tiles
 from .tiles import SlantTile, parse_int, parse_tile
@@ -85,7 +85,7 @@ def _parse_json(text: str):
         raise ValueError("JSON document is nested too deeply") from None
 
 
-def _load_peaks(path: str) -> tuple[list[QPoint], str]:
+def _load_peaks(path: str) -> tuple[list[Triple], str]:
     with open(path, encoding="utf-8") as fh:
         doc = _parse_json(fh.read())
     if not isinstance(doc, dict):
@@ -107,7 +107,7 @@ def _load_peaks(path: str) -> tuple[list[QPoint], str]:
             and all(isinstance(c, int) and not isinstance(c, bool) for c in p)
         ):
             raise ValueError(f"bad peak {p!r}")
-        points.append(QPoint(*p))
+        points.append(tuple(p))
     return points, kind
 
 

@@ -94,16 +94,17 @@ list built by one pass over the window (the ``classify`` buckets,
 ``surface_tiles``, the In set and ``norm``) already comes out sorted by
 flat tile.  Outputs rely on that order and are not re-sorted.
 
+Every point here is an exact int triple, as in :mod:`tritile.lattice`.
 The per-tile kernels (``flat_tiles_in``, ``section_at`` and the table
-scan) build their points and tiles with ``tuple.__new__``, which gives
-the same type and fields without the Python-level ``__new__`` frame of
-a NamedTuple constructor.  The loops over generators (``on_surface``,
-``section_at``, the table scan and ``_classify_tile``) read the
-regions' ``generators`` and ``dgens``, which are exact int triples:
-CPython's specializing interpreter unpacks and indexes an exact tuple
-on fast paths that a NamedTuple does not get.  For the same reason the
-In scan walks its cells in two ``range`` loops and passes each flat to
-``section_at`` as a plain ``((u, v, 0), 1, d2)`` tuple, not as a
+scan) write a base as a tuple display and wrap the tile with
+``tuple.__new__``, which gives a ``SlantTile`` without the Python-level
+``__new__`` frame of its constructor.  The loops over generators
+(``on_surface``, ``section_at``, the table scan and ``_classify_tile``)
+read the regions' ``generators`` and ``dgens``, which are exact int
+triples: CPython's specializing interpreter unpacks and indexes an exact
+tuple on fast paths that a NamedTuple does not get.  For the same reason
+the In scan walks its cells in two ``range`` loops and passes each flat
+to ``section_at`` as a plain ``((u, v, 0), 1, d2)`` tuple, not as a
 ``SlantTile``.
 """
 
@@ -115,7 +116,7 @@ from typing import Collection, Iterator, NamedTuple, Sequence
 
 from .cones import ConjUpSet, StdUpSet, is_roof, std_roof_generators
 from .errors import GeometryError
-from .lattice import QPoint, project
+from .lattice import Triple, project
 from .tiles import FlatTile, SlantTile, flatten
 
 _new = tuple.__new__  # a NamedTuple built without its constructor frame
@@ -147,7 +148,7 @@ def flat_tiles_in(window: Window) -> Iterator[FlatTile]:
     """All canonical flat tiles whose base cell lies in the window."""
     for u in range(window.u_min, window.u_max + 1):
         for v in range(window.v_min, window.v_max + 1):
-            base = _new(QPoint, (u, v, 0))
+            base = (u, v, 0)
             yield _new(SlantTile, (base, 1, 2))
             yield _new(SlantTile, (base, 1, 3))
 
@@ -242,14 +243,14 @@ def section_at(w: ConjUpSet, t: FlatTile) -> SlantTile:
             if m > hb:
                 hb = m
     if hb > ha:
-        return _new(SlantTile, (_new(QPoint, (u + 1 - hb, v - hb, -hb)), d2, d3))
+        return _new(SlantTile, ((u + 1 - hb, v - hb, -hb), d2, d3))
     # b + e1 + e_d2 - (A+1), with d2 in {2, 3}
     x = u - ha
     y, z = (v - ha, -1 - ha) if d2 == 2 else (v - 1 - ha, -ha)
     for a, b, c in gens:
         if a <= x and b <= y and c <= z:
-            return _new(SlantTile, (_new(QPoint, (x, y, z)), d3, 1))
-    return _new(SlantTile, (_new(QPoint, (u - ha, v - ha, -ha)), 1, d2))
+            return _new(SlantTile, ((x, y, z), d3, 1))
+    return _new(SlantTile, ((u - ha, v - ha, -ha), 1, d2))
 
 
 # -- exact tile-vs-standard-region test -------------------------------------
@@ -283,7 +284,7 @@ def _ramp(lo: int, n: int, cap: int) -> list[int]:
     return [*range(lo, lo + k), *[cap] * (n - k)]
 
 
-def _height_line(gens: list[tuple[int, int, int]], x0: int, n: int, y: int) -> list[int]:
+def _height_line(gens: list[Triple], x0: int, n: int, y: int) -> list[int]:
     """``[max(min(x0 + j - gx, y - gy, gz) for gx, gy, gz in gens) for j in
     range(n)]``: heights along a line of the table, one ramp per generator."""
     ramps = [_ramp(x0 - gx, n, min(y - gy, gz)) for gx, gy, gz in gens]
@@ -306,19 +307,19 @@ def _sections(w: ConjUpSet, window: Window) -> Iterator[SlantTile]:
         for j, v in enumerate(range(v_min, v_max + 1), 1):
             ha, hb = here[j], east[j]
             if hb > ha:
-                base = _new(QPoint, (u + 1 - hb, v - hb, -hb))
+                base = (u + 1 - hb, v - hb, -hb)
                 yield _new(SlantTile, (base, 2, 3))
                 yield _new(SlantTile, (base, 3, 2))
                 continue
-            low = _new(QPoint, (u - ha, v - ha, -ha))
+            low = (u - ha, v - ha, -ha)
             hc = east[j + 1]
             if hc > ha:
-                yield _new(SlantTile, (_new(QPoint, (u + 1 - hc, v + 1 - hc, -hc)), 3, 1))
+                yield _new(SlantTile, ((u + 1 - hc, v + 1 - hc, -hc), 3, 1))
             else:
                 yield _new(SlantTile, (low, 1, 2))
             hc = here[j - 1] + 1
             if hc > ha:
-                yield _new(SlantTile, (_new(QPoint, (u + 1 - hc, v - hc, 1 - hc)), 2, 1))
+                yield _new(SlantTile, ((u + 1 - hc, v - hc, 1 - hc), 2, 1))
             else:
                 yield _new(SlantTile, (low, 1, 3))
 
@@ -339,7 +340,7 @@ def classify(w1: ConjUpSet, w2: StdUpSet, window: Window) -> Classification:
 
 # -- windowed enumeration of the full In set --------------------------------
 
-def seed_window(points: Collection[QPoint]) -> Window:
+def seed_window(points: Collection[Triple]) -> Window:
     """Plane bounding box of ``points`` padded by 8; empty for no points.
 
     This is the box of the module docstring that holds every In tile
@@ -351,8 +352,7 @@ def seed_window(points: Collection[QPoint]) -> Window:
     """
     if not points:
         return Window(0, -1, 0, -1)
-    us = [project(p).u for p in points]
-    vs = [project(p).v for p in points]
+    us, vs = zip(*map(project, points))
     return Window(min(us) - 8, max(us) + 8, min(vs) - 8, max(vs) + 8)
 
 

@@ -12,10 +12,11 @@ base and mid, UP between mid and top.  The remaining edge, the face
 diagonal, is never crossed.  Across a port there are exactly two
 possible neighbours: one keeps the tile's gradient and one flips it.
 The two candidates at one port are a single shift apart, so they cover
-the same flat tile.  ``port_candidates``, called once per step or
-decoded symbol, builds them with ``tuple.__new__``, skipping the
-Python-level ``__new__`` frame of the NamedTuple constructors; ``tile``
-and ``parse_tile`` validate and keep the constructors.
+the same flat tile.  A tile's base is a plain int triple.
+``port_candidates``, called once per step or decoded symbol, builds its
+tiles and pair with ``tuple.__new__``, skipping the Python-level
+``__new__`` frame of the NamedTuple constructors; ``tile`` and
+``parse_tile`` validate and keep the constructors.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from __future__ import annotations
 import enum
 from typing import NamedTuple
 
-from .lattice import UNIT, QPoint, q_add, q_shift
+from .lattice import UNIT, Triple, q_add, q_shift
 
 Gradient = tuple[int, int]  # unordered axis pair, stored sorted
 
@@ -31,7 +32,7 @@ _new = tuple.__new__  # a NamedTuple built without its constructor frame
 
 
 class SlantTile(NamedTuple):
-    base: QPoint
+    base: Triple
     d1: int
     d2: int
 
@@ -67,7 +68,7 @@ class PortPair(NamedTuple):
 def tile(q1: int, q2: int, q3: int, d1: int, d2: int) -> SlantTile:
     if d1 == d2 or not {d1, d2} <= {1, 2, 3}:
         raise ValueError(f"bad direction pair ({d1},{d2})")
-    return SlantTile(QPoint(q1, q2, q3), d1, d2)
+    return SlantTile((q1, q2, q3), d1, d2)
 
 
 def parse_int(text: str) -> int:
@@ -94,7 +95,7 @@ def parse_tile(text: str) -> SlantTile:
         raise ValueError(f"bad tile text {text!r}") from exc
 
 
-def vertices(s: SlantTile) -> tuple[QPoint, QPoint, QPoint]:
+def vertices(s: SlantTile) -> tuple[Triple, Triple, Triple]:
     """Base, mid and top vertex; base is the minimum, top the maximum."""
     mid = q_add(s.base, UNIT[s.d1])
     return s.base, mid, q_add(mid, UNIT[s.d2])
@@ -135,9 +136,9 @@ def port_candidates(s: SlantTile, port: Port) -> PortPair:
     d3 = 6 - d1 - d2
     if port is Port.UP:
         x, y, z = x + (d1 == 1), y + (d1 == 2), z + (d1 == 3)  # base + e_d1
-        flip = _new(SlantTile, (_new(QPoint, (x - (d3 == 1), y - (d3 == 2), z - (d3 == 3))), d3, d2))
-        keep = _new(SlantTile, (_new(QPoint, (x, y, z)), d2, d1))
+        flip = _new(SlantTile, ((x - (d3 == 1), y - (d3 == 2), z - (d3 == 3)), d3, d2))
+        keep = _new(SlantTile, ((x, y, z), d2, d1))
     else:
-        keep = _new(SlantTile, (_new(QPoint, (x - (d2 == 1), y - (d2 == 2), z - (d2 == 3))), d2, d1))
+        keep = _new(SlantTile, ((x - (d2 == 1), y - (d2 == 2), z - (d2 == 3)), d2, d1))
         flip = _new(SlantTile, (s[0], d1, d3))
     return _new(PortPair, (flip, keep))

@@ -24,6 +24,7 @@ section and the port rule alone.
 from __future__ import annotations
 
 import functools
+import itertools
 import random
 import sys
 from collections import Counter
@@ -31,13 +32,14 @@ from fractions import Fraction
 
 import pytest
 
-from tritile import ConjUpSet, QPoint, SlantTile, Window, embed, flat_tiles_in, flatten, inverse_embed, vertices
+from tritile import ConjUpSet, SlantTile, Window, embed, flatten, inverse_embed, vertices
 from tritile import dynamics, surface
 from tritile.errors import GeometryError
+from tritile.lattice import Triple
 from tritile.tiles import Port, gradient, port_candidates
 
 # The six-tile closed walk around the three-peak pit, in walk order.
-HEX_GENS = (QPoint(1, 1, 0), QPoint(0, 1, 1), QPoint(1, 0, 1))
+HEX_GENS = ((1, 1, 0), (0, 1, 1), (1, 0, 1))
 HEX_WALK = ("1,1,0:31", "1,0,1:21", "1,0,1:23", "0,1,1:13", "0,1,1:12", "1,1,0:32")
 DECODE_DUDUDD = ("1,1,0:31", "1,0,1:21", "1,0,1:23", "0,1,1:13", "0,1,1:12", "1,1,1:21")
 
@@ -47,37 +49,37 @@ def hexcone() -> ConjUpSet:
     return ConjUpSet(HEX_GENS)
 
 
-def rand_antichain(rng: random.Random, box: int, npts: int) -> tuple[QPoint, ...]:
+def rand_antichain(rng: random.Random, box: int, npts: int) -> tuple[Triple, ...]:
     pts = {
-        QPoint(rng.randrange(-box, box + 1), rng.randrange(-box, box + 1), rng.randrange(-box, box + 1))
+        (rng.randrange(-box, box + 1), rng.randrange(-box, box + 1), rng.randrange(-box, box + 1))
         for _ in range(npts)
     }
     return ConjUpSet(tuple(pts)).generators
 
 
-def pit(c: QPoint) -> list[QPoint]:
+def pit(c: Triple) -> list[Triple]:
     """The three peaks one step under a common center: the basic closed-orbit maker."""
     return [
-        QPoint(c[0] - 1, c[1], c[2]),
-        QPoint(c[0], c[1] - 1, c[2]),
-        QPoint(c[0], c[1], c[2] - 1),
+        (c[0] - 1, c[1], c[2]),
+        (c[0], c[1] - 1, c[2]),
+        (c[0], c[1], c[2] - 1),
     ]
 
 
 _EDGE_OFFSETS = (
-    QPoint(0, 1, -1), QPoint(1, 0, -1), QPoint(1, -1, 0),
-    QPoint(0, -1, 1), QPoint(-1, 0, 1), QPoint(-1, 1, 0),
+    (0, 1, -1), (1, 0, -1), (1, -1, 0),
+    (0, -1, 1), (-1, 0, 1), (-1, 1, 0),
 )
 
 
-def rand_pit_gens(rng: random.Random, extra_pits: int) -> list[QPoint]:
+def rand_pit_gens(rng: random.Random, extra_pits: int) -> list[Triple]:
     """Generators of one pit plus optional neighbours sharing peaks."""
-    c = QPoint(rng.randrange(-2, 3), rng.randrange(-2, 3), rng.randrange(-2, 3))
+    c = (rng.randrange(-2, 3), rng.randrange(-2, 3), rng.randrange(-2, 3))
     centers = [c]
     for _ in range(extra_pits):
         base = rng.choice(centers)
         off = rng.choice(_EDGE_OFFSETS)
-        centers.append(QPoint(base[0] + off[0], base[1] + off[1], base[2] + off[2]))
+        centers.append((base[0] + off[0], base[1] + off[1], base[2] + off[2]))
     return [g for cc in centers for g in pit(cc)]
 
 
@@ -90,6 +92,27 @@ def plane_peaks(n: int, seed: int, spread: int) -> list[list[int]]:
         if [x, y, -x - y] not in pts:
             pts.append([x, y, -x - y])
     return pts
+
+
+# -- the q-axis permutations -------------------------------------------------
+
+# Each permutation sigma of the three q-axes as (sigma(1), sigma(2), sigma(3)).
+AXIS_PERMUTATIONS = tuple(itertools.permutations((1, 2, 3)))
+
+
+def permute_point(perm, p) -> Triple:
+    """``sigma p``: coordinate i of ``p`` moves to axis ``perm[i-1]``."""
+    out = [0, 0, 0]
+    for axis, c in zip(perm, p):
+        out[axis - 1] = c
+    return tuple(out)
+
+
+def permute_tile(perm, s) -> SlantTile:
+    """``b[d1 d2] -> sigma b[sigma d1 sigma d2]``: the tile whose vertices
+    are the images of the vertices of ``s``."""
+    b, d1, d2 = s
+    return SlantTile(permute_point(perm, b), perm[d1 - 1], perm[d2 - 1])
 
 
 # -- independent oracles -----------------------------------------------------
@@ -136,16 +159,16 @@ def sample_in_open(dgens, p) -> bool:
     return any(all(p[t] > g[t] for t in range(3)) for g in dgens)
 
 
-_E = {1: QPoint(1, 0, 0), 2: QPoint(0, 1, 0), 3: QPoint(0, 0, 1)}
+_E = {1: (1, 0, 0), 2: (0, 1, 0), 3: (0, 0, 1)}
 
 
-def _plus(p, axis: int) -> QPoint:
+def _plus(p, axis: int) -> Triple:
     e = _E[axis]
-    return QPoint(p[0] + e[0], p[1] + e[1], p[2] + e[2])
+    return (p[0] + e[0], p[1] + e[1], p[2] + e[2])
 
 
-def _diag(q, k: int) -> QPoint:
-    return QPoint(q[0] + k, q[1] + k, q[2] + k)
+def _diag(q, k: int) -> Triple:
+    return (q[0] + k, q[1] + k, q[2] + k)
 
 
 def _span(gens, q) -> int:
@@ -173,13 +196,14 @@ def brute_height(gens, q) -> int:
 
 def brute_section(gens, t: SlantTile) -> list[SlantTile]:
     """Every slant tile over the canonical flat tile ``t`` (base height
-    zero, first direction 1) whose three vertices are boundary points.
+    zero, first direction 1) whose three vertices are boundary points;
+    ``t`` may also be a plain ``(base, 1, d2)`` tuple.
 
     Each of the three shift phases ``b[1 d2]``, ``(b+e1)[d2 d3]`` and
     ``(b+e1+e_d2)[d3 1]`` is slid over every diagonal offset within the
     span of the generators; a staircase keeps exactly one survivor.
     """
-    b, d2 = t.base, t.d2
+    b, _, d2 = t
     d3 = 5 - d2
     phases = ((b, 1, d2), (_plus(b, 1), d2, d3), (_plus(_plus(b, 1), d2), d3, 1))
     span = _span(gens, b)
@@ -225,11 +249,11 @@ def brute_closed_orbits(gens, flats) -> set:
     return core
 
 
-def brute_minimal(points) -> tuple[QPoint, ...]:
+def brute_minimal(points) -> tuple[Triple, ...]:
     """Sorted points of ``points`` that no other point lies below."""
     pts = set(points)
     return tuple(sorted(
-        QPoint(*p) for p in pts
+        p for p in pts
         if not any(o != p and all(o[t] <= p[t] for t in range(3)) for o in pts)
     ))
 
@@ -247,13 +271,16 @@ def brute_in_tiles(w, points, window) -> list:
     from the brute section and sampled roof membership.  Four parts per
     edge already put samples inside both half squares of a tile; each
     doubled l-sample goes back to q-coordinates as ``embed`` of its
-    halves."""
+    halves.  The flats are the window's cells in order of ``u`` then
+    ``v``, ``[1 2]`` before ``[1 3]``, enumerated here."""
     hits = []
-    for t in flat_tiles_in(window):
-        (s,) = brute_section(w.generators, t)
-        samples = tile_samples(s, denom=4)
-        if all(brute_std_roof_member(points, embed(*(c / 2 for c in p))) for p in samples):
-            hits.append(s)
+    for u in range(window.u_min, window.u_max + 1):
+        for v in range(window.v_min, window.v_max + 1):
+            for t in (((u, v, 0), 1, 2), ((u, v, 0), 1, 3)):
+                (s,) = brute_section(w.generators, t)
+                samples = tile_samples(s, denom=4)
+                if all(brute_std_roof_member(points, embed(*(c / 2 for c in p))) for p in samples):
+                    hits.append(s)
     return hits
 
 

@@ -24,7 +24,6 @@ from conftest import (
 )
 from tritile import (
     ConjUpSet,
-    QPoint,
     Trajectory,
     Window,
     chart_cover,
@@ -82,15 +81,15 @@ def test_criterion_01_hexagon_golden():
 
 def test_criterion_02_surface_decomposition():
     w1 = ConjUpSet(HEX_GENS)
-    w2 = StdUpSet.from_qpoints([QPoint(0, 0, 0)])
+    w2 = StdUpSet.from_qpoints([(0, 0, 0)])
     cl = classify(w1, w2, Window(-8, 8, -8, 8))
     ok = set(cl.in_tiles) == set(HEX_TILES) and cl.bd_tiles == ()
     report(2, ok, f"In = the six listed tiles, Bd empty (|Out|={len(cl.out_tiles)})")
 
 
 def test_criterion_03_roof_identities():
-    vx, vy, vz = (ConjUpSet((q,)) for q in (QPoint(1, 0, 0), QPoint(0, 1, 0), QPoint(0, 0, 1)))
-    first = roof_add(roof_add(vx, vy), vz).generators == (QPoint(0, 0, 0),)
+    vx, vy, vz = (ConjUpSet((q,)) for q in ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
+    first = roof_add(roof_add(vx, vy), vz).generators == ((0, 0, 0),)
     parts = [ConjUpSet((g,)) for g in HEX_GENS]
     second = roof_add(roof_add(parts[0], parts[1]), parts[2]).generators == tuple(sorted(HEX_GENS))
     report(3, first and second, "octant sum collapses to origin; pit sum keeps its three peaks")
@@ -100,7 +99,7 @@ def test_criterion_04_norms():
     singles = [
         (0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0), (0, 1, 1), (1, 0, 1),
     ]
-    empties = all(norm(conj_roof_generators([QPoint(*g)])) == () for g in singles)
+    empties = all(norm(conj_roof_generators([g])) == () for g in singles)
     hexnorm = norm(conj_roof_generators(HEX_GENS))
     six = hexnorm == tuple(sorted(flatten(s) for s in HEX_TILES))
     report(4, empties and six, "single-peak norms empty; pit norm is its six flat tiles")
@@ -108,8 +107,8 @@ def test_criterion_04_norms():
 
 def test_criterion_05_fusion():
     w1 = conj_roof_generators(HEX_GENS)
-    w2 = conj_roof_generators([QPoint(1, 2, -1), QPoint(0, 2, 0), QPoint(1, 1, 0)])
-    w3 = conj_roof_generators([QPoint(0, 2, 0), QPoint(-1, 2, 1), QPoint(0, 1, 1)])
+    w2 = conj_roof_generators([(1, 2, -1), (0, 2, 0), (1, 1, 0)])
+    w3 = conj_roof_generators([(0, 2, 0), (-1, 2, 1), (0, 1, 1)])
     hexes_ok = all(
         [(len(t), t.closed) for t in closed_trajectories_of_roof(w)] == [(6, True)]
         for w in (w1, w2, w3)
@@ -128,14 +127,14 @@ def test_criterion_05_fusion():
 
 def test_criterion_06_sweep():
     w1 = conj_roof_generators(HEX_GENS)
-    w3 = conj_roof_generators([QPoint(0, 2, 0), QPoint(-1, 2, 1), QPoint(0, 1, 1)])
-    w5 = conj_roof_generators([QPoint(0, 1, 1), QPoint(-1, 1, 2), QPoint(0, 0, 2)])
+    w3 = conj_roof_generators([(0, 2, 0), (-1, 2, 1), (0, 1, 1)])
+    w5 = conj_roof_generators([(0, 1, 1), (-1, 1, 2), (0, 0, 2)])
     w5_hex = [(len(t), t.closed) for t in closed_trajectories_of_roof(w5)] == [(6, True)]
     total = roof_add(roof_add(w1, w3), w5)
 
     claimed = (
-        QPoint(-1, 1, 2), QPoint(-1, 2, 1), QPoint(0, 0, 2),
-        QPoint(0, 2, 0), QPoint(1, 0, 1), QPoint(1, 1, 0),
+        (-1, 1, 2), (-1, 2, 1), (0, 0, 2),
+        (0, 2, 0), (1, 0, 1), (1, 1, 0),
     )
     gens_ok = total.generators == claimed
 
@@ -167,7 +166,7 @@ def test_criterion_07_decode_golden():
     charts_ok = (
         len(charts) == 2
         and charts[0].cone == ConjUpSet(HEX_GENS)
-        and charts[1].cone == ConjUpSet((QPoint(0, 1, 1), QPoint(1, 0, 1)))
+        and charts[1].cone == ConjUpSet(((0, 1, 1), (1, 0, 1)))
         and (charts[0].start, charts[0].stop) == (0, 4)
         and (charts[1].start, charts[1].stop) == (1, 5)
     )
@@ -199,7 +198,7 @@ def test_criterion_08_codec_round_trip():
 
 def test_criterion_09_roof_closure_oracle():
     rng = random.Random(901)
-    box = [QPoint(a, b, c) for a in range(-3, 4) for b in range(-3, 4) for c in range(-3, 4)]
+    box = [(a, b, c) for a in range(-3, 4) for b in range(-3, 4) for c in range(-3, 4)]
     ok = True
     for _ in range(200):
         gens = rand_antichain(rng, 3, rng.randint(1, 6))  # 7^3 box
@@ -221,7 +220,7 @@ def test_criterion_10_trajectory_roof_reconstruction():
     w = ConjUpSet(HEX_GENS)
     traj = trace(w, tile(1, 1, 0, 3, 1), max_steps=50)
     w1, w2 = closed_trajectory_roofs(w, traj)
-    ok = w1.qpoints() == (QPoint(0, 0, 0),) and w2 == StdUpSet()
+    ok = w1.qpoints() == ((0, 0, 0),) and w2 == StdUpSet()
 
     rng = random.Random(1001)
     done = 0
@@ -286,8 +285,8 @@ def test_criterion_12_norm_union_bound():
 
 
 def test_criterion_13_bd_witness():
-    w1 = ConjUpSet((QPoint(0, 0, 0),))
-    w2 = StdUpSet.from_qpoints([QPoint(1, 0, -1)])
+    w1 = ConjUpSet(((0, 0, 0),))
+    w2 = StdUpSet.from_qpoints([(1, 0, -1)])
     s = tile(1, 0, 0, 1, 2)
     cl = classify(w1, w2, Window(-4, 4, -4, 4))
     bd_ok = s in cl.bd_tiles

@@ -15,7 +15,6 @@ from conftest import (
 from tritile import (
     ConjUpSet,
     GeometryError,
-    QPoint,
     conj_contains,
     conj_height,
     conj_roof_generators,
@@ -25,36 +24,36 @@ from tritile import (
     std_roof_generators,
 )
 from tritile.cones import StdUpSet
-from tritile.lattice import LHalf
+from tritile.lattice import inverse_embed
 
 coords = st.integers(min_value=-6, max_value=6)
-qpoints = st.builds(QPoint, coords, coords, coords)
+qpoints = st.tuples(coords, coords, coords)
 point_sets = st.sets(qpoints, min_size=1, max_size=6)
 
 
 def test_minimalize_examples():
     # Constructing an up-set keeps the sorted minimal generators.
-    assert ConjUpSet((QPoint(1, 1, 0), QPoint(1, 1, 1))).generators == (QPoint(1, 1, 0),)
-    unchanged = (QPoint(0, 0, 1), QPoint(0, 1, 0), QPoint(1, 0, 0))
+    assert ConjUpSet(((1, 1, 0), (1, 1, 1))).generators == ((1, 1, 0),)
+    unchanged = ((0, 0, 1), (0, 1, 0), (1, 0, 0))
     assert ConjUpSet(unchanged).generators == unchanged
-    four = (QPoint(1, 0, 1), QPoint(1, 1, 1), QPoint(0, 1, 1), QPoint(1, 1, 0))
-    assert ConjUpSet(four).generators == (QPoint(0, 1, 1), QPoint(1, 0, 1), QPoint(1, 1, 0))
+    four = ((1, 0, 1), (1, 1, 1), (0, 1, 1), (1, 1, 0))
+    assert ConjUpSet(four).generators == ((0, 1, 1), (1, 0, 1), (1, 1, 0))
 
 
 def test_minimalize_standard_order_differs():
     # (1,0,0) dominates (0,0,0) in q-order but its l-coordinates
     # (-1/2,1/2,1/2) are incomparable with the origin's.
-    pts = [QPoint(1, 0, 0), QPoint(0, 0, 0)]
-    assert ConjUpSet(tuple(pts)).generators == (QPoint(0, 0, 0),)
+    pts = [(1, 0, 0), (0, 0, 0)]
+    assert ConjUpSet(tuple(pts)).generators == ((0, 0, 0),)
     std = StdUpSet.from_qpoints(pts)
-    assert std.dgens == (LHalf(-1, 1, 1), LHalf(0, 0, 0))
-    assert sorted(std.qpoints()) == [QPoint(0, 0, 0), QPoint(1, 0, 0)]
+    assert std.dgens == ((-1, 1, 1), (0, 0, 0))
+    assert sorted(std.qpoints()) == [(0, 0, 0), (1, 0, 0)]
 
 
 def test_upset_normalizes_on_construction():
-    w = ConjUpSet((QPoint(1, 1, 1), QPoint(1, 1, 0), QPoint(1, 1, 0)))
-    assert w.generators == (QPoint(1, 1, 0),)
-    assert w == ConjUpSet((QPoint(1, 1, 0),))
+    w = ConjUpSet(((1, 1, 1), (1, 1, 0), (1, 1, 0)))
+    assert w.generators == ((1, 1, 0),)
+    assert w == ConjUpSet(((1, 1, 0),))
 
 
 def is_int_triple(g) -> bool:
@@ -62,7 +61,7 @@ def is_int_triple(g) -> bool:
 
 
 def test_upset_keeps_generators_as_int_triples():
-    for form in (tuple, list, lambda p: QPoint(*p)):
+    for form in (tuple, list):
         w = ConjUpSet(tuple(form(p) for p in ((1, 0, 1), (0, 1, 1), (1, 1, 0), (2, 2, 2))))
         assert w.generators == tuple(sorted(HEX_GENS))
         assert all(is_int_triple(g) for g in w.generators)
@@ -71,27 +70,29 @@ def test_upset_keeps_generators_as_int_triples():
 @given(st.lists(st.tuples(coords, coords, coords), max_size=12))
 def test_upset_from_qpoints_equals_upset_from_tuples(points):
     from_tuples = ConjUpSet(tuple(points))
-    from_qpoints = ConjUpSet(tuple(QPoint(*p) for p in points))
-    assert from_qpoints == from_tuples
-    assert hash(from_qpoints) == hash(from_tuples)
-    assert all(is_int_triple(g) for g in from_tuples.generators + from_qpoints.generators)
+    from_lists = ConjUpSet(tuple(list(p) for p in points))
+    assert from_lists == from_tuples and hash(from_lists) == hash(from_tuples)
+    from_qpoints = StdUpSet.from_qpoints(points)
+    doubled = StdUpSet(tuple(inverse_embed(p) for p in points))
+    assert from_qpoints == doubled and hash(from_qpoints) == hash(doubled)
+    assert all(is_int_triple(g) for g in from_tuples.generators + from_lists.generators + from_qpoints.dgens)
 
 
 @given(point_sets, qpoints)
 def test_conj_height_of_tuple_and_qpoint_probes(points, q):
     w = ConjUpSet(tuple(points))
-    assert conj_height(w, tuple(q)) == conj_height(w, q)
+    assert conj_height(w, list(q)) == conj_height(w, q)
 
 
 def test_conj_height_hand_values(hexcone):
-    assert conj_height(hexcone, QPoint(1, 1, 1)) == 0
-    assert conj_height(hexcone, QPoint(2, 2, 2)) == 1
+    assert conj_height(hexcone, (1, 1, 1)) == 0
+    assert conj_height(hexcone, (2, 2, 2)) == 1
     with pytest.raises(GeometryError, match="^empty region has no height function$"):
-        conj_height(ConjUpSet(), QPoint(0, 0, 0))
+        conj_height(ConjUpSet(), (0, 0, 0))
 
 
 wide = st.integers(min_value=-40, max_value=40)
-wide_points = st.builds(QPoint, wide, wide, wide)
+wide_points = st.tuples(wide, wide, wide)
 
 
 @given(wide_points, wide_points)
@@ -111,13 +112,13 @@ def test_conj_height_against_brute_height(points, q):
 @example([(2, 2, 2), (2, 2, 2)])
 def test_upset_generators_are_the_minimal_points(points):
     assert ConjUpSet(tuple(points)).generators == brute_minimal(points)
-    assert StdUpSet(tuple(LHalf(*p) for p in points)).dgens == brute_minimal(points)
+    assert StdUpSet(tuple(points)).dgens == brute_minimal(points)
 
 
 @given(qpoints, st.integers(min_value=-5, max_value=5))
 def test_height_translation_identity(q, k):
     w = ConjUpSet(HEX_GENS)
-    shifted = QPoint(q[0] + k, q[1] + k, q[2] + k)
+    shifted = (q[0] + k, q[1] + k, q[2] + k)
     assert conj_height(w, shifted) == conj_height(w, q) + k
 
 
@@ -128,11 +129,11 @@ def test_height_unit_step_lemma(points, q):
     gens = tuple(points)
     h = brute_height(gens, q)
     assert conj_height(ConjUpSet(gens), q) == h
-    units = [QPoint(1, 0, 0), QPoint(0, 1, 0), QPoint(0, 0, 1)]
+    units = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
     for i, ei in enumerate(units):
-        assert 0 <= brute_height(gens, QPoint(*(a + b for a, b in zip(q, ei)))) - h <= 1
+        assert 0 <= brute_height(gens, tuple((a + b for a, b in zip(q, ei)))) - h <= 1
         for ej in units[i + 1 :]:
-            two = QPoint(*(a + b + c for a, b, c in zip(q, ei, ej)))
+            two = tuple((a + b + c for a, b, c in zip(q, ei, ej)))
             assert brute_height(gens, two) - h <= 1
 
 
@@ -143,32 +144,32 @@ def test_membership_agrees_with_height_sign(points, q):
 
 
 def test_conj_contains_examples(hexcone):
-    assert conj_contains(ConjUpSet((QPoint(1, 1, 0),)), QPoint(1, 1, 1))
-    assert not conj_contains(hexcone, QPoint(0, 0, 0))
-    assert not conj_contains(ConjUpSet(), QPoint(0, 0, 0))
+    assert conj_contains(ConjUpSet(((1, 1, 0),)), (1, 1, 1))
+    assert not conj_contains(hexcone, (0, 0, 0))
+    assert not conj_contains(ConjUpSet(), (0, 0, 0))
 
 
 def test_conj_roof_examples():
-    octants = [QPoint(1, 0, 0), QPoint(0, 1, 0), QPoint(0, 0, 1)]
-    assert conj_roof_generators(octants).generators == (QPoint(0, 0, 0),)
+    octants = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
+    assert conj_roof_generators(octants).generators == ((0, 0, 0),)
     assert conj_roof_generators(HEX_GENS).generators == tuple(sorted(HEX_GENS))
-    assert conj_roof_generators([QPoint(2, -1, 3)]).generators == (QPoint(2, -1, 3),)
+    assert conj_roof_generators([(2, -1, 3)]).generators == ((2, -1, 3),)
 
 
 def test_std_roof_examples():
-    octants = [QPoint(1, 0, 0), QPoint(0, 1, 0), QPoint(0, 0, 1)]
+    octants = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
     assert set(std_roof_generators(octants).qpoints()) == set(octants)
-    assert std_roof_generators(HEX_GENS).qpoints() == (QPoint(0, 0, 0),)
+    assert std_roof_generators(HEX_GENS).qpoints() == ((0, 0, 0),)
 
 
 def test_std_contains_example():
-    assert std_contains(StdUpSet.from_qpoints([QPoint(0, 0, 0)]), QPoint(1, 1, 1))
-    assert not std_contains(StdUpSet(), QPoint(1, 1, 1))
+    assert std_contains(StdUpSet.from_qpoints([(0, 0, 0)]), (1, 1, 1))
+    assert not std_contains(StdUpSet(), (1, 1, 1))
 
 
 def test_std_qpoints_rejects_off_lattice_corner():
     with pytest.raises(ValueError, match=r"^generator \(0, 1, 1\) is not a lattice point$"):
-        StdUpSet((LHalf(0, 1, 1),)).qpoints()
+        StdUpSet(((0, 1, 1),)).qpoints()
 
 
 @given(st.lists(st.tuples(coords, coords, coords), max_size=12))
@@ -177,8 +178,8 @@ def test_roof_generators_accept_lists_tuples_and_qpoints(points):
         return (
             [list(p) for p in points],
             points,
-            tuple(QPoint(*p) for p in points),
-            (QPoint(*p) for p in points),
+            tuple(points),
+            iter(points),
         )
 
     conj = {conj_roof_generators(f) for f in forms()}
@@ -189,8 +190,8 @@ def test_roof_generators_accept_lists_tuples_and_qpoints(points):
 
 
 def test_roof_add_identities():
-    vx, vy, vz = (ConjUpSet((q,)) for q in (QPoint(1, 0, 0), QPoint(0, 1, 0), QPoint(0, 0, 1)))
-    assert roof_add(roof_add(vx, vy), vz).generators == (QPoint(0, 0, 0),)
+    vx, vy, vz = (ConjUpSet((q,)) for q in ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
+    assert roof_add(roof_add(vx, vy), vz).generators == ((0, 0, 0),)
     hexes = [ConjUpSet((g,)) for g in HEX_GENS]
     total = roof_add(roof_add(hexes[0], hexes[1]), hexes[2])
     assert total.generators == tuple(sorted(HEX_GENS))
@@ -227,7 +228,7 @@ def test_roof_is_extensive():
         # cone membership implies roof membership on a window
         cone = ConjUpSet(gens)
         for _ in range(25):
-            q = QPoint(rng.randrange(-6, 7), rng.randrange(-6, 7), rng.randrange(-6, 7))
+            q = (rng.randrange(-6, 7), rng.randrange(-6, 7), rng.randrange(-6, 7))
             if conj_contains(cone, q):
                 assert conj_contains(w, q)
 
@@ -241,7 +242,7 @@ def test_conj_roof_matches_brute_force_oracle():
         for q1 in box:
             for q2 in box:
                 for q3 in box:
-                    q = QPoint(q1, q2, q3)
+                    q = (q1, q2, q3)
                     assert conj_contains(w, q) == brute_conj_roof_member(gens, q)
 
 
@@ -254,5 +255,5 @@ def test_std_roof_matches_brute_force_oracle():
         for q1 in box:
             for q2 in box:
                 for q3 in box:
-                    q = QPoint(q1, q2, q3)
+                    q = (q1, q2, q3)
                     assert std_contains(w, q) == brute_std_roof_member(gens, q)

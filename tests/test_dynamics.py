@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    AXIS_PERMUTATIONS,
     DECODE_DUDUDD,
     HEX_WALK,
     brute_boundary,
@@ -17,6 +18,8 @@ from conftest import (
     brute_successors,
     count_public_calls,
     padded_box,
+    permute_point,
+    permute_tile,
     pit,
     rand_antichain,
     rand_pit_gens,
@@ -29,7 +32,6 @@ from tritile import (
     conj_contains,
     ConjUpSet,
     GeometryError,
-    QPoint,
     Trajectory,
     chart_cover,
     closed_trajectories_of_roof,
@@ -49,12 +51,11 @@ from tritile import (
 )
 from tritile import dynamics
 from tritile.cones import StdUpSet, conj_roof_generators, std_roof_generators
-from tritile.lattice import LHalf
-from tritile.surface import Classification, flat_tiles_in
+from tritile.surface import Classification, Window, flat_tiles_in
 from tritile.tiles import Port, SlantTile, port_candidates, tile, vertices
 
 HEX_TILES = tuple(parse_tile(t) for t in HEX_WALK)
-OCTANT = ConjUpSet((QPoint(0, 0, 0),))
+OCTANT = ConjUpSet(((0, 0, 0),))
 
 
 def assert_valid_trajectory(traj: Trajectory):
@@ -199,7 +200,7 @@ def test_codec_round_trip_random():
     for _ in range(120):
         code = "".join(rng.choice("UD") for _ in range(rng.randint(1, 24)))
         start = SlantTile(
-            QPoint(rng.randint(-9, 9), rng.randint(-9, 9), rng.randint(-9, 9)),
+            (rng.randint(-9, 9), rng.randint(-9, 9), rng.randint(-9, 9)),
             *rng.choice([(a, b) for a in (1, 2, 3) for b in (1, 2, 3) if a != b]),
         )
         tiles = decode(code, start)
@@ -222,14 +223,14 @@ def test_chart_cover_goldens(hexcone):
     two = chart_cover(decode("DUDUDD", tile(1, 1, 0, 3, 1)))
     assert [(c.start, c.stop) for c in two] == [(0, 4), (1, 5)]
     assert two[0].cone == hexcone
-    assert two[1].cone == ConjUpSet((QPoint(0, 1, 1), QPoint(1, 0, 1)))
+    assert two[1].cone == ConjUpSet(((0, 1, 1), (1, 0, 1)))
 
     one = chart_cover(list(HEX_TILES))
     assert [(c.start, c.stop) for c in one] == [(0, 5)]
     assert one[0].cone == hexcone
 
     single = chart_cover([tile(3, -1, 2, 2, 3)])
-    assert single[0].cone == ConjUpSet((QPoint(3, -1, 2),))
+    assert single[0].cone == ConjUpSet(((3, -1, 2),))
 
     assert chart_cover([]) == []
 
@@ -251,7 +252,7 @@ def test_chart_cover_is_sound_on_random_codes():
 
 coords = st.integers(min_value=-5, max_value=5)
 dirpairs = st.sampled_from([(a, b) for a in (1, 2, 3) for b in (1, 2, 3) if a != b])
-starts = st.builds(lambda q1, q2, q3, d: SlantTile(QPoint(q1, q2, q3), *d), coords, coords, coords, dirpairs)
+starts = st.builds(lambda q1, q2, q3, d: SlantTile((q1, q2, q3), *d), coords, coords, coords, dirpairs)
 
 
 def assert_cover_matches_reference(monkeypatch, tiles):
@@ -325,7 +326,7 @@ def test_chart_fit_rule():
     walks = [decode("DUDUDD", tile(1, 1, 0, 3, 1)), list(HEX_TILES)]
     for _ in range(40):
         code = "".join(rng.choice("UD") for _ in range(rng.randint(1, 30)))
-        start = SlantTile(QPoint(*(rng.randint(-5, 5) for _ in range(3))), *rng.choice(pairs))
+        start = SlantTile(tuple(rng.randint(-5, 5) for _ in range(3)), *rng.choice(pairs))
         walks.append(decode(code, start))
     walks.append(list(trace(OCTANT, tile(0, 0, 0, 1, 2), max_steps=60).tiles))
     verdicts = Counter()
@@ -344,7 +345,7 @@ def test_chart_fit_rule():
 def test_closed_trajectory_roofs_hexagon(hexcone):
     traj = trace(hexcone, tile(1, 1, 0, 3, 1), max_steps=50)
     w1, w2 = closed_trajectory_roofs(hexcone, traj)
-    assert w1.qpoints() == (QPoint(0, 0, 0),)
+    assert w1.qpoints() == ((0, 0, 0),)
     assert w2 == StdUpSet()
 
 
@@ -359,7 +360,7 @@ def test_closed_trajectory_roofs_with_a_residue(monkeypatch):
     calls = count_public_calls(monkeypatch, (std_roof_generators,))
     w1, w2 = closed_trajectory_roofs(w, traj)
     assert calls["std_roof_generators"] == 2
-    assert (w1.dgens, w2.dgens) == ((LHalf(-3, -3, 1),), (LHalf(-2, -2, 2),))
+    assert (w1.dgens, w2.dgens) == (((-3, -3, 1),), ((-2, -2, 2),))
     bases = sorted({s.base for s in traj.tiles})
     in1 = brute_in_tiles(w, bases, padded_box(bases, 4))
     assert len(in1) == 32
@@ -368,7 +369,7 @@ def test_closed_trajectory_roofs_with_a_residue(monkeypatch):
     assert set(in1) - set(in2) == set(traj.tiles)
     for roof, points in ((w1, bases), (w2, residue)):
         for q in product(range(-4, 5), repeat=3):
-            assert std_contains(roof, QPoint(*q)) == brute_std_roof_member(points, q), (roof, q)
+            assert std_contains(roof, q) == brute_std_roof_member(points, q), (roof, q)
 
 
 def test_closed_trajectory_roofs_reports_a_mismatch(monkeypatch, hexcone):
@@ -447,7 +448,7 @@ def test_closed_trajectories_of_roof(hexcone):
 def test_norm_partition_violation_is_reported():
     # this roof's norm holds a walk that does not close within as many
     # tiles as the norm has; it must not pass silently
-    w = ConjUpSet((QPoint(-3, -2, 0), QPoint(0, -3, -2), QPoint(2, 1, -3)))
+    w = ConjUpSet(((-3, -2, 0), (0, -3, -2), (2, 1, -3)))
     msg = "^walk from -1,0,0:12 does not close inside the norm$"
     with pytest.raises(GeometryError, match=msg) as info:
         closed_trajectories_of_roof(w)
@@ -478,7 +479,7 @@ def test_norm_orbits_start_at_the_least_uncovered_flat(monkeypatch):
     # interleave in flat order, so the second orbit starts past flats the
     # first one covered.  Each orbit starts at the least flat not covered
     # by the orbits before it.
-    pits = (QPoint(0, 0, 0), QPoint(-4, 2, -4))
+    pits = ((0, 0, 0), (-4, 2, -4))
     own = [set(norm(ConjUpSet(tuple(pit(c))))) for c in pits]
     flats = tuple(sorted(own[0] | own[1]))
     assert "".join("ab"[t in own[1]] for t in flats) == "aaabbbaaabbb"
@@ -522,7 +523,7 @@ def test_norm_contains_closed_walks():
     # only on three rays (the lemma in the surface.py docstring).  Both
     # gaps occur, so the norm is more than its closed-walk content: the
     # rest is a residue that does not close inside the norm.
-    w = conj_roof_generators([QPoint(-1, 0, 0), QPoint(0, -1, -1), QPoint(1, -2, 0)])
+    w = conj_roof_generators([(-1, 0, 0), (0, -1, -1), (1, -2, 0)])
     flats = set(norm(w))
     assert len(flats) == 4 and brute_closed_orbits(w.generators, flats) == set()
     lower_gap = upper_gap = 0
@@ -569,3 +570,29 @@ def test_step_determinism_on_random_cones():
             for port in (Port.UP, Port.DOWN):
                 # the brute boundary alone keeps one candidate, and step takes it
                 assert brute_successors(w.generators, s, port) == [step(w, s, port)[0]]
+
+
+def test_q_axis_permutations_commute_with_sections_and_steps():
+    """Permuting the q-axes is a symmetry: with ``sigma`` acting on points
+    and tiles as in ``conftest``, every section ``s`` of ``w`` maps to the
+    section ``sigma s`` of ``sigma w`` over the flat of ``sigma s``, and a
+    step maps to the step of the image, through the same ports."""
+    rng = random.Random(41)
+    regions = [conj_roof_generators(rand_pit_gens(rng, i % 3)) for i in range(15)]
+    regions += [ConjUpSet(rand_antichain(rng, 3, 2 + i % 4)) for i in range(15)]
+    sections = steps = 0
+    for w in regions:
+        tiles = [section_at(w, t) for t in flat_tiles_in(Window(-4, 4, -4, 4))]
+        moves = [(s, port, *step(w, s, port)) for s in tiles for port in Port]
+        for perm in AXIS_PERMUTATIONS:
+            image = ConjUpSet(tuple(permute_point(perm, g) for g in w.generators))
+            for s in tiles:
+                ps = permute_tile(perm, s)
+                assert vertices(ps) == tuple(permute_point(perm, v) for v in vertices(s))
+                assert on_surface(image, ps), (w, perm, s)
+                assert section_at(image, flatten(ps)) == ps, (w, perm, s)
+                sections += 1
+            for s, port, nxt, nxt_port in moves:
+                assert step(image, permute_tile(perm, s), port) == (permute_tile(perm, nxt), nxt_port), (w, perm, s)
+                steps += 1
+    assert (sections, steps) == (29_160, 58_320)

@@ -1,10 +1,13 @@
-"""Kernel outputs are real ``SlantTile``s, ``QPoint``s and ``PortPair``s.
+"""Kernel outputs are real ``SlantTile``s and ``PortPair``s, and every point is an exact int tuple.
 
-The per-tile kernels build their tuples with ``tuple.__new__``, which
+The per-tile kernels build their tiles with ``tuple.__new__``, which
 checks neither the arity nor the type of what it wraps, and a plain
 tuple compares equal to a ``SlantTile``.  So no equality test catches
 a missed wrap; these tests check the exact types, on seeded roofs and
-cones, and check that every construction branch was reached.
+cones, and check that every construction branch was reached.  Points,
+tile bases included, are exact ``tuple``s of ``int``s; a NamedTuple
+point would compare equal to one, so only an exact-type check catches
+it coming back.
 
 The regions hold their generators as exact int triples, which the
 kernels read directly, and ``on_surface`` takes the plain tile triples
@@ -14,6 +17,7 @@ region gives such generators, and that the kernels answer plain and
 """
 
 import dataclasses
+import json
 import random
 
 import pytest
@@ -21,8 +25,6 @@ import pytest
 from conftest import DECODE_DUDUDD, rand_antichain, rand_pit_gens
 from tritile import (
     ConjUpSet,
-    LHalf,
-    QPoint,
     SlantTile,
     StdUpSet,
     Window,
@@ -30,25 +32,36 @@ from tritile import (
     classify,
     conj_roof_generators,
     decode,
+    embed,
+    flatten,
+    inverse_embed,
     parse_tile,
+    project,
     roof_add,
     section_at,
     sigma,
     std_roof_generators,
     surface_tiles,
+    tile,
     trace,
+    vertices,
 )
+from tritile.shell import _conj_region
 from tritile.surface import _classify_tile, flat_tiles_in, in_tiles_expanded, on_surface
 from tritile.tiles import Port, PortPair, port_candidates
 
 WINDOW = Window(-4, 4, -4, 4)
 
 
+def assert_point(p, n: int = 3) -> None:
+    assert type(p) is tuple and len(p) == n
+    assert all(type(c) is int for c in p)
+
+
 def assert_tile(s) -> None:
-    assert type(s) is SlantTile
-    assert type(s.base) is QPoint
-    assert len(s) == 3 and len(s.base) == 3
-    assert all(type(c) is int for c in (*s.base, s.d1, s.d2))
+    assert type(s) is SlantTile and len(s) == 3
+    assert_point(s.base)
+    assert type(s.d1) is int and type(s.d2) is int
 
 
 def regions() -> list[ConjUpSet]:
@@ -84,7 +97,7 @@ def test_section_at_builds_slant_tiles():
 
 def test_window_scans_build_slant_tiles():
     kinds = set()
-    std = std_roof_generators([QPoint(0, 0, 0), QPoint(1, -1, 0)])
+    std = std_roof_generators([(0, 0, 0), (1, -1, 0)])
     for w in REGIONS:
         tiles = surface_tiles(w, WINDOW)
         cl = classify(w, std, WINDOW)
@@ -115,6 +128,38 @@ def test_port_candidates_build_a_port_pair_of_slant_tiles(port):
             assert_tile(pair.keep)
 
 
+def test_every_point_producer_returns_exact_int_tuples(tmp_path):
+    s = tile(1, 1, 0, 3, 1)
+    tiles = [
+        s,
+        parse_tile("-2,0,5:12"),
+        sigma(s),
+        flatten(s),
+        flatten(sigma(s)),
+        *port_candidates(s, Port.UP),
+        *port_candidates(s, Port.DOWN),
+        *decode("DUDUDD", s),
+    ]
+    for t in tiles:
+        assert_tile(t)
+        for p in vertices(t):
+            assert_point(p)
+    assert_point(embed(1, 0, 0))
+    assert_point(inverse_embed((1, 0, 0)))
+    assert_point(project((5, 3, 2)), 2)
+    for w in REGIONS:
+        for p in StdUpSet.from_qpoints(w.generators).qpoints():
+            assert_point(p)
+    peaks = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]  # a roof of one generator, (0, 0, 0)
+    for kind in ("cone", "roof"):
+        path = tmp_path / f"{kind}.json"
+        path.write_text(json.dumps({"kind": kind, "peaks": peaks}))
+        gens = _conj_region(str(path)).generators
+        assert len(gens) == (3 if kind == "cone" else 1)
+        for g in gens:
+            assert_point(g)
+
+
 def test_walk_tiles_are_slant_tiles(hexcone):
     tiles = decode("DUDUDD", parse_tile(DECODE_DUDUDD[0]))
     assert [s.text() for s in tiles] == list(DECODE_DUDUDD)
@@ -133,8 +178,7 @@ STD_REGIONS = [
 
 def plain(s) -> tuple:
     """``s`` as an exact ``(base, d1, d2)`` triple, as ``chart_cover`` passes it."""
-    base, d1, d2 = s
-    return tuple(base), d1, d2
+    return tuple(s)
 
 
 def test_views_are_the_generators_as_exact_tuples():
@@ -146,9 +190,8 @@ def test_views_are_the_generators_as_exact_tuples():
     built = [
         *REGIONS,
         *STD_REGIONS,
-        ConjUpSet(tuple(QPoint(*g) for g in REGIONS[1].generators)),
         ConjUpSet(tuple(list(g) for g in REGIONS[1].generators)),
-        StdUpSet(tuple(LHalf(*g) for g in STD_REGIONS[0].dgens)),
+        StdUpSet(tuple(list(g) for g in STD_REGIONS[0].dgens)),
         roof_add(REGIONS[0], REGIONS[2]),
         *(c.cone for c in chart_cover(walk)),
     ]
@@ -168,8 +211,8 @@ def test_views_are_left_out_of_equality_hash_and_repr():
         twin = dataclasses.replace(region)
         assert twin == region and hash(twin) == hash(region)
         assert repr(twin) == repr(region) and "triples" not in repr(region)
-    named = ConjUpSet(tuple(QPoint(*g) for g in REGIONS[1].generators))
-    assert named == REGIONS[1] and hash(named) == hash(REGIONS[1]) and repr(named) == repr(REGIONS[1])
+    lists = ConjUpSet(tuple(list(g) for g in REGIONS[1].generators))
+    assert lists == REGIONS[1] and hash(lists) == hash(REGIONS[1]) and repr(lists) == repr(REGIONS[1])
     assert [f.name for f in dataclasses.fields(ConjUpSet)] == ["generators"]
     assert [f.name for f in dataclasses.fields(StdUpSet)] == ["dgens"]
 

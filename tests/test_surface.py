@@ -25,7 +25,6 @@ from tritile import (
     Classification,
     ConjUpSet,
     GeometryError,
-    QPoint,
     SlantTile,
     Window,
     classify,
@@ -49,7 +48,7 @@ from tritile.surface import _classify_tile, flat_tiles_in, in_tiles_expanded, se
 from tritile.tiles import tile
 
 HEX_TILES = tuple(parse_tile(t) for t in HEX_WALK)
-STD_ORIGIN = StdUpSet.from_qpoints([QPoint(0, 0, 0)])
+STD_ORIGIN = StdUpSet.from_qpoints([(0, 0, 0)])
 
 
 def test_on_surface_examples(hexcone):
@@ -78,7 +77,7 @@ def test_on_surface_against_boundary_oracle():
 
 
 small = st.integers(min_value=-4, max_value=4)
-small_points = st.builds(QPoint, small, small, small)
+small_points = st.tuples(small, small, small)
 DIRS = [(a, b) for a in (1, 2, 3) for b in (1, 2, 3) if a != b]
 
 
@@ -97,13 +96,13 @@ def regions(draw):
 # Both exits of on_surface, on the octant at the origin: (0,0,1):12 has
 # base height 0 and top height 1 (the early exit), (-1,0,0):12 has base
 # height -1 and top height 0, and (0,0,0):12 lies on the surface.
-OCTANT0 = ConjUpSet((QPoint(0, 0, 0),))
+OCTANT0 = ConjUpSet(((0, 0, 0),))
 
 
 @given(regions(), small_points, st.sampled_from(DIRS), st.integers(min_value=-1, max_value=2))
-@example(OCTANT0, QPoint(0, 0, 1), (1, 2), 0)
-@example(OCTANT0, QPoint(-1, 0, 0), (1, 2), 1)
-@example(OCTANT0, QPoint(0, 0, 0), (1, 2), 0)
+@example(OCTANT0, (0, 0, 1), (1, 2), 0)
+@example(OCTANT0, (-1, 0, 0), (1, 2), 1)
+@example(OCTANT0, (0, 0, 0), (1, 2), 0)
 def test_on_surface_one_pass_against_heights(w, p, dirs, depth):
     # The tile's base is slid to height -depth, from -2 to 1, so tiles on,
     # next to and below the surface are drawn; the top is as high or one
@@ -134,7 +133,7 @@ def test_on_surface_of_empty_region_is_false():
 def test_section_examples(hexcone):
     assert section_at(hexcone, flatten(tile(1, 1, 0, 3, 1))) == tile(1, 1, 0, 3, 1)
     assert section_at(hexcone, flatten(tile(0, 1, 1, 1, 2))) == tile(0, 1, 1, 1, 2)
-    octant = ConjUpSet((QPoint(0, 0, 0),))
+    octant = ConjUpSet(((0, 0, 0),))
     assert section_at(octant, tile(0, 0, 0, 1, 2)) == tile(0, 0, 0, 1, 2)
 
 
@@ -147,7 +146,7 @@ def test_section_is_total_and_unique_on_random_cones():
         regions.append(ConjUpSet(rand_antichain(rng, 3, rng.randint(1, 5))))
         regions.append(conj_roof_generators(rand_antichain(rng, 3, rng.randint(2, 5))))
     for d in (19, 20, 21):
-        regions.append(conj_roof_generators([QPoint(0, 0, 0), QPoint(d, -d, rng.randint(-1, 1))]))
+        regions.append(conj_roof_generators([(0, 0, 0), (d, -d, rng.randint(-1, 1))]))
     for w in regions:
         flats = list(flat_tiles_in(padded_box(w.generators, 3)))
         for t in rng.sample(flats, min(len(flats), 150)):
@@ -181,7 +180,7 @@ def section_cases(draw):
     kind = draw(st.sampled_from(["antichain", "pits", "wide"]))
     if kind == "wide":
         d = draw(st.integers(min_value=1, max_value=30))
-        w = conj_roof_generators([QPoint(0, 0, 0), QPoint(d, -d, draw(st.integers(-1, 1)))])
+        w = conj_roof_generators([(0, 0, 0), (d, -d, draw(st.integers(-1, 1)))])
     else:
         rng = random.Random(draw(st.integers(min_value=0, max_value=2**16)))
         if kind == "pits":
@@ -239,7 +238,7 @@ def test_section_and_classify_work_counts(monkeypatch, hexcone):
     assert heights["conj_height"] == 1  # the counter is live
     heights["conj_height"] = 0
     calls = count_public_calls(monkeypatch, (surface.section_at,))
-    wide = conj_roof_generators([QPoint(0, 0, 0), QPoint(6, -6, 1)])
+    wide = conj_roof_generators([(0, 0, 0), (6, -6, 1)])
     for w in (hexcone, wide):
         window = padded_box(w.generators, 3)
         flats = list(flat_tiles_in(window))
@@ -296,8 +295,8 @@ def test_classify_partitions_the_window(hexcone):
 
 
 def test_bd_witness():
-    w1 = ConjUpSet((QPoint(0, 0, 0),))
-    w2 = StdUpSet.from_qpoints([QPoint(1, 0, -1)])
+    w1 = ConjUpSet(((0, 0, 0),))
+    w2 = StdUpSet.from_qpoints([(1, 0, -1)])
     s = tile(1, 0, 0, 1, 2)
     assert on_surface(w1, s)
     assert _classify_tile(s, w2.dgens) == "bd"
@@ -350,7 +349,7 @@ def test_classification_against_dense_sampling():
 
 def test_norm_of_single_peaks_is_empty():
     for g in [(0, 0, 0), (1, 0, 0), (1, 1, 0), (0, 1, 1)]:
-        assert norm(conj_roof_generators([QPoint(*g)])) == ()
+        assert norm(conj_roof_generators([g])) == ()
 
 
 def test_norm_of_hex_pit(hexcone):
@@ -373,7 +372,7 @@ def test_in_scan_over_its_budget_raises_before_any_section(monkeypatch):
     # The hexagon pit plus a peak 10**6 away: the roof adds the pit corner,
     # so the shortcut does not apply, and the box has 1,000,035,000,306
     # cells.  The scan is refused before its first section.
-    w = conj_roof_generators([*HEX_GENS, QPoint(10**6, -(10**6), 0)])
+    w = conj_roof_generators([*HEX_GENS, (10**6, -(10**6), 0)])
     calls = count_public_calls(monkeypatch, (surface.section_at,))
     with pytest.raises(ValueError, match=r"^In scan of 1000035000306 cells over 6 generators .* more than 2000000$"):
         in_tiles_expanded(w)
@@ -407,7 +406,7 @@ def test_scan_counts_past_100_digits_are_written_as_digit_counts():
 
 
 def test_norm_requires_roof():
-    open_cone = ConjUpSet((QPoint(1, 0, 0), QPoint(0, 1, 0), QPoint(0, 0, 1)))
+    open_cone = ConjUpSet(((1, 0, 0), (0, 1, 0), (0, 0, 1)))
     with pytest.raises(ValueError, match="^norm is defined for roof-closed regions only$"):
         norm(open_cone)
 
@@ -428,7 +427,7 @@ def test_no_new_corner_means_no_in_tile(monkeypatch):
     for _ in range(12):
         gens = rand_pit_gens(rng, rng.randint(0, 2))
         assert adds_corner(gens) and adds_corner(conj_roof_generators(gens).generators), gens
-    units = [QPoint(0, 0, 0), QPoint(1, 0, 0), QPoint(0, 1, 0), QPoint(0, 0, 1)]
+    units = [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)]
     calls = count_public_calls(monkeypatch, (surface.section_at,))
     shortcuts = {"roof": 0, "cone": 0}
     for i in range(10):
@@ -437,7 +436,7 @@ def test_no_new_corner_means_no_in_tile(monkeypatch):
             points = []
             for _ in range(rng.randint(2, 5)):
                 g, e = rng.choice(w.generators), rng.choice(units)
-                points.append(QPoint(g[0] + e[0], g[1] + e[1], g[2] + e[2]))
+                points.append((g[0] + e[0], g[1] + e[1], g[2] + e[2]))
             kind = "cone"
         else:
             w = conj_roof_generators(rand_antichain(rng, 2, rng.randint(2, 4)))
@@ -466,14 +465,14 @@ def test_in_verdict_reads_only_the_added_corners():
     # apart, random antichains (some add no corner) and one roof of 20
     # plane peaks.
     rng = random.Random(37)
-    roofs = [conj_roof_generators([QPoint(*p) for p in plane_peaks(20, 3, 12)])]
+    roofs = [conj_roof_generators(plane_peaks(20, 3, 12))]
     for _ in range(10):
         roofs.append(conj_roof_generators(rand_pit_gens(rng, rng.randint(0, 3))))
         extra = rand_antichain(rng, 3, rng.randint(1, 4))
         roofs.append(conj_roof_generators(rand_pit_gens(rng, rng.randint(0, 2)) + list(extra)))
         d = rng.randint(5, 60)
-        far = QPoint(d, rng.randint(-d, d), rng.randint(-2, 2))
-        roofs.append(conj_roof_generators(pit(QPoint(0, 0, 0)) + pit(far)))
+        far = (d, rng.randint(-d, d), rng.randint(-2, 2))
+        roofs.append(conj_roof_generators(pit((0, 0, 0)) + pit(far)))
         roofs.append(conj_roof_generators(rand_antichain(rng, rng.choice((2, 3, 4)), rng.randint(1, 5))))
     seen = {"shortcut": 0, "in": 0, "dropped": 0}
     for w in roofs:
@@ -504,7 +503,7 @@ def test_in_tiles_lie_in_the_box_of_their_points():
     # one unit step or none above its generators, read by `classify` over
     # the box as `closed_trajectory_roofs` reads a walk's bases.
     rng = random.Random(23)
-    units = [QPoint(0, 0, 0), QPoint(1, 0, 0), QPoint(0, 1, 0), QPoint(0, 0, 1)]
+    units = [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)]
     cases = []
     for i in range(6):
         gens = rand_antichain(rng, 2, rng.randint(2, 4)) if i % 2 else rand_pit_gens(rng, rng.randint(0, 1))
@@ -515,7 +514,7 @@ def test_in_tiles_lie_in_the_box_of_their_points():
         points = []
         for _ in range(rng.randint(2, 5)):
             g, e = rng.choice(w.generators), rng.choice(units)
-            points.append(QPoint(g[0] + e[0], g[1] + e[1], g[2] + e[2]))
+            points.append((g[0] + e[0], g[1] + e[1], g[2] + e[2]))
         cases.append(("cone", w, points))
     nonempty = {"roof": 0, "cone": 0}
     for kind, w, points in cases:
@@ -570,8 +569,8 @@ def test_every_in_piece_holds_a_tile_near_an_added_corner():
         roofs.append(conj_roof_generators(rand_pit_gens(rng, rng.randint(0, 3))))
         roofs.append(conj_roof_generators(rand_antichain(rng, rng.choice((2, 3, 4)), rng.randint(2, 6))))
         d = rng.randint(5, 60)
-        far = QPoint(d, rng.randint(-d, d), rng.randint(-2, 2))
-        roofs.append(conj_roof_generators(pit(QPoint(0, 0, 0)) + pit(far)))
+        far = (d, rng.randint(-d, d), rng.randint(-2, 2))
+        roofs.append(conj_roof_generators(pit((0, 0, 0)) + pit(far)))
     pieces = []
     for w in roofs:
         added = set(std_roof_generators(w.generators).dgens) - set(StdUpSet.from_qpoints(w.generators).dgens)

@@ -3,14 +3,14 @@ from hypothesis import strategies as st
 
 import pytest
 
-from tritile import QPoint, flatten, gradient, parse_tile, sigma, vertices
+from tritile import flatten, gradient, parse_tile, sigma, vertices
 from tritile.lattice import componentwise_le
 from tritile.tiles import Port, SlantTile, port_candidates, tile
 
 coords = st.integers(min_value=-20, max_value=20)
 dirpairs = st.sampled_from([(a, b) for a in (1, 2, 3) for b in (1, 2, 3) if a != b])
 tiles = st.builds(
-    lambda q1, q2, q3, d: SlantTile(QPoint(q1, q2, q3), *d), coords, coords, coords, dirpairs
+    lambda q1, q2, q3, d: SlantTile((q1, q2, q3), *d), coords, coords, coords, dirpairs
 )
 
 
@@ -21,7 +21,7 @@ def test_sigma_example():
 @given(tiles)
 def test_sigma_cubed_is_diagonal_translation(s):
     t = sigma(sigma(sigma(s)))
-    assert t.base == QPoint(s.base[0] + 1, s.base[1] + 1, s.base[2] + 1)
+    assert t.base == (s.base[0] + 1, s.base[1] + 1, s.base[2] + 1)
     assert (t.d1, t.d2) == (s.d1, s.d2)
 
 
@@ -53,7 +53,7 @@ def _flatten_by_sigma(s: SlantTile) -> SlantTile:
     while s.d1 != 1:
         s = sigma(s)
     b = s.base
-    return SlantTile(QPoint(b[0] - b[2], b[1] - b[2], 0), 1, s.d2)
+    return SlantTile((b[0] - b[2], b[1] - b[2], 0), 1, s.d2)
 
 
 @given(coords, coords, st.sampled_from((2, 3)), st.integers(min_value=-30, max_value=30))
@@ -63,13 +63,13 @@ def test_flatten_fast_path_and_sigma_loop(u, v, d2, k):
     phases = (t, sigma(t), sigma(sigma(t)))
     for p in phases:
         b = p.base
-        shifted = SlantTile(QPoint(b[0] + k, b[1] + k, b[2] + k), p.d1, p.d2)
+        shifted = SlantTile((b[0] + k, b[1] + k, b[2] + k), p.d1, p.d2)
         assert flatten(shifted) == _flatten_by_sigma(shifted) == t
 
 
 def test_vertices_examples():
-    assert vertices(tile(0, 0, 0, 1, 2)) == (QPoint(0, 0, 0), QPoint(1, 0, 0), QPoint(1, 1, 0))
-    assert vertices(tile(0, 0, 0, 3, 1)) == (QPoint(0, 0, 0), QPoint(0, 0, 1), QPoint(1, 0, 1))
+    assert vertices(tile(0, 0, 0, 1, 2)) == ((0, 0, 0), (1, 0, 0), (1, 1, 0))
+    assert vertices(tile(0, 0, 0, 3, 1)) == ((0, 0, 0), (0, 0, 1), (1, 0, 1))
 
 
 @given(tiles)
