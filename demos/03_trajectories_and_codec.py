@@ -1,6 +1,6 @@
 """Walking a surface and round-tripping the shape through its U/D code."""
 
-from tritile import ConjUpSet, chart_cover, decode, encode, tile, trace
+from tritile import ConjUpSet, chart_cover, decode, encode, tile, tile_text, tile_texts, trace
 from tritile.render import ascii_picture
 
 w = ConjUpSet(((1, 1, 0), (0, 1, 1), (1, 0, 1)))
@@ -9,7 +9,7 @@ print("== the closed walk around the pit ==")
 traj = trace(w, tile(1, 1, 0, 3, 1), max_steps=50)
 print(f"closed={traj.closed} length={len(traj)}")
 for s in traj.tiles:
-    print(f"  {s.text()}")
+    print(f"  {tile_text(s)}")
 code = encode(traj)
 negated = code.translate(str.maketrans("UD", "DU"))
 same = decode(negated, traj.tiles[0]) == list(traj.tiles)
@@ -18,7 +18,7 @@ print(f"second derivative: {code}   (its complement {negated} decodes to the sam
 print()
 print("== decoding a different code from the same start ==")
 tiles = decode("DUDUDD", tile(1, 1, 0, 3, 1))
-print(f"DUDUDD -> {[s.text() for s in tiles]}")
+print(f"DUDUDD -> {tile_texts(tiles)}")
 print("two overlapping charts cover it:")
 for c in chart_cover(tiles):
     print(f"  tiles {c.start}..{c.stop} on cone over {list(c.cone.generators)}")

@@ -29,7 +29,6 @@ from .surface import (
     Classification,
     Window,
     classify,
-    flat_tiles_in,
     in_tiles_expanded,
     norm,
     on_surface,
@@ -47,6 +46,8 @@ from .tiles import (
     port_candidates,
     sigma,
     tile,
+    tile_text,
+    tile_texts,
     vertices,
 )
 

@@ -24,7 +24,7 @@ from .cones import ConjUpSet, StdUpSet, std_roof_generators
 from .errors import GeometryError
 from .lattice import Triple
 from .surface import classify, norm, on_surface, section_at, seed_window
-from .tiles import Port, SlantTile, gradient, port_candidates
+from .tiles import Port, SlantTile, gradient, port_candidates, tile_text
 
 _NEGATE = {"U": "D", "D": "U"}
 MAX_STEPS = 1000  # default tile budget of a walk
@@ -70,7 +70,7 @@ def step(w: ConjUpSet, s: SlantTile, exit_port: Port) -> tuple[SlantTile, Port]:
     if on_surface(w, flip):
         return flip, exit_port.other
     raise GeometryError(
-        f"no candidate on surface at {s.text()}/{exit_port.value}", tile=s, port=exit_port, peaks=w.generators
+        f"no candidate on surface at {tile_text(s)}/{exit_port.value}", tile=s, port=exit_port, peaks=w.generators
     )
 
 
@@ -94,7 +94,7 @@ def trace(w: ConjUpSet, start: SlantTile, max_steps: int = MAX_STEPS) -> Traject
     if max_steps < 1:
         raise ValueError(f"max_steps is a tile budget and must be at least 1, got {max_steps}")
     if not on_surface(w, start):
-        raise GeometryError(f"{start.text()} is not on the surface", tile=start, peaks=w.generators)
+        raise GeometryError(f"{tile_text(start)} is not on the surface", tile=start, peaks=w.generators)
     tiles = [start]
     port = Port.UP
     while True:
@@ -133,11 +133,11 @@ def decode(code: str, start: SlantTile) -> list[SlantTile]:
     tiles = [start]
     port = Port.UP
     for prev_sym, sym in pairwise(code):
-        pair = port_candidates(tiles[-1], port)
+        flip, keep = port_candidates(tiles[-1], port)
         if sym == prev_sym:
-            tiles.append(pair.keep)
+            tiles.append(keep)
         else:
-            tiles.append(pair.flip)
+            tiles.append(flip)
             port = port.other
     return tiles
 
@@ -178,7 +178,7 @@ def chart_cover(tiles: Sequence[SlantTile]) -> list[Chart]:
     """
     units = 0
 
-    def fits(cone: ConjUpSet, seg: Sequence[tuple]) -> bool:
+    def fits(cone: ConjUpSet, seg: Sequence[SlantTile]) -> bool:
         """True iff every tile of ``seg`` is on the surface of ``cone``; stops at the first that is not."""
         nonlocal units
         units += len(seg) * len(cone.generators)
@@ -193,15 +193,14 @@ def chart_cover(tiles: Sequence[SlantTile]) -> list[Chart]:
 
     if not tiles:
         return []
-    plain = [(base, d1, d2) for base, d1, d2 in tiles]
     charts: list[Chart] = []
     i = 0
     while True:
         j = i
-        cone = ConjUpSet((plain[i][0],))
+        cone = ConjUpSet((tiles[i][0],))
         while j + 1 < len(tiles):
-            grown = _grow(cone, plain[j + 1][0])
-            if not fits(grown, plain[i : j + 2]):
+            grown = _grow(cone, tiles[j + 1][0])
+            if not fits(grown, tiles[i : j + 2]):
                 break
             cone, j = grown, j + 1
         # Kept only for its on_surface calls and its charge (bench/run.py
@@ -209,16 +208,16 @@ def chart_cover(tiles: Sequence[SlantTile]) -> list[Chart]:
         # at the tile's own base, which carries it; for j > i it repeats the
         # fits(grown, ...) that just returned True on the same cone and
         # segment, and on_surface is pure.
-        fits(cone, plain[i : j + 1])
+        fits(cone, tiles[i : j + 1])
         charts.append(Chart(cone, i, j))
         if j == len(tiles) - 1:
             return charts
         # The cones of tiles[k:j+2] for k from j+1 down to i+1, then in search order.
-        suffix = [ConjUpSet((plain[j + 1][0],))]
+        suffix = [ConjUpSet((tiles[j + 1][0],))]
         for k in range(j, i, -1):
-            suffix.append(_grow(suffix[-1], plain[k][0]))
+            suffix.append(_grow(suffix[-1], tiles[k][0]))
         suffix.reverse()
-        i = next(k for k, c in zip(range(i + 1, j + 2), suffix) if fits(c, plain[k : j + 2]))
+        i = next(k for k, c in zip(range(i + 1, j + 2), suffix) if fits(c, tiles[k : j + 2]))
 
 
 def closed_trajectory_roofs(w: ConjUpSet, traj: Trajectory) -> tuple[StdUpSet, StdUpSet]:
@@ -231,11 +230,11 @@ def closed_trajectory_roofs(w: ConjUpSet, traj: Trajectory) -> tuple[StdUpSet, S
     """
     if not traj.closed:
         raise ValueError("roof reconstruction needs a closed trajectory")
-    bases = {t.base for t in traj.tiles}
+    bases = {t[0] for t in traj.tiles}
     w1 = std_roof_generators(bases)
     in1 = classify(w, w1, seed_window(bases)).in_tiles
     traj_set = set(traj.tiles)
-    residue_bases = {s.base for s in in1 if s not in traj_set}
+    residue_bases = {s[0] for s in in1 if s not in traj_set}
     w2 = std_roof_generators(residue_bases)
     in2 = classify(w, w2, seed_window(residue_bases)).in_tiles
     if set(in1) - set(in2) != traj_set:
@@ -264,7 +263,7 @@ def closed_trajectories_of_roof(w: ConjUpSet) -> list[Trajectory]:
         traj = trace(w, start, max_steps=len(remaining))
         if not (traj.closed and remaining.issuperset(traj.tiles)):
             raise GeometryError(
-                f"walk from {start.text()} does not close inside the norm", tile=start, peaks=w.generators
+                f"walk from {tile_text(start)} does not close inside the norm", tile=start, peaks=w.generators
             )
         remaining.difference_update(traj.tiles)
         out.append(traj)

@@ -89,9 +89,9 @@ def ascii_picture(tiles: list[tuple[SlantTile, str | None]]) -> str:
     """
     rows: dict[int, dict[int, list[str]]] = {}
     for s, label in tiles:
-        f = flatten(s)
-        slot = 0 if f.d2 == 2 else 1
-        cell = rows.setdefault(f.base[1], {}).setdefault(f.base[0], [" ", " "])
+        (u, v, _), _, d2 = flatten(s)
+        slot = 0 if d2 == 2 else 1
+        cell = rows.setdefault(v, {}).setdefault(u, [" ", " "])
         cell[slot] = label or ("/" if slot == 0 else "\\")
     if not rows:
         return "\n"

@@ -44,7 +44,7 @@ from .errors import GeometryError
 from .lattice import Triple
 from .render import ascii_picture, svg_picture
 from .surface import Window, classify, norm, surface_tiles
-from .tiles import SlantTile, parse_int, parse_tile
+from .tiles import SlantTile, parse_int, parse_tile, tile_text, tile_texts
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -159,7 +159,7 @@ def _traj_doc(traj: Trajectory, code: str) -> dict:
     return {
         "closed": traj.closed,
         "length": len(traj.tiles),
-        "tiles": [s.text() for s in traj.tiles],
+        "tiles": tile_texts(traj.tiles),
         "code": code,
         "charts": [
             {"peaks": [list(g) for g in c.cone.generators], "span": [c.start, c.stop]}
@@ -170,7 +170,7 @@ def _traj_doc(traj: Trajectory, code: str) -> dict:
 
 def _cmd_surface(args) -> int:
     tiles = surface_tiles(_conj_region(args.peaks), args.window)
-    _emit({"tiles": [s.text() for s in tiles]})
+    _emit({"tiles": tile_texts(tiles)})
     return EXIT_OK
 
 
@@ -225,7 +225,7 @@ def _cmd_norm(args) -> int:
     trajs = closed_trajectories_of_roof(w)
     flats = norm(w)
     docs = [_traj_doc(traj, encode(traj)) for traj in trajs]
-    _emit({"norm": [t.text() for t in flats], "trajectories": docs})
+    _emit({"norm": tile_texts(flats), "trajectories": docs})
     return EXIT_OK
 
 
@@ -233,9 +233,9 @@ def _cmd_classify(args) -> int:
     cl = classify(_conj_region(args.peaks), _std_region(args.std_peaks), args.window)
     _emit(
         {
-            "in": [s.text() for s in cl.in_tiles],
-            "out": [s.text() for s in cl.out_tiles],
-            "bd": [s.text() for s in cl.bd_tiles],
+            "in": tile_texts(cl.in_tiles),
+            "out": tile_texts(cl.out_tiles),
+            "bd": tile_texts(cl.bd_tiles),
             "counts": {
                 "in": len(cl.in_tiles),
                 "out": len(cl.out_tiles),
@@ -372,7 +372,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             replay = {
                 "peaks": [list(g) for g in exc.peaks],
                 "port": None if exc.port is None else exc.port.value,
-                "tile": exc.tile.text(),
+                "tile": tile_text(exc.tile),
             }
             sys.stderr.write(json.dumps(replay, sort_keys=True) + "\n")
         return EXIT_GEOMETRY

@@ -86,26 +86,24 @@ lemma that corner is an added one.  A tile is therefore In against the
 roof exactly when it is In against the added corners, and the In scan
 classifies against those alone.
 
-``flat_tiles_in`` enumerates flats in canonical order: by ``u``, then
-``v``, then ``[1 2]`` before ``[1 3]``, which is the sort order of the
-flat tiles themselves, and the In scan walks them in that order too.
-A section flattens back to the flat it was taken over, so every tile
-list built by one pass over the window (the ``classify`` buckets,
+The In scan and the height table both walk the flats of a window in
+canonical order: by ``u``, then ``v``, then ``[1 2]`` before ``[1 3]``,
+which is the sort order of the flat tiles themselves.  A section
+flattens back to the flat it was taken over, so every tile list built
+by one pass over the window (the ``classify`` buckets,
 ``surface_tiles``, the In set and ``norm``) already comes out sorted by
 flat tile.  Outputs rely on that order and are not re-sorted.
 
-Every point here is an exact int triple, as in :mod:`tritile.lattice`.
-The per-tile kernels (``flat_tiles_in``, ``section_at`` and the table
-scan) write a base as a tuple display and wrap the tile with
-``tuple.__new__``, which gives a ``SlantTile`` without the Python-level
-``__new__`` frame of its constructor.  The loops over generators
+Every point here is an exact int triple, as in :mod:`tritile.lattice`,
+and every tile an exact ``(base, d1, d2)`` tuple, as in
+:mod:`tritile.tiles`; the per-tile kernels (``section_at`` and the table
+scan) write both as tuple displays.  The loops over generators
 (``on_surface``, ``section_at``, the table scan and ``_classify_tile``)
 read the regions' ``generators`` and ``dgens``, which are exact int
 triples: CPython's specializing interpreter unpacks and indexes an exact
 tuple on fast paths that a NamedTuple does not get.  For the same reason
 the In scan walks its cells in two ``range`` loops and passes each flat
-to ``section_at`` as a plain ``((u, v, 0), 1, d2)`` tuple, not as a
-``SlantTile``.
+to ``section_at`` as a ``((u, v, 0), 1, d2)`` tuple display.
 """
 
 from __future__ import annotations
@@ -118,8 +116,6 @@ from .cones import ConjUpSet, StdUpSet, is_roof, std_roof_generators
 from .errors import GeometryError
 from .lattice import Triple, project
 from .tiles import FlatTile, SlantTile, flatten
-
-_new = tuple.__new__  # a NamedTuple built without its constructor frame
 
 # Flat-generator pairs charged to the largest In scan, two flats a cell
 # times the region's generators and every roof corner: a scan at the cap
@@ -144,15 +140,6 @@ class Classification:
     bd_tiles: tuple[SlantTile, ...]
 
 
-def flat_tiles_in(window: Window) -> Iterator[FlatTile]:
-    """All canonical flat tiles whose base cell lies in the window."""
-    for u in range(window.u_min, window.u_max + 1):
-        for v in range(window.v_min, window.v_max + 1):
-            base = (u, v, 0)
-            yield _new(SlantTile, (base, 1, 2))
-            yield _new(SlantTile, (base, 1, 3))
-
-
 def on_surface(w: ConjUpSet, s: SlantTile) -> bool:
     """True iff the whole tile lies on the boundary surface of ``w``.
 
@@ -170,8 +157,6 @@ def on_surface(w: ConjUpSet, s: SlantTile) -> bool:
     or below the base lies at or below ``base - e_d3`` iff its d3
     coordinate is below the base's, so that one comparison decides.
     Without generators the base is not in ``w``: the answer is False.
-    ``s`` may also be a plain ``(base, d1, d2)`` triple of the same
-    values, as ``chart_cover`` passes it: the answer is the same.
     """
     base, d1, d2 = s
     x, y, z = base
@@ -243,14 +228,14 @@ def section_at(w: ConjUpSet, t: FlatTile) -> SlantTile:
             if m > hb:
                 hb = m
     if hb > ha:
-        return _new(SlantTile, ((u + 1 - hb, v - hb, -hb), d2, d3))
+        return ((u + 1 - hb, v - hb, -hb), d2, d3)
     # b + e1 + e_d2 - (A+1), with d2 in {2, 3}
     x = u - ha
     y, z = (v - ha, -1 - ha) if d2 == 2 else (v - 1 - ha, -ha)
     for a, b, c in gens:
         if a <= x and b <= y and c <= z:
-            return _new(SlantTile, ((x, y, z), d3, 1))
-    return _new(SlantTile, ((u - ha, v - ha, -ha), 1, d2))
+            return ((x, y, z), d3, 1)
+    return ((u - ha, v - ha, -ha), 1, d2)
 
 
 # -- exact tile-vs-standard-region test -------------------------------------
@@ -308,20 +293,20 @@ def _sections(w: ConjUpSet, window: Window) -> Iterator[SlantTile]:
             ha, hb = here[j], east[j]
             if hb > ha:
                 base = (u + 1 - hb, v - hb, -hb)
-                yield _new(SlantTile, (base, 2, 3))
-                yield _new(SlantTile, (base, 3, 2))
+                yield (base, 2, 3)
+                yield (base, 3, 2)
                 continue
             low = (u - ha, v - ha, -ha)
             hc = east[j + 1]
             if hc > ha:
-                yield _new(SlantTile, ((u + 1 - hc, v + 1 - hc, -hc), 3, 1))
+                yield ((u + 1 - hc, v + 1 - hc, -hc), 3, 1)
             else:
-                yield _new(SlantTile, (low, 1, 2))
+                yield (low, 1, 2)
             hc = here[j - 1] + 1
             if hc > ha:
-                yield _new(SlantTile, ((u + 1 - hc, v - hc, 1 - hc), 2, 1))
+                yield ((u + 1 - hc, v - hc, 1 - hc), 2, 1)
             else:
-                yield _new(SlantTile, (low, 1, 3))
+                yield (low, 1, 3)
 
 
 def classify(w1: ConjUpSet, w2: StdUpSet, window: Window) -> Classification:

@@ -15,6 +15,7 @@ from conftest import (
     brute_conj_roof_member,
     brute_std_roof_member,
     brute_successors,
+    flat_tiles_in,
     padded_box,
     rand_antichain,
     rand_pit_gens,
@@ -42,10 +43,11 @@ from tritile import (
     std_contains,
     std_roof_generators,
     step,
+    tile_text,
+    tile_texts,
     trace,
 )
 from tritile.cones import StdUpSet
-from tritile.surface import flat_tiles_in
 from tritile.tiles import Port, tile
 
 HEX_TILES = tuple(parse_tile(t) for t in HEX_WALK)
@@ -161,7 +163,7 @@ def test_criterion_06_sweep():
 
 def test_criterion_07_decode_golden():
     tiles = decode("DUDUDD", tile(1, 1, 0, 3, 1))
-    tiles_ok = tuple(s.text() for s in tiles) == DECODE_DUDUDD
+    tiles_ok = tuple(tile_texts(tiles)) == DECODE_DUDUDD
     charts = chart_cover(tiles)
     charts_ok = (
         len(charts) == 2
@@ -249,7 +251,7 @@ def test_criterion_11_step_determinism():
             for port in (Port.UP, Port.DOWN):
                 # the brute boundary alone keeps one candidate, and step takes it
                 if brute_successors(w.generators, s, port) != [step(w, s, port)[0]]:
-                    failures.append(f"{s.text()}/{port.value} over {w.generators}")
+                    failures.append(f"{tile_text(s)}/{port.value} over {w.generators}")
                 checked += 1
     report(
         11,

@@ -27,7 +27,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import HEX_GENS, plane_peaks
-from tritile import ConjUpSet, project, section_at, shell, tile
+from tritile import ConjUpSet, project, section_at, shell, tile, tile_text
 from tritile.shell import main
 
 # Every document lies around an origin drawn from the full range, with a
@@ -240,7 +240,7 @@ def walks(draw):
         rng = draw(st.randoms(use_true_random=False))
         word = draw(st.text("UD", min_size=1, max_size=8))
         code = (word * n)[:n] if draw(st.booleans()) else "".join(rng.choice("UD") for _ in range(n))
-        return ["decode", code, f"--start={anywhere.text()}"], []
+        return ["decode", code, f"--start={tile_text(anywhere)}"], []
     doc = draw(peaks_docs())
     start = anywhere
     if draw(st.booleans()):
@@ -249,7 +249,7 @@ def walks(draw):
         flat = tile(u + du, v + dv, 0, 1, draw(st.sampled_from([2, 3])))
         start = section_at(ConjUpSet(tuple(map(tuple, doc["peaks"]))), flat)
     steps = [f"--max-steps={n}"] if draw(st.booleans()) else []
-    return [command, "--peaks", "FILE0", f"--start={start.text()}", *steps], [doc]
+    return [command, "--peaks", "FILE0", f"--start={tile_text(start)}", *steps], [doc]
 
 
 @settings(max_examples=40, derandomize=True, deadline=None)

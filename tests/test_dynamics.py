@@ -17,6 +17,7 @@ from conftest import (
     brute_std_roof_member,
     brute_successors,
     count_public_calls,
+    flat_tiles_in,
     padded_box,
     permute_point,
     permute_tile,
@@ -51,8 +52,8 @@ from tritile import (
 )
 from tritile import dynamics
 from tritile.cones import StdUpSet, conj_roof_generators, std_roof_generators
-from tritile.surface import Classification, Window, flat_tiles_in
-from tritile.tiles import Port, SlantTile, port_candidates, tile, vertices
+from tritile.surface import Classification, Window
+from tritile.tiles import Port, port_candidates, tile, tile_text, tile_texts, vertices
 
 HEX_TILES = tuple(parse_tile(t) for t in HEX_WALK)
 OCTANT = ConjUpSet(((0, 0, 0),))
@@ -63,9 +64,9 @@ def assert_valid_trajectory(traj: Trajectory):
     port = Port.UP
     seq = list(traj.tiles) + ([traj.tiles[0]] if traj.closed else [])
     for prev, cur in zip(seq, seq[1:]):
-        pair = port_candidates(prev, port)
-        assert cur in pair
-        if cur == pair.flip:
+        flip, keep = port_candidates(prev, port)
+        assert cur in (flip, keep)
+        if cur == flip:
             assert gradient(cur) != gradient(prev)
             port = port.other
         else:
@@ -183,7 +184,7 @@ def test_encode_validates_input():
 
 def test_decode_goldens():
     got = decode("DUDUDD", tile(1, 1, 0, 3, 1))
-    assert tuple(s.text() for s in got) == DECODE_DUDUDD
+    assert tuple(tile_texts(got)) == DECODE_DUDUDD
     assert decode("DUDUDU", tile(1, 1, 0, 3, 1)) == list(HEX_TILES)
     assert decode("D", tile(1, 1, 0, 3, 1)) == [tile(1, 1, 0, 3, 1)]
 
@@ -199,7 +200,7 @@ def test_codec_round_trip_random():
     rng = random.Random(21)
     for _ in range(120):
         code = "".join(rng.choice("UD") for _ in range(rng.randint(1, 24)))
-        start = SlantTile(
+        start = (
             (rng.randint(-9, 9), rng.randint(-9, 9), rng.randint(-9, 9)),
             *rng.choice([(a, b) for a in (1, 2, 3) for b in (1, 2, 3) if a != b]),
         )
@@ -252,7 +253,7 @@ def test_chart_cover_is_sound_on_random_codes():
 
 coords = st.integers(min_value=-5, max_value=5)
 dirpairs = st.sampled_from([(a, b) for a in (1, 2, 3) for b in (1, 2, 3) if a != b])
-starts = st.builds(lambda q1, q2, q3, d: SlantTile((q1, q2, q3), *d), coords, coords, coords, dirpairs)
+starts = st.builds(lambda q1, q2, q3, d: ((q1, q2, q3), *d), coords, coords, coords, dirpairs)
 
 
 def assert_cover_matches_reference(monkeypatch, tiles):
@@ -277,7 +278,7 @@ def test_chart_cover_matches_reference_on_decoded_codes(code, start):
 @given(starts, st.integers(min_value=1, max_value=120))
 def test_chart_cover_matches_reference_on_octant_walks(start, length):
     # A walk on one octant is a single long chart: the cover's worst case.
-    octant = ConjUpSet((start.base,))
+    octant = ConjUpSet((start[0],))
     traj = trace(octant, start, max_steps=length)
     with pytest.MonkeyPatch.context() as mp:
         assert_cover_matches_reference(mp, list(traj.tiles))
@@ -314,19 +315,19 @@ def test_chart_fit_rule():
     # of ``chart_cover`` obeys the rule.  The oracle asks every vertex of
     # every tile to be a boundary point of the cone of the bases.
     def oracle(seg):
-        bases = {t.base for t in seg}
+        bases = {b for b, _, _ in seg}
         return all(brute_boundary(bases, x) for x in {x for t in seg for x in vertices(t)})
 
     def rule(seg):
-        lows = [tuple(x - (i == t.d3 - 1) for i, x in enumerate(t.base)) for t in seg]
-        return not any(a <= x and b <= y and c <= z for a, b, c in (t.base for t in seg) for x, y, z in lows)
+        lows = [tuple(x - (i == 5 - d1 - d2) for i, x in enumerate(b)) for b, d1, d2 in seg]
+        return not any(a <= x and b <= y and c <= z for (a, b, c), _, _ in seg for x, y, z in lows)
 
     rng = random.Random(33)
     pairs = [(a, b) for a in (1, 2, 3) for b in (1, 2, 3) if a != b]
     walks = [decode("DUDUDD", tile(1, 1, 0, 3, 1)), list(HEX_TILES)]
     for _ in range(40):
         code = "".join(rng.choice("UD") for _ in range(rng.randint(1, 30)))
-        start = SlantTile(tuple(rng.randint(-5, 5) for _ in range(3)), *rng.choice(pairs))
+        start = (tuple(rng.randint(-5, 5) for _ in range(3)), *rng.choice(pairs))
         walks.append(decode(code, start))
     walks.append(list(trace(OCTANT, tile(0, 0, 0, 1, 2), max_steps=60).tiles))
     verdicts = Counter()
@@ -361,10 +362,10 @@ def test_closed_trajectory_roofs_with_a_residue(monkeypatch):
     w1, w2 = closed_trajectory_roofs(w, traj)
     assert calls["std_roof_generators"] == 2
     assert (w1.dgens, w2.dgens) == (((-3, -3, 1),), ((-2, -2, 2),))
-    bases = sorted({s.base for s in traj.tiles})
+    bases = sorted({s[0] for s in traj.tiles})
     in1 = brute_in_tiles(w, bases, padded_box(bases, 4))
     assert len(in1) == 32
-    residue = sorted({s.base for s in in1 if s not in traj.tiles})
+    residue = sorted({s[0] for s in in1 if s not in traj.tiles})
     in2 = brute_in_tiles(w, residue, padded_box(bases, 4))
     assert set(in1) - set(in2) == set(traj.tiles)
     for roof, points in ((w1, bases), (w2, residue)):
@@ -468,7 +469,7 @@ def test_norm_escape_is_reported(monkeypatch, hexcone):
     start = section_at(hexcone, flats[1])
     walk = trace(hexcone, start, max_steps=len(patched))
     assert walk.closed and flats[0] in {flatten(s) for s in walk.tiles}
-    with pytest.raises(GeometryError, match=f"^walk from {start.text()} does not close inside the norm$") as info:
+    with pytest.raises(GeometryError, match=f"^walk from {tile_text(start)} does not close inside the norm$") as info:
         closed_trajectories_of_roof(hexcone)
     err = info.value
     assert (err.tile, err.port, err.peaks) == (start, None, hexcone.generators)
@@ -555,7 +556,7 @@ def test_norm_partition_verdict_against_closed_orbits():
             closed_trajectories_of_roof(w)
         err = info.value
         (start,) = brute_section(w.generators, min(set(flats) - core))
-        assert str(err) == f"walk from {start.text()} does not close inside the norm"
+        assert str(err) == f"walk from {tile_text(start)} does not close inside the norm"
         assert (err.tile, err.port, err.peaks) == (start, None, w.generators)
         failed += 1
     assert passed and failed
@@ -596,3 +597,56 @@ def test_q_axis_permutations_commute_with_sections_and_steps():
                 assert step(image, permute_tile(perm, s), port) == (permute_tile(perm, nxt), nxt_port), (w, perm, s)
                 steps += 1
     assert (sections, steps) == (29_160, 58_320)
+
+
+def _translate_tile(s, d):
+    (x, y, z), d1, d2 = s
+    return ((x + d[0], y + d[1], z + d[2]), d1, d2)
+
+
+def test_decode_commutes_with_axis_permutations_and_translations():
+    """``decode`` reads no surface, so a code fixes its path up to the
+    symmetries of the lattice: for every q-axis permutation ``sigma`` and
+    integer translation ``tau``, ``decode(code, sigma s)`` is ``sigma`` of
+    ``decode(code, s)``, and likewise for ``tau``."""
+    rng = random.Random(59)
+    pairs = [(a, b) for a in (1, 2, 3) for b in (1, 2, 3) if a != b]
+    checks = 0
+    for _ in range(150):
+        code = "".join(rng.choice("UD") for _ in range(rng.randint(1, 40)))
+        start = (tuple(rng.randint(-9, 9) for _ in range(3)), *rng.choice(pairs))
+        tiles = decode(code, start)
+        for perm in AXIS_PERMUTATIONS:
+            assert decode(code, permute_tile(perm, start)) == [permute_tile(perm, t) for t in tiles], (code, start, perm)
+            checks += 1
+        for _ in range(6):
+            d = tuple(rng.randint(-50, 50) for _ in range(3))
+            assert decode(code, _translate_tile(start, d)) == [_translate_tile(t, d) for t in tiles], (code, start, d)
+            checks += 1
+    assert checks == 1_800
+
+
+def test_encode_of_a_traced_walk_is_invariant_under_axis_permutations():
+    """Permuting the axes of a cone and of a start on its surface permutes
+    the traced walk tile by tile, and leaves its U/D code unchanged: the
+    permutation maps equal gradients to equal ones and unequal to unequal,
+    odd permutations included."""
+    rng = random.Random(61)
+    regions = [conj_roof_generators(rand_pit_gens(rng, i % 3)) for i in range(10)]
+    regions += [ConjUpSet(rand_antichain(rng, 3, 2 + i % 4)) for i in range(10)]
+    checks = closed = 0
+    for w in regions:
+        flats = list(flat_tiles_in(Window(-3, 3, -3, 3)))
+        for t in rng.sample(flats, 10):
+            start = section_at(w, t)
+            walk = trace(w, start, max_steps=rng.randint(1, 80))
+            code = encode(walk)
+            closed += walk.closed
+            for perm in AXIS_PERMUTATIONS:
+                image = ConjUpSet(tuple(permute_point(perm, g) for g in w.generators))
+                moved = trace(image, permute_tile(perm, start), max_steps=len(walk))
+                assert moved.tiles == tuple(permute_tile(perm, s) for s in walk.tiles), (w, start, perm)
+                assert moved.closed == walk.closed
+                assert encode(moved) == code, (w, start, perm)
+                checks += 1
+    assert checks == 1_200 and 0 < closed < 200

@@ -1,31 +1,30 @@
-"""Kernel outputs are real ``SlantTile``s and ``PortPair``s, and every point is an exact int tuple.
+"""Kernel outputs are exact ``(base, d1, d2)`` tuples, and every point is an exact int tuple.
 
-The per-tile kernels build their tiles with ``tuple.__new__``, which
-checks neither the arity nor the type of what it wraps, and a plain
-tuple compares equal to a ``SlantTile``.  So no equality test catches
-a missed wrap; these tests check the exact types, on seeded roofs and
-cones, and check that every construction branch was reached.  Points,
-tile bases included, are exact ``tuple``s of ``int``s; a NamedTuple
-point would compare equal to one, so only an exact-type check catches
-it coming back.
+A tile is a plain tuple whose base is an exact int triple, and a port
+pair a plain ``(flip, keep)`` tuple.  A NamedTuple or a list of the same
+values compares equal to such a tuple, or is unpacked alike, so no
+equality test catches one coming back from a kernel; these tests check
+the exact types, on seeded roofs and cones, and check that every
+construction branch was reached.  ``assert_tile`` itself is checked to
+refuse the forms it exists to catch.
 
 The regions hold their generators as exact int triples, which the
-kernels read directly, and ``on_surface`` takes the plain tile triples
-of ``chart_cover``.  The last tests check that every way of building a
-region gives such generators, and that the kernels answer plain and
-``SlantTile`` tiles alike.
+kernels read directly.  The last tests check that every way of building
+a region gives such generators, that the kernels answer exact and
+NamedTuple tiles alike, and that ``tile_texts`` writes what
+``tile_text`` writes.
 """
 
 import dataclasses
 import json
 import random
+from typing import NamedTuple
 
 import pytest
 
-from conftest import DECODE_DUDUDD, rand_antichain, rand_pit_gens
+from conftest import DECODE_DUDUDD, flat_tiles_in, rand_antichain, rand_pit_gens, record_public_calls
 from tritile import (
     ConjUpSet,
-    SlantTile,
     StdUpSet,
     Window,
     chart_cover,
@@ -43,12 +42,14 @@ from tritile import (
     std_roof_generators,
     surface_tiles,
     tile,
+    tile_text,
+    tile_texts,
     trace,
     vertices,
 )
 from tritile.shell import _conj_region
-from tritile.surface import _classify_tile, flat_tiles_in, in_tiles_expanded, on_surface
-from tritile.tiles import Port, PortPair, port_candidates
+from tritile.surface import _classify_tile, in_tiles_expanded, on_surface
+from tritile.tiles import Port, port_candidates
 
 WINDOW = Window(-4, 4, -4, 4)
 
@@ -59,9 +60,23 @@ def assert_point(p, n: int = 3) -> None:
 
 
 def assert_tile(s) -> None:
-    assert type(s) is SlantTile and len(s) == 3
-    assert_point(s.base)
-    assert type(s.d1) is int and type(s.d2) is int
+    assert type(s) is tuple and len(s) == 3
+    base, d1, d2 = s
+    assert_point(base)
+    assert type(d1) is int and type(d2) is int
+    assert d1 != d2 and {d1, d2} <= {1, 2, 3}
+
+
+class NamedTile(NamedTuple):
+    base: tuple
+    d1: int
+    d2: int
+
+
+class NamedPoint(NamedTuple):
+    q1: int
+    q2: int
+    q3: int
 
 
 def regions() -> list[ConjUpSet]:
@@ -77,11 +92,31 @@ def regions() -> list[ConjUpSet]:
 REGIONS = regions()
 
 
-def test_flat_tiles_in_builds_slant_tiles():
-    flats = list(flat_tiles_in(WINDOW))
-    assert len(flats) == 2 * 81
-    for t in flats:
+def test_assert_tile_refuses_named_and_list_tiles():
+    s = tile(1, -2, 0, 3, 1)
+    assert_tile(s)
+    for bad in (
+        NamedTile(*s),
+        list(s),
+        ([1, -2, 0], 3, 1),
+        (NamedPoint(1, -2, 0), 3, 1),
+        ((1, -2, 0), 3, 3),
+        ((1, -2, 0), 3, 4),
+        ((1, -2, 0), 3, True),
+        ((1, -2, 0), 3),
+    ):
+        with pytest.raises(AssertionError):
+            assert_tile(bad)
+
+
+def test_in_scan_hands_section_at_exact_flats(monkeypatch):
+    calls = record_public_calls(monkeypatch, section_at)
+    hits = [s for w in REGIONS for s in in_tiles_expanded(w)]
+    assert len(calls) > 0 and len(hits) > 0
+    for _, t in calls:
         assert_tile(t)
+        (_, _, z), d1, _ = t
+        assert z == 0 and d1 == 1  # canonical flats: section_at does not flatten them
 
 
 def test_section_at_builds_slant_tiles():
@@ -91,7 +126,7 @@ def test_section_at_builds_slant_tiles():
             for probe in (t, sigma(t)):  # canonical, and one that section_at flattens
                 s = section_at(w, probe)
                 assert_tile(s)
-                phases.add(s.d1)
+                phases.add(s[1])
     assert phases == {1, 2, 3}  # all three return branches
 
 
@@ -103,7 +138,7 @@ def test_window_scans_build_slant_tiles():
         cl = classify(w, std, WINDOW)
         for s in (*tiles, *cl.in_tiles, *cl.out_tiles, *cl.bd_tiles):
             assert_tile(s)
-            kinds.add((s.d1, s.d2))
+            kinds.add(s[1:])
     # every tile the height table can yield: (2,3) and (3,2) share a base
     assert kinds == {(1, 2), (1, 3), (2, 1), (2, 3), (3, 1), (3, 2)}
 
@@ -122,10 +157,10 @@ def test_port_candidates_build_a_port_pair_of_slant_tiles(port):
     for w in REGIONS[:6]:
         for s in surface_tiles(w, Window(-2, 2, -2, 2)):
             pair = port_candidates(s, port)
-            assert type(pair) is PortPair
-            assert len(pair) == 2
-            assert_tile(pair.flip)
-            assert_tile(pair.keep)
+            assert type(pair) is tuple and len(pair) == 2
+            flip, keep = pair
+            assert_tile(flip)
+            assert_tile(keep)
 
 
 def test_every_point_producer_returns_exact_int_tuples(tmp_path):
@@ -162,7 +197,7 @@ def test_every_point_producer_returns_exact_int_tuples(tmp_path):
 
 def test_walk_tiles_are_slant_tiles(hexcone):
     tiles = decode("DUDUDD", parse_tile(DECODE_DUDUDD[0]))
-    assert [s.text() for s in tiles] == list(DECODE_DUDUDD)
+    assert [tile_text(s) for s in tiles] == list(DECODE_DUDUDD)
     walk = trace(hexcone, parse_tile("1,1,0:31"))
     assert walk.closed
     for s in (*tiles, *walk.tiles):
@@ -176,9 +211,10 @@ STD_REGIONS = [
 ]
 
 
-def plain(s) -> tuple:
-    """``s`` as an exact ``(base, d1, d2)`` triple, as ``chart_cover`` passes it."""
-    return tuple(s)
+def named(s) -> NamedTile:
+    """``s`` as a NamedTuple tile with a NamedTuple base, as a caller might pass it."""
+    base, d1, d2 = s
+    return NamedTile(NamedPoint(*base), d1, d2)
 
 
 def test_views_are_the_generators_as_exact_tuples():
@@ -224,12 +260,31 @@ def test_kernels_answer_plain_and_named_inputs_alike():
             s = section_at(w, t)
             for cand in (s, *port_candidates(s, Port.UP), *port_candidates(s, Port.DOWN)):
                 answer = on_surface(w, cand)
-                assert on_surface(w, plain(cand)) is answer
+                assert on_surface(w, named(cand)) is answer
                 on_off.add(answer)
     for std in STD_REGIONS[:20]:
         for w in REGIONS[:10]:
             for s in surface_tiles(w, WINDOW):
                 kind = _classify_tile(s, std.dgens)
-                assert _classify_tile(plain(s), std.dgens) == kind
+                assert _classify_tile(named(s), std.dgens) == kind
                 kinds.add(kind)
     assert on_off == {True, False} and kinds == {"in", "out", "bd"}
+
+
+def test_tile_texts_is_tile_text_of_each_tile():
+    assert tile_texts([]) == [] and tile_texts(()) == []
+    rng = random.Random(41)
+    std = std_roof_generators([(0, 0, 0), (3, -3, 0)])
+    lists = [[tile(0, 0, 0, 1, 2)], [tile(-10, 0, 10, 2, 1), tile(10, -10, 0, 3, 2)]]
+    for w in REGIONS:
+        u, v = rng.randint(-9, 0), rng.randint(-9, 0)
+        window = Window(u, u + rng.randint(0, 9), v, v + rng.randint(0, 9))
+        tiles = surface_tiles(w, window)
+        cl = classify(w, std, window)
+        lists += [tiles, cl.in_tiles, cl.out_tiles, cl.bd_tiles, [*tiles, *tiles[::-1]]]
+    coords = {c for ts in lists for (base, _, _) in ts for c in base}
+    assert min(coords) < 0 < max(coords) and 0 in coords
+    for ts in lists:
+        texts = tile_texts(ts)
+        assert texts == [tile_text(s) for s in ts]
+        assert [parse_tile(t) for t in texts] == list(ts)

@@ -6,14 +6,14 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import dense_ascii_picture
-from tritile import SlantTile, render
+from tritile import render
 from tritile.render import ascii_picture, svg_picture
 from tritile.tiles import parse_tile
 
 coords = st.integers(min_value=-12, max_value=12)
 dirpairs = st.sampled_from([(a, b) for a in (1, 2, 3) for b in (1, 2, 3) if a != b])
 tiles = st.builds(
-    lambda q1, q2, q3, d: SlantTile((q1, q2, q3), *d), coords, coords, coords, dirpairs
+    lambda q1, q2, q3, d: ((q1, q2, q3), *d), coords, coords, coords, dirpairs
 )
 labels = st.sampled_from([None, "U", "D", "I", "B"])
 

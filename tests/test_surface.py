@@ -12,6 +12,7 @@ from conftest import (
     brute_section,
     brute_in_tiles,
     count_public_calls,
+    flat_tiles_in,
     padded_box,
     pit,
     plane_peaks,
@@ -25,7 +26,6 @@ from tritile import (
     Classification,
     ConjUpSet,
     GeometryError,
-    SlantTile,
     Window,
     classify,
     conj_height,
@@ -44,7 +44,7 @@ import tritile
 from tritile import cones, surface
 from tritile.cones import StdUpSet, conj_roof_generators, std_roof_generators
 from tritile.lattice import embed, q_shift
-from tritile.surface import _classify_tile, flat_tiles_in, in_tiles_expanded, seed_window
+from tritile.surface import _classify_tile, in_tiles_expanded, seed_window
 from tritile.tiles import tile
 
 HEX_TILES = tuple(parse_tile(t) for t in HEX_WALK)
@@ -110,7 +110,7 @@ def test_on_surface_one_pass_against_heights(w, p, dirs, depth):
     gens = w.generators
     k = conj_height(w, p) + depth
     s = tile(p[0] - k, p[1] - k, p[2] - k, *dirs)
-    base, top = s.base, vertices(s)[2]
+    base, _, top = vertices(s)
     hb, ht = conj_height(w, base), conj_height(w, top)
     assert (hb, ht) == (brute_height(gens, base), brute_height(gens, top))
     assert hb == -depth and 0 <= ht - hb <= 1
@@ -123,9 +123,9 @@ def test_on_surface_of_empty_region_is_false():
     # The empty region has no boundary point (the brute oracle), so no tile
     # of any phase, slid anywhere along the diagonal, is on its surface.
     for t in flat_tiles_in(Window(-1, 1, -1, 1)):
-        for phase in (t, sigma(t), sigma(sigma(t))):
+        for b, d1, d2 in (t, sigma(t), sigma(sigma(t))):
             for k in range(-2, 3):
-                s = SlantTile(q_shift(phase.base, k), phase.d1, phase.d2)
+                s = (q_shift(b, k), d1, d2)
                 assert not any(brute_boundary((), v) for v in vertices(s))
                 assert on_surface(ConjUpSet(), s) is False
 
@@ -207,7 +207,8 @@ def test_section_at_against_oracles(case, shifts, k):
     t = flat
     for _ in range(shifts):
         t = sigma(t)
-    t = SlantTile(q_shift(t.base, k), t.d1, t.d2)
+    b, d1, d2 = t
+    t = (q_shift(b, k), d1, d2)
     assert flatten(t) == flat
     s = section_at(w, t)
     assert brute_section(w.generators, flat) == [s]
@@ -579,7 +580,7 @@ def test_every_in_piece_holds_a_tile_near_an_added_corner():
         centres = [(q[0] - q[2], q[1] - q[2]) for q in (embed(*t) for t in added)]
         mine = _edge_pieces(in_tiles_expanded(w))
         for piece in mine:
-            cells = [project(flatten(s).base) for s in piece]
+            cells = [project(flatten(s)[0]) for s in piece]
             near = min(max(abs(2 * u - cu), abs(2 * v - cv)) for u, v in cells for cu, cv in centres)
             assert near <= 2 * 2, (w.generators, piece[0])
         pieces.append(len(mine))
@@ -628,7 +629,7 @@ def test_surface_tiles_against_brute_sections():
             if kind == "far":
                 # The greatest height the table reads, heights being monotone.
                 assert conj_height(w, (window.u_max + 1, window.v_max + 1, 0)) < -20
-            phases.update((s.d1, s.d2) for s in expected)
+            phases.update((d1, d2) for _, d1, d2 in expected)
     assert phases == {(1, 2), (1, 3), (2, 3), (3, 2), (3, 1), (2, 1)}
 
 

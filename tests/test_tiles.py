@@ -3,14 +3,14 @@ from hypothesis import strategies as st
 
 import pytest
 
-from tritile import flatten, gradient, parse_tile, sigma, vertices
+from tritile import flatten, gradient, parse_tile, sigma, tile_text, vertices
 from tritile.lattice import componentwise_le
 from tritile.tiles import Port, SlantTile, port_candidates, tile
 
 coords = st.integers(min_value=-20, max_value=20)
 dirpairs = st.sampled_from([(a, b) for a in (1, 2, 3) for b in (1, 2, 3) if a != b])
 tiles = st.builds(
-    lambda q1, q2, q3, d: SlantTile((q1, q2, q3), *d), coords, coords, coords, dirpairs
+    lambda q1, q2, q3, d: ((q1, q2, q3), *d), coords, coords, coords, dirpairs
 )
 
 
@@ -20,9 +20,8 @@ def test_sigma_example():
 
 @given(tiles)
 def test_sigma_cubed_is_diagonal_translation(s):
-    t = sigma(sigma(sigma(s)))
-    assert t.base == (s.base[0] + 1, s.base[1] + 1, s.base[2] + 1)
-    assert (t.d1, t.d2) == (s.d1, s.d2)
+    (x, y, z), d1, d2 = s
+    assert sigma(sigma(sigma(s))) == ((x + 1, y + 1, z + 1), d1, d2)
 
 
 def test_gradient_examples():
@@ -44,16 +43,16 @@ def test_flatten_examples():
 @given(tiles)
 def test_flatten_is_orbit_invariant_and_canonical(s):
     f = flatten(s)
-    assert f.d1 == 1 and f.base[2] == 0
+    assert f[1] == 1 and f[0][2] == 0
     assert flatten(sigma(s)) == f
     assert flatten(f) == f
 
 
 def _flatten_by_sigma(s: SlantTile) -> SlantTile:
-    while s.d1 != 1:
+    while s[1] != 1:
         s = sigma(s)
-    b = s.base
-    return SlantTile((b[0] - b[2], b[1] - b[2], 0), 1, s.d2)
+    b, _, d2 = s
+    return ((b[0] - b[2], b[1] - b[2], 0), 1, d2)
 
 
 @given(coords, coords, st.sampled_from((2, 3)), st.integers(min_value=-30, max_value=30))
@@ -61,9 +60,8 @@ def test_flatten_fast_path_and_sigma_loop(u, v, d2, k):
     t = tile(u, v, 0, 1, d2)
     assert flatten(t) is t  # canonical: the same object back
     phases = (t, sigma(t), sigma(sigma(t)))
-    for p in phases:
-        b = p.base
-        shifted = SlantTile((b[0] + k, b[1] + k, b[2] + k), p.d1, p.d2)
+    for b, d1, d2 in phases:
+        shifted = ((b[0] + k, b[1] + k, b[2] + k), d1, d2)
         assert flatten(shifted) == _flatten_by_sigma(shifted) == t
 
 
@@ -81,12 +79,12 @@ def test_base_is_minimum_top_is_maximum(s):
 
 
 def test_port_candidates_examples():
-    up = port_candidates(tile(1, 1, 0, 3, 1), Port.UP)
-    assert up.flip == tile(1, 0, 1, 2, 1)
-    assert up.keep == tile(1, 1, 1, 1, 3)
-    down = port_candidates(tile(1, 0, 1, 2, 1), Port.DOWN)
-    assert down.keep == tile(0, 0, 1, 1, 2)
-    assert down.flip == tile(1, 0, 1, 2, 3)
+    up_flip, up_keep = port_candidates(tile(1, 1, 0, 3, 1), Port.UP)
+    assert up_flip == tile(1, 0, 1, 2, 1)
+    assert up_keep == tile(1, 1, 1, 1, 3)
+    down_flip, down_keep = port_candidates(tile(1, 0, 1, 2, 1), Port.DOWN)
+    assert down_keep == tile(0, 0, 1, 1, 2)
+    assert down_flip == tile(1, 0, 1, 2, 3)
 
 
 @given(tiles, st.sampled_from(Port))
@@ -100,32 +98,32 @@ def test_port_candidates_share_the_port_edge(s, port):
 
 @given(tiles, st.sampled_from(Port))
 def test_candidates_are_one_shift_apart(s, port):
-    pair = port_candidates(s, port)
+    flip, keep = port_candidates(s, port)
     if port is Port.UP:
-        assert sigma(pair.flip) == pair.keep
+        assert sigma(flip) == keep
     else:
-        assert sigma(pair.keep) == pair.flip
-    assert flatten(pair.flip) == flatten(pair.keep)
+        assert sigma(keep) == flip
+    assert flatten(flip) == flatten(keep)
 
 
 @given(tiles, st.sampled_from(Port))
 def test_exactly_one_candidate_keeps_gradient(s, port):
-    pair = port_candidates(s, port)
-    assert gradient(pair.keep) == gradient(s)
-    assert gradient(pair.flip) != gradient(s)
+    flip, keep = port_candidates(s, port)
+    assert gradient(keep) == gradient(s)
+    assert gradient(flip) != gradient(s)
 
 
 @given(tiles, st.sampled_from(Port))
 def test_back_links(s, port):
-    pair = port_candidates(s, port)
+    flip, keep = port_candidates(s, port)
     # flip neighbours list s at the same port; keep neighbours at the other
-    assert s in port_candidates(pair.flip, port)
-    assert s in port_candidates(pair.keep, port.other)
+    assert s in port_candidates(flip, port)
+    assert s in port_candidates(keep, port.other)
 
 
 @given(tiles)
 def test_text_round_trip(s):
-    assert parse_tile(s.text()) == s
+    assert parse_tile(tile_text(s)) == s
 
 
 def test_parse_tile_rejects_garbage():
@@ -134,7 +132,7 @@ def test_parse_tile_rejects_garbage():
             parse_tile(bad)
 
 
-# Forms that int() takes but SlantTile.text never writes: an underscore,
+# Forms that int() takes but tile_text never writes: an underscore,
 # padding spaces, a plus sign and non-ASCII digits, in a coordinate and
 # in the direction pair.
 @pytest.mark.parametrize(
