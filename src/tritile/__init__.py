@@ -33,7 +33,6 @@ from .surface import (
     norm,
     on_surface,
     section_at,
-    seed_window,
     surface_tiles,
 )
 from .tiles import (

@@ -20,10 +20,10 @@ from dataclasses import dataclass
 from itertools import pairwise
 from typing import Sequence
 
-from .cones import ConjUpSet, StdUpSet, std_roof_generators
+from .cones import ConjUpSet, StdUpSet
 from .errors import GeometryError
 from .lattice import Triple
-from .surface import classify, norm, on_surface, section_at, seed_window
+from .surface import _in_set, norm, on_surface, section_at
 from .tiles import Port, SlantTile, gradient, port_candidates, tile_text
 
 _NEGATE = {"U": "D", "D": "U"}
@@ -227,16 +227,18 @@ def closed_trajectory_roofs(w: ConjUpSet, traj: Trajectory) -> tuple[StdUpSet, S
     second over the base points of the other inside-tiles.  The defining
     property (inside-tiles of the first minus inside-tiles of the second
     equals the trajectory) is verified, not assumed.
+
+    Both inside-sets come from the In scan of ``norm`` (``_in_set``), so
+    the reconstruction has its budget: a scan of more than
+    ``surface.MAX_SCAN_UNITS`` flat-generator pairs is a ``ValueError``
+    before its first section.  A roof that adds no corner to the cone of
+    its points, the empty residue's among them, takes no section.
     """
     if not traj.closed:
         raise ValueError("roof reconstruction needs a closed trajectory")
-    bases = {t[0] for t in traj.tiles}
-    w1 = std_roof_generators(bases)
-    in1 = classify(w, w1, seed_window(bases)).in_tiles
+    w1, in1 = _in_set(w, {t[0] for t in traj.tiles})
     traj_set = set(traj.tiles)
-    residue_bases = {s[0] for s in in1 if s not in traj_set}
-    w2 = std_roof_generators(residue_bases)
-    in2 = classify(w, w2, seed_window(residue_bases)).in_tiles
+    w2, in2 = _in_set(w, {s[0] for s in in1 if s not in traj_set})
     if set(in1) - set(in2) != traj_set:
         raise GeometryError(
             f"reconstruction mismatch: |In1|={len(in1)}, |In2|={len(in2)}, "

@@ -51,8 +51,11 @@ meeting the first two conditions, and that one number decides.
 Regions are unbounded, so every enumeration runs over a plane window.
 The In-tiles of ``w`` against the standard roof of points ``P`` that lie
 in ``w`` need no search for a window: they project into the bounding
-box of ``P``, so one scan of that box, padded by 8, finds them all,
-and the box of no points is empty.  Work in q-coordinates with
+box of ``P``, so one scan of that box, padded by 8, finds them all.
+``_in_set`` is that scan, for the generators of a region
+(``in_tiles_expanded`` and ``norm``) and for the bases of a closed walk
+and of its residue (``closed_trajectory_roofs``): both read the same
+box and the same verdict.  Work in q-coordinates with
 ``u = q1-q3`` and ``v = q2-q3``, take a point ``p`` of an open half
 square of a surface tile with ``u(p) > max u(P)``, and write
 ``d = p-g`` for ``g`` in ``P``.  Every ``g`` gives
@@ -76,7 +79,7 @@ the closed l-octant of one minimal roof corner.  A half square is not
 part of a ray, so that corner is not a point of ``P``: it is a corner
 the roof adds.  In ideal terms the standard roof is the saturation of
 the monomial ideal of ``P``, and a saturation that adds no generator
-leaves no In tile.
+leaves no In tile.  No points make no added corner, so no scan.
 
 The same argument shows that the In verdict needs only the added
 corners: the roof corners that are not generators of the standard cone
@@ -325,22 +328,6 @@ def classify(w1: ConjUpSet, w2: StdUpSet, window: Window) -> Classification:
 
 # -- windowed enumeration of the full In set --------------------------------
 
-def seed_window(points: Collection[Triple]) -> Window:
-    """Plane bounding box of ``points`` padded by 8; empty for no points.
-
-    This is the box of the module docstring that holds every In tile
-    against the standard roof of ``points``: ``in_tiles_expanded`` scans
-    it for a region's generators, ``closed_trajectory_roofs`` for a walk's
-    bases.  The
-    ``surface`` and ``classify`` commands do not; they scan the
-    ``--window`` they are given.
-    """
-    if not points:
-        return Window(0, -1, 0, -1)
-    us, vs = zip(*map(project, points))
-    return Window(min(us) - 8, max(us) + 8, min(vs) - 8, max(vs) + 8)
-
-
 def _count_text(n: int) -> str:
     """``n`` in decimal, or past 100 digits "a D-digit number of", to
     stand before a unit.
@@ -357,27 +344,28 @@ def _count_text(n: int) -> str:
     return f"a {digits}-digit number of"
 
 
-def in_tiles_expanded(w: ConjUpSet) -> tuple[SlantTile, ...]:
-    """All In-tiles of the surface of ``w`` against the standard roof of
-    its own generators.
+def _in_set(w: ConjUpSet, points: Collection[Triple]) -> tuple[StdUpSet, tuple[SlantTile, ...]]:
+    """The standard roof of ``points``, which must lie in ``w``, and the
+    In-tiles of the surface of ``w`` against it.
 
-    By the box bound of the module docstring, with ``P`` the generators,
-    one scan of ``seed_window(P)`` holds them all.  When the roof adds no
-    corner to the standard cone of ``P`` (no generators, one, or two-peak
-    roofs, for example) there are none, by the lemma there, and the
-    answer is ``()`` without a scan.  Otherwise each flat is classified
-    against the added corners alone, which decide its In verdict (module
-    docstring).  The budget still charges each of the two flats per cell
-    the generators of ``w`` and every corner of the roof, so a scan of
-    more than ``MAX_SCAN_UNITS`` such reads is a ``ValueError`` before
-    its first section.
+    By the box bound of the module docstring, one scan of the plane box
+    of ``points`` padded by 8 holds them all.  When the roof adds no
+    corner to the standard cone of ``points`` (no points, one, or two-peak
+    roofs, for example) there are none, by the lemma there, and no flat
+    is scanned.  Otherwise each flat is classified against the added
+    corners alone, which decide its In verdict (module docstring).  The
+    budget still charges each of the two flats per cell the generators of
+    ``w`` and every corner of the roof, so a scan of more than
+    ``MAX_SCAN_UNITS`` such reads is a ``ValueError`` before its first
+    section.
     """
-    roof = std_roof_generators(w.generators)
-    cone = StdUpSet.from_qpoints(w.generators).dgens
+    roof = std_roof_generators(points)
+    cone = StdUpSet.from_qpoints(points).dgens
     added = [g for g in roof.dgens if g not in cone]
     if not added:
-        return ()  # no corner beyond the cone: no In tile (module docstring)
-    u_min, u_max, v_min, v_max = seed_window(w.generators)
+        return roof, ()  # no corner beyond the cone: no In tile (module docstring)
+    pu, pv = zip(*map(project, points))
+    u_min, u_max, v_min, v_max = min(pu) - 8, max(pu) + 8, min(pv) - 8, max(pv) + 8
     cells = (u_max - u_min + 1) * (v_max - v_min + 1)
     gens = len(w.generators) + len(roof.dgens)
     units = 2 * cells * gens
@@ -395,7 +383,13 @@ def in_tiles_expanded(w: ConjUpSet) -> tuple[SlantTile, ...]:
                 s = section_at(w, ((u, v, 0), 1, d2))
                 if _classify_tile(s, added) == "in":
                     hits.append(s)
-    return tuple(hits)
+    return roof, tuple(hits)
+
+
+def in_tiles_expanded(w: ConjUpSet) -> tuple[SlantTile, ...]:
+    """All In-tiles of the surface of ``w`` against the standard roof of
+    its own generators, by the In scan ``_in_set``."""
+    return _in_set(w, w.generators)[1]
 
 
 def norm(w: ConjUpSet) -> tuple[FlatTile, ...]:

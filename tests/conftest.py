@@ -18,7 +18,12 @@ makes, and ``record_public_calls`` lists their arguments, so that a
 change of call path shows up in the tests; the call
 counts the benchmark pins are checked by its own tracer self-check.
 ``brute_closed_orbits`` walks closed trajectories with the brute
-section and the port rule alone.
+section and the port rule alone.  ``reference_in_set`` and
+``reference_trajectory_roofs`` are the roof reconstruction as first
+written, classifying a whole box three ways, kept as the oracle of the
+In scan it now shares with ``norm``.  ``box_roof_classes`` lists every
+roof of a small box once per class under the lattice symmetries that
+``permute_region`` and ``translate_region`` apply.
 """
 
 from __future__ import annotations
@@ -33,7 +38,20 @@ from fractions import Fraction
 
 import pytest
 
-from tritile import ConjUpSet, SlantTile, Window, embed, flatten, inverse_embed, tile_text, vertices
+from tritile import (
+    ConjUpSet,
+    SlantTile,
+    StdUpSet,
+    Window,
+    classify,
+    conj_roof_generators,
+    embed,
+    flatten,
+    inverse_embed,
+    std_roof_generators,
+    tile_text,
+    vertices,
+)
 from tritile import dynamics, surface
 from tritile.errors import GeometryError
 from tritile.lattice import Triple
@@ -114,6 +132,78 @@ def permute_tile(perm, s) -> SlantTile:
     are the images of the vertices of ``s``."""
     b, d1, d2 = s
     return (permute_point(perm, b), perm[d1 - 1], perm[d2 - 1])
+
+
+def permute_region(perm, w):
+    """``sigma w`` for a conjugate or a standard region.  The doubled
+    l-coordinate ``i`` is ``q_j + q_k - q_i``, so a q-axis permutation
+    permutes the doubled l-coordinates the same way."""
+    if isinstance(w, StdUpSet):
+        return StdUpSet(tuple(permute_point(perm, g) for g in w.dgens))
+    return ConjUpSet(tuple(permute_point(perm, g) for g in w.generators))
+
+
+# -- integer translations ----------------------------------------------------
+
+def translate_point(d, p) -> Triple:
+    return (p[0] + d[0], p[1] + d[1], p[2] + d[2])
+
+
+def translate_tile(d, s) -> SlantTile:
+    b, d1, d2 = s
+    return (translate_point(d, b), d1, d2)
+
+
+def translate_region(d, w):
+    """``w + d`` for a conjugate or a standard region: a conjugate
+    generator moves by ``d``, a doubled l-generator by ``inverse_embed(d)``."""
+    if isinstance(w, StdUpSet):
+        dl = inverse_embed(d)
+        return StdUpSet(tuple(translate_point(dl, g) for g in w.dgens))
+    return ConjUpSet(tuple(translate_point(d, g) for g in w.generators))
+
+
+# -- every roof of a small box -----------------------------------------------
+
+def box_antichains(n: int) -> list[tuple[Triple, ...]]:
+    """Every antichain of the points of ``{0..n-1}^3``, the empty one
+    included, one per plane partition that fits in the ``n x n x n`` box:
+    980 for ``n = 3`` (MacMahon).  Each point is added or not in sorted
+    order, and only when no point chosen before is comparable with it."""
+    pts = sorted(itertools.product(range(n), repeat=3))
+    out: list[tuple[Triple, ...]] = []
+
+    def grow(i, chosen):
+        if i == len(pts):
+            out.append(tuple(chosen))
+            return
+        grow(i + 1, chosen)
+        p = pts[i]
+        if not any(all(a <= b for a, b in zip(c, p)) for c in chosen):
+            grow(i + 1, chosen + [p])  # sorted order: no later point lies below a chosen one
+
+    grow(0, [])
+    return out
+
+
+def canonical_generators(gens) -> tuple[Triple, ...]:
+    """The class of a generator set under translation and q-axis
+    permutation: translated to componentwise minimum 0, then the least
+    sorted image over the six permutations; ``()`` for no generators."""
+    if not gens:
+        return ()
+    low = [min(g[i] for g in gens) for i in range(3)]
+    moved = [(g[0] - low[0], g[1] - low[1], g[2] - low[2]) for g in gens]
+    return min(tuple(sorted(permute_point(perm, g) for g in moved)) for perm in AXIS_PERMUTATIONS)
+
+
+@functools.lru_cache(maxsize=None)
+def box_roof_classes(n: int) -> tuple[ConjUpSet, ...]:
+    """One roof per class of the roofs of the antichains of the
+    ``n x n x n`` box (``canonical_generators``), sorted, the empty
+    region first."""
+    roofs = {conj_roof_generators(a) for a in box_antichains(n)}
+    return tuple(ConjUpSet(g) for g in sorted({canonical_generators(w.generators) for w in roofs}))
 
 
 # -- independent oracles -----------------------------------------------------
@@ -273,6 +363,27 @@ def flat_tiles_in(window: Window) -> Iterator[FlatTile]:
         for v in range(window.v_min, window.v_max + 1):
             yield ((u, v, 0), 1, 2)
             yield ((u, v, 0), 1, 3)
+
+
+def reference_in_set(w, points) -> tuple[SlantTile, ...]:
+    """The In set as the roof reconstruction first read it: every flat of
+    the box of ``points`` padded by 8, classified three ways against the
+    whole standard roof of ``points``; ``()`` for no points."""
+    if not points:
+        return ()
+    return classify(w, std_roof_generators(points), padded_box(points, 8)).in_tiles
+
+
+def reference_trajectory_roofs(w, traj):
+    """``(w1, w2)`` of the roof reconstruction as first written, from
+    ``reference_in_set``, or ``None`` where it found a mismatch."""
+    bases = {t[0] for t in traj.tiles}
+    in1 = reference_in_set(w, bases)
+    residue = {s[0] for s in in1 if s not in traj.tiles}
+    in2 = reference_in_set(w, residue)
+    if set(in1) - set(in2) != set(traj.tiles):
+        return None
+    return std_roof_generators(bases), std_roof_generators(residue)
 
 
 def brute_in_tiles(w, points, window) -> list:

@@ -58,7 +58,7 @@ def _readme_commands():
 def test_readme_commands_parse():
     # Parsing names files but opens none.
     commands = _readme_commands()
-    assert len(commands) == 12 and all(argv[0] == "tritile" for argv in commands)
+    assert len(commands) == 13 and all(argv[0] == "tritile" for argv in commands)
     for argv in commands:
         assert build_parser().parse_args(argv[1:]).fn
 

@@ -1,5 +1,6 @@
 import random
 from collections import Counter
+from functools import partial
 from itertools import product
 
 import pytest
@@ -10,6 +11,7 @@ from conftest import (
     AXIS_PERMUTATIONS,
     DECODE_DUDUDD,
     HEX_WALK,
+    box_roof_classes,
     brute_boundary,
     brute_closed_orbits,
     brute_in_tiles,
@@ -20,14 +22,18 @@ from conftest import (
     flat_tiles_in,
     padded_box,
     permute_point,
+    permute_region,
     permute_tile,
     pit,
     rand_antichain,
     rand_pit_gens,
     record_public_calls,
     reference_chart_cover,
+    reference_trajectory_roofs,
     sample_in_closed,
     tile_samples,
+    translate_region,
+    translate_tile,
 )
 from tritile import (
     conj_contains,
@@ -50,9 +56,9 @@ from tritile import (
     step,
     trace,
 )
-from tritile import dynamics
+from tritile import dynamics, surface
 from tritile.cones import StdUpSet, conj_roof_generators, std_roof_generators
-from tritile.surface import Classification, Window
+from tritile.surface import Window, in_tiles_expanded
 from tritile.tiles import Port, port_candidates, tile, tile_text, tile_texts, vertices
 
 HEX_TILES = tuple(parse_tile(t) for t in HEX_WALK)
@@ -376,22 +382,57 @@ def test_closed_trajectory_roofs_with_a_residue(monkeypatch):
 def test_closed_trajectory_roofs_reports_a_mismatch(monkeypatch, hexcone):
     # A first scan that misses one tile of the walk cannot carve it out.
     traj = trace(hexcone, HEX_TILES[0])
-    real_classify = dynamics.classify
+    real_in_set = dynamics._in_set
     scans = []
 
-    def first_scan_drops_a_tile(w1, w2, window):
-        cl = real_classify(w1, w2, window)
-        scans.append(window)
+    def first_scan_drops_a_tile(w, points):
+        roof, in_tiles = real_in_set(w, points)
+        scans.append(points)
         if len(scans) > 1:
-            return cl
-        kept = tuple(s for s in cl.in_tiles if s != traj.tiles[0])
-        return Classification(kept, cl.out_tiles, cl.bd_tiles)
+            return roof, in_tiles
+        return roof, tuple(s for s in in_tiles if s != traj.tiles[0])
 
-    monkeypatch.setattr(dynamics, "classify", first_scan_drops_a_tile)
+    monkeypatch.setattr(dynamics, "_in_set", first_scan_drops_a_tile)
     msg = r"^reconstruction mismatch: \|In1\|=5, \|In2\|=0, trajectory length 6$"
     with pytest.raises(GeometryError, match=msg):
         closed_trajectory_roofs(hexcone, traj)
     assert len(scans) == 2
+
+
+def test_closed_trajectory_roofs_has_the_in_scan_budget(monkeypatch, hexcone):
+    # The hexagon walk's bases are the hexagon's generators, so its first
+    # scan is charged what the hexagon's norm is: 722 flats times 3
+    # generators and the 1 roof corner.  One pair less is refused before
+    # any section, with the In scan's message.
+    traj = trace(hexcone, HEX_TILES[0])
+    calls = count_public_calls(monkeypatch, (section_at,))
+    monkeypatch.setattr(surface, "MAX_SCAN_UNITS", 722 * 4 - 1)
+    msg = r"^In scan of 361 cells over 4 generators reads 2888 flat-generator pairs, more than 2887$"
+    with pytest.raises(ValueError, match=msg):
+        closed_trajectory_roofs(hexcone, traj)
+    assert calls["section_at"] == 0
+    monkeypatch.setattr(surface, "MAX_SCAN_UNITS", 722 * 4)
+    assert closed_trajectory_roofs(hexcone, traj)[1] == StdUpSet()
+    assert calls["section_at"] == 722
+
+
+def test_an_empty_residue_takes_no_section(monkeypatch, hexcone):
+    # The hexagon walk is its whole In set, so the residue has no base,
+    # the second roof adds no corner and its scan takes no section.
+    traj = trace(hexcone, HEX_TILES[0])
+    calls = count_public_calls(monkeypatch, (section_at,))
+    real_in_set = dynamics._in_set
+    scans = []
+
+    def counted(w, points):
+        before = calls["section_at"]
+        out = real_in_set(w, points)
+        scans.append((len(points), calls["section_at"] - before))
+        return out
+
+    monkeypatch.setattr(dynamics, "_in_set", counted)
+    assert closed_trajectory_roofs(hexcone, traj)[1] == StdUpSet()
+    assert scans == [(3, 722), (0, 0)]
 
 
 def test_closed_trajectory_roofs_requires_closed(hexcone):
@@ -402,7 +443,8 @@ def test_closed_trajectory_roofs_requires_closed(hexcone):
 
 def test_closed_trajectory_roofs_on_random_pits():
     # 22 draws reach the target on this seed; the bound makes a fault that
-    # empties the norms fail here instead of drawing for ever.
+    # empties the norms fail here instead of drawing for ever.  Each
+    # answer is that of the reconstruction as first written.
     rng = random.Random(23)
     done = 0
     for _ in range(100):
@@ -410,7 +452,8 @@ def test_closed_trajectory_roofs_on_random_pits():
         for t in norm(w)[:1]:
             traj = trace(w, section_at(w, t), max_steps=300)
             if traj.closed:
-                closed_trajectory_roofs(w, traj)  # raises on violation
+                rebuilt = closed_trajectory_roofs(w, traj)  # raises on violation
+                assert rebuilt == reference_trajectory_roofs(w, traj), w
                 done += 1
         if done == 12:
             break
@@ -586,7 +629,7 @@ def test_q_axis_permutations_commute_with_sections_and_steps():
         tiles = [section_at(w, t) for t in flat_tiles_in(Window(-4, 4, -4, 4))]
         moves = [(s, port, *step(w, s, port)) for s in tiles for port in Port]
         for perm in AXIS_PERMUTATIONS:
-            image = ConjUpSet(tuple(permute_point(perm, g) for g in w.generators))
+            image = permute_region(perm, w)
             for s in tiles:
                 ps = permute_tile(perm, s)
                 assert vertices(ps) == tuple(permute_point(perm, v) for v in vertices(s))
@@ -597,11 +640,6 @@ def test_q_axis_permutations_commute_with_sections_and_steps():
                 assert step(image, permute_tile(perm, s), port) == (permute_tile(perm, nxt), nxt_port), (w, perm, s)
                 steps += 1
     assert (sections, steps) == (29_160, 58_320)
-
-
-def _translate_tile(s, d):
-    (x, y, z), d1, d2 = s
-    return ((x + d[0], y + d[1], z + d[2]), d1, d2)
 
 
 def test_decode_commutes_with_axis_permutations_and_translations():
@@ -621,7 +659,7 @@ def test_decode_commutes_with_axis_permutations_and_translations():
             checks += 1
         for _ in range(6):
             d = tuple(rng.randint(-50, 50) for _ in range(3))
-            assert decode(code, _translate_tile(start, d)) == [_translate_tile(t, d) for t in tiles], (code, start, d)
+            assert decode(code, translate_tile(d, start)) == [translate_tile(d, t) for t in tiles], (code, start, d)
             checks += 1
     assert checks == 1_800
 
@@ -643,10 +681,44 @@ def test_encode_of_a_traced_walk_is_invariant_under_axis_permutations():
             code = encode(walk)
             closed += walk.closed
             for perm in AXIS_PERMUTATIONS:
-                image = ConjUpSet(tuple(permute_point(perm, g) for g in w.generators))
+                image = permute_region(perm, w)
                 moved = trace(image, permute_tile(perm, start), max_steps=len(walk))
                 assert moved.tiles == tuple(permute_tile(perm, s) for s in walk.tiles), (w, start, perm)
                 assert moved.closed == walk.closed
                 assert encode(moved) == code, (w, start, perm)
                 checks += 1
     assert checks == 1_200 and 0 < closed < 200
+
+
+def test_lattice_symmetries_carry_in_sets_and_reconstructions():
+    """Every q-axis permutation and integer translation ``g`` carries the
+    In scan and the reconstruction along: the norm of ``g w`` is the set of
+    flattened images of the In tiles of ``w``, and ``closed_trajectory_roofs``
+    of the image of a closed norm walk returns the images of its two
+    roofs.  Judged on the roof classes of the 3 x 3 x 3 box and on seeded
+    pit clusters, each under the six permutations and three translations."""
+    rng = random.Random(71)
+    roofs = [w for w in box_roof_classes(3) if w.generators]
+    roofs += [conj_roof_generators(rand_pit_gens(rng, i % 3)) for i in range(6)]
+    moves = [(partial(permute_tile, perm), partial(permute_region, perm)) for perm in AXIS_PERMUTATIONS]
+    for _ in range(3):
+        d = tuple(rng.randint(-40, 40) for _ in range(3))
+        moves.append((partial(translate_tile, d), partial(translate_region, d)))
+    norms = walks = 0
+    for w in roofs:
+        in_tiles = in_tiles_expanded(w)
+        try:
+            trajs = closed_trajectories_of_roof(w)
+        except GeometryError:
+            trajs = []
+        rebuilt = [closed_trajectory_roofs(w, traj) for traj in trajs]
+        for move_tile, move_region in moves:
+            image = move_region(w)
+            assert set(norm(image)) == {flatten(move_tile(s)) for s in in_tiles}, (w, image)
+            norms += 1
+            for traj, (w1, w2) in zip(trajs, rebuilt):
+                moved = trace(image, move_tile(traj.tiles[0]), max_steps=len(traj))
+                assert moved.closed and moved.tiles == tuple(map(move_tile, traj.tiles)), (w, image)
+                assert closed_trajectory_roofs(image, moved) == (move_region(w1), move_region(w2)), (w, image)
+                walks += 1
+    assert (norms, walks) == (504, 144), (norms, walks)

@@ -23,8 +23,9 @@ from conftest import (
     plane_peaks,
     rand_pit_gens,
     reference_chart_cover,
+    translate_tile,
 )
-from tritile import ConjUpSet, conj_contains, conj_roof_generators, gradient, norm, parse_tile, roof_add
+from tritile import ConjUpSet, conj_contains, conj_roof_generators, gradient, norm, parse_tile, roof_add, tile_text
 from tritile import shell, surface
 from tritile.shell import main
 
@@ -86,6 +87,16 @@ def test_decode_command(capsys):
     assert [c["span"] for c in doc["charts"]] == [[0, 4], [1, 5]]
     assert doc["charts"][0]["peaks"] == [[0, 1, 1], [1, 0, 1], [1, 1, 0]]
     assert doc["charts"][1]["peaks"] == [[0, 1, 1], [1, 0, 1]]
+
+
+def test_decode_from_a_negative_start_in_the_equals_form(capsys):
+    # The README's form for a --start that begins with `-`: the walk is
+    # the one from 1,1,0:21 moved by (-6, 2, 0), as decode reads no surface.
+    code, out = run(capsys, "decode", "DUDUDD", "--start=-5,3,0:21")
+    assert code == 0
+    _, origin = run(capsys, "decode", "DUDUDD", "--start=1,1,0:21")
+    moved = [tile_text(translate_tile((-6, 2, 0), parse_tile(t))) for t in json.loads(origin)["tiles"]]
+    assert json.loads(out)["tiles"] == moved
 
 
 def test_decode_bad_alphabet_is_usage_error(capsys):
@@ -154,7 +165,7 @@ def test_norm_command(capsys, hex_peaks, octant_peaks):
 def test_norm_of_far_apart_peaks_scans_nothing(tmp_path):
     # Two peaks 10**6 apart: their standard roof adds no corner, so the In
     # scan returns before any section instead of sectioning the 4 * 10**12
-    # flats of the seed window.
+    # flats of their box padded by 8.
     p = tmp_path / "far.json"
     p.write_text(json.dumps({"peaks": [[0, 0, 0], [1000000, -1000000, 0]]}))
     env = dict(os.environ)

@@ -44,7 +44,7 @@ import tritile
 from tritile import cones, surface
 from tritile.cones import StdUpSet, conj_roof_generators, std_roof_generators
 from tritile.lattice import embed, q_shift
-from tritile.surface import _classify_tile, in_tiles_expanded, seed_window
+from tritile.surface import _classify_tile, _in_set, in_tiles_expanded
 from tritile.tiles import tile
 
 HEX_TILES = tuple(parse_tile(t) for t in HEX_WALK)
@@ -229,9 +229,9 @@ def test_empty_region_has_no_surface_tiles():
 def test_section_and_classify_work_counts(monkeypatch, hexcone):
     # Work counts, not timings: a classified window and the surface of a
     # window read one height table and take no public section, the In scan
-    # takes one section per flat tile of the seed window when the peaks'
-    # standard roof adds a corner (the hexagon pit) and none when it adds
-    # none (the two-peak wide roof), and nothing on the section path reads
+    # takes one section per flat tile of the peaks' box padded by 8 when
+    # their standard roof adds a corner (the hexagon pit) and none when it
+    # adds none (the two-peak wide roof), and nothing on the section path reads
     # a height through conj_height, whose calls are counted in every
     # tritile namespace that binds it.
     heights = count_public_calls(monkeypatch, (cones.conj_height,))
@@ -251,7 +251,7 @@ def test_section_and_classify_work_counts(monkeypatch, hexcone):
         surface.classify(w, STD_ORIGIN, window)
         surface.surface_tiles(w, window)
         assert calls["section_at"] == 0
-        scanned = len(list(flat_tiles_in(seed_window(w.generators)))) if w is hexcone else 0
+        scanned = len(list(flat_tiles_in(padded_box(w.generators, 8)))) if w is hexcone else 0
         calls["section_at"] = 0
         hits = surface.in_tiles_expanded(w)
         assert calls["section_at"] == scanned
@@ -358,12 +358,12 @@ def test_norm_of_hex_pit(hexcone):
     assert flats == tuple(sorted(flatten(s) for s in HEX_TILES))
 
 
-def test_the_box_of_no_points_is_empty(monkeypatch):
-    # No points, no window: the In scan of the empty region takes no
-    # section, and the roof of no peaks has an empty norm instead of a
-    # height error.
-    assert list(flat_tiles_in(seed_window(()))) == []
+def test_the_box_of_no_points_is_empty(monkeypatch, hexcone):
+    # No points, no added corner, no scan: the In scan of no points takes
+    # no section on any region, and the roof of no peaks has an empty norm
+    # instead of a height error.
     calls = count_public_calls(monkeypatch, (surface.section_at,))
+    assert _in_set(hexcone, ()) == _in_set(ConjUpSet(), ()) == (StdUpSet(), ())
     assert in_tiles_expanded(ConjUpSet()) == ()
     assert norm(ConjUpSet()) == ()
     assert calls["section_at"] == 0
@@ -417,7 +417,8 @@ def test_no_new_corner_means_no_in_tile(monkeypatch):
     # standard cone, the brute In set at pad 8 is empty.  The points are
     # roof generators, whose In scan returns () without a section, or
     # points of a cone one unit step or none above its generators, whose
-    # In set `classify` reads over the box of the points.  Every pit
+    # In set the In scan finds empty without a section and `classify`
+    # reads over the box of the points.  Every pit
     # cluster, the hexagon included, adds its pit corner, so its scan is
     # kept.
     def adds_corner(points):
@@ -447,7 +448,8 @@ def test_no_new_corner_means_no_in_tile(monkeypatch):
         if kind == "roof":
             assert in_tiles_expanded(w) == () and calls["section_at"] == 0
         else:
-            assert classify(w, std_roof_generators(points), seed_window(points)).in_tiles == ()
+            assert classify(w, std_roof_generators(points), padded_box(points, 8)).in_tiles == ()
+            assert _in_set(w, points) == (std_roof_generators(points), ()) and calls["section_at"] == 0
         assert brute_in_tiles(w, points, padded_box(points, 8)) == [], points
         shortcuts[kind] += 1
     assert shortcuts["roof"] >= 4 and shortcuts["cone"] >= 4, shortcuts
@@ -458,8 +460,8 @@ def test_in_verdict_reads_only_the_added_corners():
     # to the standard cone of the generators, not against every roof
     # corner: by the lemma of the surface.py docstring, a corner whose
     # closed l-octant holds a half square of a surface tile is never a
-    # point of the generators.  Judged on every section over the seed
-    # window, read from the height table and not from the scan, whose
+    # point of the generators.  Judged on every section over the padded
+    # box, read from the height table and not from the scan, whose
     # answer must then be the In list they give; its no-corner shortcut
     # is "no added corner".  The roofs are
     # pit clusters, pit clusters with random peaks, two pits 5 to 60
@@ -486,7 +488,7 @@ def test_in_verdict_reads_only_the_added_corners():
             seen["shortcut"] += 1
             continue
         hits = []
-        for s in surface_tiles(w, seed_window(w.generators)):
+        for s in surface_tiles(w, padded_box(w.generators, 8)):
             verdict = _classify_tile(s, roof.dgens)
             assert (_classify_tile(s, added) == "in") == (verdict == "in"), (w.generators, s)
             if verdict == "in":
@@ -501,8 +503,9 @@ def test_in_tiles_lie_in_the_box_of_their_points():
     # The In-tiles against the roof of points P lying in w project into
     # the plane box of P, so one scan of that box finds them all.  P is
     # the generators of a roof, read by the In scan, or points of a cone
-    # one unit step or none above its generators, read by `classify` over
-    # the box as `closed_trajectory_roofs` reads a walk's bases.
+    # one unit step or none above its generators, read by the In scan as
+    # `closed_trajectory_roofs` reads a walk's bases and by `classify`
+    # over the same box.
     rng = random.Random(23)
     units = [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)]
     cases = []
@@ -528,7 +531,8 @@ def test_in_tiles_lie_in_the_box_of_their_points():
         if kind == "roof":
             assert in_tiles_expanded(w) == tuple(hits)
         else:
-            assert classify(w, std_roof_generators(points), seed_window(points)).in_tiles == tuple(hits)
+            assert classify(w, std_roof_generators(points), padded_box(points, 8)).in_tiles == tuple(hits)
+            assert _in_set(w, points) == (std_roof_generators(points), tuple(hits))
         nonempty[kind] += bool(hits)
     assert nonempty["roof"] >= 3 and nonempty["cone"] >= 2, nonempty
 
