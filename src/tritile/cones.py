@@ -12,13 +12,16 @@ A *roof* enlarges a cone by every point whose three axis rays all
 eventually enter the cone.  The ray along axis i enters it iff some
 generator lies below the point in the other two coordinates, so the
 roof is the intersection of three cylinders, each over the staircase of
-the generators projected to one coordinate plane.  Its corners are the
-componentwise maxima of one staircase corner per plane, as the
-generators of an intersection of monomial ideals are lcms; in
-monomial-ideal terms the roof is the saturation of the cone's ideal.
-The candidate corners are minimalized once, by the up-set that holds
-them.  The construction is idempotent, and it is validated against a
-brute-force membership oracle in the test suite.
+the generators projected to one coordinate plane.  A staircase is the
+antichain of that projection, the generators with the coordinate off
+the plane set to 0: ``_antichain`` decides it, as it decides every
+minimal set here.  The roof's corners are the componentwise maxima of
+one staircase corner per plane, as the generators of an intersection of
+monomial ideals are lcms; in monomial-ideal terms the roof is the
+saturation of the cone's ideal.  The candidate corners are minimalized
+once, by the up-set that holds them.  The construction is idempotent,
+and it is validated against a brute-force membership oracle in the test
+suite.
 """
 
 from __future__ import annotations
@@ -55,39 +58,25 @@ def _antichain(triples: Iterable[Triple]) -> tuple[Triple, ...]:
     return tuple(keep)
 
 
-def _front(pairs: Iterable[tuple[int, int]]) -> list[tuple[int, int]]:
-    """Minimal pairs of a finite pair set: a staircase in the plane.
-
-    In ascending order every earlier pair has a first coordinate no
-    larger, so a pair is dominated iff some kept pair has a second
-    coordinate no larger.  The kept second coordinates fall, so the
-    last kept one is their minimum.
-    """
-    keep: list[tuple[int, int]] = []
-    for a, b in sorted(pairs):
-        if not keep or b < keep[-1][1]:
-            keep.append((a, b))
-    return keep
-
-
 def _roof_closure(triples: Iterable[Triple]) -> set[Triple]:
     """Candidate corners of the roof over octants based at ``triples``.
 
     A point lies in the roof iff each of the three coordinate-plane
-    staircases has a corner below it in that plane.  One corner per
-    plane pins the point into the octant whose corner takes, per
-    coordinate, the max over the two planes that hold it; the roof is
-    the union of those octants.  The corners are not minimalized here.
+    staircases, read as antichains of the projected points, has a corner
+    below it in that plane.  One corner per plane pins the point into
+    the octant whose corner takes, per coordinate, the max over the two
+    planes that hold it; the roof is the union of those octants.  The
+    corners are not minimalized here.
     """
     pts = list(triples)
-    front1 = _front((y, z) for _, y, z in pts)  # witnesses of the +axis1 ray
-    front2 = _front((x, z) for x, _, z in pts)
-    front3 = _front((x, y) for x, y, _ in pts)
+    front1 = _antichain((0, y, z) for _, y, z in pts)  # witnesses of the +axis1 ray
+    front2 = _antichain((x, 0, z) for x, _, z in pts)
+    front3 = _antichain((x, y, 0) for x, y, _ in pts)
     return {
         (max(x2, x3), max(y1, y3), max(z1, z2))
-        for y1, z1 in front1
-        for x2, z2 in front2
-        for x3, y3 in front3
+        for _, y1, z1 in front1
+        for x2, _, z2 in front2
+        for x3, y3, _ in front3
     }
 
 

@@ -9,9 +9,15 @@ start tile decodes back to the tile sequence by the reverse automaton.
 
 ``chart_cover`` produces overlapping cones whose surfaces carry the
 pieces of a decoded tile list, mirroring how local vector fields patch
-into a global one.  ``closed_trajectory_roofs`` rebuilds a closed
-trajectory as a difference of two inside-sets and checks itself, since
-that reconstruction is the load-bearing structural claim.
+into a global one.  A walk traced on ``w`` is one chart: each of its
+tiles has its base in ``w`` and ``base - e_d3`` outside ``w``
+(``on_surface``), so the cone of the bases of any segment of the walk,
+which lies in ``w``, holds each base of the segment and no such
+``base - e_d3``.  Every tile of the segment is on its surface, no check
+of the cover fails, and ``chart_cover`` returns one chart, whose cone is
+the cone of all the bases.  ``closed_trajectory_roofs`` rebuilds a
+closed trajectory as a difference of two inside-sets and checks itself,
+since that reconstruction is the load-bearing structural claim.
 """
 
 from __future__ import annotations

@@ -82,12 +82,15 @@ the monomial ideal of ``P``, and a saturation that adds no generator
 leaves no In tile.  No points make no added corner, so no scan.
 
 The same argument shows that the In verdict needs only the added
-corners: the roof corners that are not generators of the standard cone
-of ``P``.  A tile is In when the octant of one roof corner holds both
-its probes, so that octant holds both open half squares, and by the
-lemma that corner is an added one.  A tile is therefore In against the
-roof exactly when it is In against the added corners, and the In scan
-classifies against those alone.
+corners: the roof corners that are not among ``P``, compared in doubled
+l-coordinates.  A tile is In when the octant of one roof corner holds
+both its probes, so that octant holds both open half squares, and by
+the lemma that corner is an added one.  The added corners are also the
+roof corners that are not generators of the standard cone of ``P``:
+each such generator is a point of ``P``, and a roof corner that is a
+point of ``P`` is minimal in the roof, so also in the smaller cone.  A
+tile is therefore In against the roof exactly when it is In against the
+added corners, and the In scan classifies against those alone.
 
 The In scan and the height table both walk the flats of a window in
 canonical order: by ``u``, then ``v``, then ``[1 2]`` before ``[1 3]``,
@@ -117,7 +120,7 @@ from typing import Collection, Iterator, NamedTuple, Sequence
 
 from .cones import ConjUpSet, StdUpSet, is_roof, std_roof_generators
 from .errors import GeometryError
-from .lattice import Triple, project
+from .lattice import Triple, inverse_embed, project
 from .tiles import FlatTile, SlantTile, flatten
 
 # Flat-generator pairs charged to the largest In scan, two flats a cell
@@ -349,21 +352,21 @@ def _in_set(w: ConjUpSet, points: Collection[Triple]) -> tuple[StdUpSet, tuple[S
     In-tiles of the surface of ``w`` against it.
 
     By the box bound of the module docstring, one scan of the plane box
-    of ``points`` padded by 8 holds them all.  When the roof adds no
-    corner to the standard cone of ``points`` (no points, one, or two-peak
-    roofs, for example) there are none, by the lemma there, and no flat
-    is scanned.  Otherwise each flat is classified against the added
-    corners alone, which decide its In verdict (module docstring).  The
-    budget still charges each of the two flats per cell the generators of
-    ``w`` and every corner of the roof, so a scan of more than
-    ``MAX_SCAN_UNITS`` such reads is a ``ValueError`` before its first
-    section.
+    of ``points`` padded by 8 holds them all.  The added corners are the
+    roof corners not among ``points``.  When there is none (no points,
+    one, or two-peak roofs, for example) there is no In tile, by the
+    lemma there, and no flat is scanned.  Otherwise each flat is
+    classified against the added corners alone, which decide its In
+    verdict (module docstring).  The budget still charges each of the
+    two flats per cell the generators of ``w`` and every corner of the
+    roof, so a scan of more than ``MAX_SCAN_UNITS`` such reads is a
+    ``ValueError`` before its first section.
     """
     roof = std_roof_generators(points)
-    cone = StdUpSet.from_qpoints(points).dgens
-    added = [g for g in roof.dgens if g not in cone]
+    dpoints = set(map(inverse_embed, points))
+    added = [g for g in roof.dgens if g not in dpoints]
     if not added:
-        return roof, ()  # no corner beyond the cone: no In tile (module docstring)
+        return roof, ()  # no corner beyond the points: no In tile (module docstring)
     pu, pv = zip(*map(project, points))
     u_min, u_max, v_min, v_max = min(pu) - 8, max(pu) + 8, min(pv) - 8, max(pv) + 8
     cells = (u_max - u_min + 1) * (v_max - v_min + 1)

@@ -48,6 +48,7 @@ from tritile import (
     embed,
     flatten,
     inverse_embed,
+    project,
     std_roof_generators,
     tile_text,
     vertices,
@@ -178,8 +179,8 @@ def box_antichains(n: int) -> list[tuple[Triple, ...]]:
             out.append(tuple(chosen))
             return
         grow(i + 1, chosen)
-        p = pts[i]
-        if not any(all(a <= b for a, b in zip(c, p)) for c in chosen):
+        p = x, y, z = pts[i]
+        if not any(a <= x and b <= y and c <= z for a, b, c in chosen):
             grow(i + 1, chosen + [p])  # sorted order: no later point lies below a chosen one
 
     grow(0, [])
@@ -198,12 +199,19 @@ def canonical_generators(gens) -> tuple[Triple, ...]:
 
 
 @functools.lru_cache(maxsize=None)
+def box_roofs(n: int) -> Counter:
+    """The roof of every antichain of the ``n x n x n`` box, the empty
+    region included, with the number of antichains that close to it."""
+    return Counter(conj_roof_generators(a) for a in box_antichains(n))
+
+
+@functools.lru_cache(maxsize=None)
 def box_roof_classes(n: int) -> tuple[ConjUpSet, ...]:
     """One roof per class of the roofs of the antichains of the
     ``n x n x n`` box (``canonical_generators``), sorted, the empty
     region first."""
-    roofs = {conj_roof_generators(a) for a in box_antichains(n)}
-    return tuple(ConjUpSet(g) for g in sorted({canonical_generators(w.generators) for w in roofs}))
+    classes = {canonical_generators(w.generators) for w in box_roofs(n)}
+    return tuple(ConjUpSet(g) for g in sorted(classes))
 
 
 # -- independent oracles -----------------------------------------------------
@@ -219,27 +227,31 @@ def brute_conj_roof_member(points, q) -> bool:
 
 def brute_std_roof_member(points, q) -> bool:
     """Same condition evaluated on doubled l-coordinates."""
-    dq = inverse_embed(q)
-    dps = [inverse_embed(p) for p in points]
-    idx = {1: (1, 2), 2: (0, 2), 3: (0, 1)}
+    return _doubled_roof_member([inverse_embed(p) for p in points], inverse_embed(q))
+
+
+def _doubled_roof_member(dps, dq) -> bool:
+    """Roof membership of the doubled l-point ``dq`` over the doubled
+    l-points ``dps``, from the definition: for each axis some point lies
+    below ``dq`` in the other two coordinates."""
     return all(
-        any(a[i] <= dq[i] and a[j] <= dq[j] for a in dps) for i, j in idx.values()
+        any(a[i] <= dq[i] and a[j] <= dq[j] for a in dps) for i, j in ((1, 2), (0, 2), (0, 1))
     )
 
 
 def tile_samples(s: SlantTile, denom: int = 16):
     """Barycentric rational grid over the tile, in doubled l-coordinates."""
+    return [tuple(Fraction(c, denom) for c in p) for p in _sample_numerators(s, denom)]
+
+
+def _sample_numerators(s: SlantTile, denom: int):
+    """The grid of ``tile_samples`` times ``denom``: exact int triples."""
     va, vb, vc = (inverse_embed(v) for v in vertices(s))
-    pts = []
-    for i in range(denom + 1):
-        for j in range(denom + 1 - i):
-            k = denom - i - j
-            pts.append(
-                tuple(
-                    Fraction(i * va[t] + j * vb[t] + k * vc[t], denom) for t in range(3)
-                )
-            )
-    return pts
+    return [
+        tuple(i * va[t] + j * vb[t] + (denom - i - j) * vc[t] for t in range(3))
+        for i in range(denom + 1)
+        for j in range(denom + 1 - i)
+    ]
 
 
 def sample_in_closed(dgens, p) -> bool:
@@ -389,17 +401,67 @@ def reference_trajectory_roofs(w, traj):
 def brute_in_tiles(w, points, window) -> list:
     """In-tiles over the window against the standard roof of ``points``,
     from the brute section and sampled roof membership.  Four parts per
-    edge already put samples inside both half squares of a tile; each
-    doubled l-sample goes back to q-coordinates as ``embed`` of its
-    halves.  The flats are those of ``flat_tiles_in``, in canonical
-    order."""
+    edge already put samples inside both half squares of a tile.  The
+    samples are doubled l-points, read four times over as int triples, so
+    ``points`` go to doubled l-coordinates, times four, once per call, and
+    each sample is tested by the definition as it is.  The flats are
+    those of ``flat_tiles_in``, in canonical order."""
+    dps = [tuple(4 * c for c in inverse_embed(p)) for p in points]
     hits = []
     for t in flat_tiles_in(window):
         (s,) = brute_section(w.generators, t)
-        samples = tile_samples(s, denom=4)
-        if all(brute_std_roof_member(points, embed(*(c / 2 for c in p))) for p in samples):
+        if all(_doubled_roof_member(dps, p) for p in _sample_numerators(s, 4)):
             hits.append(s)
     return hits
+
+
+def added_corners_two_ways(points) -> tuple[list[Triple], list[Triple]]:
+    """The corners the standard roof of ``points`` adds, read two ways:
+    the roof corners that are not generators of the standard cone of
+    ``points``, and those that are not among ``points`` in doubled
+    l-coordinates.  The ``surface.py`` docstring proves them equal."""
+    roof = std_roof_generators(points).dgens
+    cone = StdUpSet.from_qpoints(points).dgens
+    dpoints = {inverse_embed(p) for p in points}
+    return [g for g in roof if g not in cone], [g for g in roof if g not in dpoints]
+
+
+def edge_pieces(tiles) -> list[list[SlantTile]]:
+    """The pieces of ``tiles``, two tiles neighbours when their projected
+    triangles share an edge."""
+    edges = {}
+    for s in tiles:
+        a, b, c = map(project, vertices(s))
+        edges[s] = [frozenset(e) for e in ((a, b), (b, c), (a, c))]
+    by_edge: dict = {}
+    for s, es in edges.items():
+        for e in es:
+            by_edge.setdefault(e, []).append(s)
+    left, pieces = set(tiles), []
+    while left:
+        todo, piece = [left.pop()], []
+        while todo:
+            s = todo.pop()
+            piece.append(s)
+            for n in (n for e in edges[s] for n in by_edge[e] if n in left):
+                left.remove(n)
+                todo.append(n)
+        pieces.append(piece)
+    return pieces
+
+
+def piece_reach(tiles, dcorners) -> list[int]:
+    """For each piece of ``tiles`` (``edge_pieces``), the least Chebyshev
+    distance, in half cells, from the flat base cell of one of its tiles
+    to the projection of one of the doubled l-points ``dcorners``.
+    ``embed`` of a doubled l-point is a doubled q-point, so those
+    projections are in doubled plane coordinates."""
+    centres = [(q[0] - q[2], q[1] - q[2]) for q in (embed(*t) for t in dcorners)]
+    reach = []
+    for piece in edge_pieces(tiles):
+        cells = [project(flatten(s)[0]) for s in piece]
+        reach.append(min(max(abs(2 * u - cu), abs(2 * v - cv)) for u, v in cells for cu, cv in centres))
+    return reach
 
 
 # -- the chart cover as first written, and public call counts ---------------

@@ -57,7 +57,7 @@ from tritile import (
     trace,
 )
 from tritile import dynamics, surface
-from tritile.cones import StdUpSet, conj_roof_generators, std_roof_generators
+from tritile.cones import StdUpSet, conj_roof_generators, is_roof, std_roof_generators
 from tritile.surface import Window, in_tiles_expanded
 from tritile.tiles import Port, port_candidates, tile, tile_text, tile_texts, vertices
 
@@ -479,6 +479,33 @@ def test_first_chart_of_closed_walk_sits_inside_its_cone():
         if done == 10:
             break
     assert done == 10
+
+
+def test_a_traced_walk_is_one_chart():
+    # The dynamics.py docstring proves it: every tile of a walk traced on
+    # w has its base in w and base - e_d3 outside w, so the cone of the
+    # walk's bases carries every tile, and the cover finds no break.  The
+    # regions are roofs and cones of 1 to 6 random points in [-4, 4]^3
+    # and pit-cluster roofs; each gives three walks with budgets 1, 2 to
+    # 299 and 300, the last from its first norm flat where it has one.
+    rng = random.Random(43)
+    regions = []
+    for i in range(30):
+        pts = [tuple(rng.randint(-4, 4) for _ in range(3)) for _ in range(rng.randint(1, 6))]
+        regions.append(conj_roof_generators(pts) if i % 2 else ConjUpSet(pts))
+        regions.append(conj_roof_generators(rand_pit_gens(rng, i % 3)))
+    walks = Counter()
+    for w in regions:
+        flats = list(flat_tiles_in(padded_box(w.generators, 1)))
+        core = norm(w) if is_roof(w) else ()
+        starts = (rng.choice(flats), rng.choice(flats), core[0] if core else rng.choice(flats))
+        for budget, t in zip((1, rng.randint(2, 299), 300), starts):
+            walk = trace(w, section_at(w, t), max_steps=budget)
+            tiles = list(walk.tiles)
+            cone = ConjUpSet(tuple(s[0] for s in tiles))
+            assert chart_cover(tiles) == [dynamics.Chart(cone, 0, len(tiles) - 1)], (w, tiles[0], budget)
+            walks["closed" if walk.closed else "open"] += 1
+    assert walks["closed"] >= 10 and walks["open"] >= 100, walks
 
 
 def test_closed_trajectories_of_roof(hexcone):

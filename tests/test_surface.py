@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from conftest import (
     HEX_GENS,
     HEX_WALK,
+    added_corners_two_ways,
     brute_boundary,
     brute_height,
     brute_section,
@@ -15,6 +16,7 @@ from conftest import (
     flat_tiles_in,
     padded_box,
     pit,
+    piece_reach,
     plane_peaks,
     rand_antichain,
     rand_pit_gens,
@@ -43,7 +45,7 @@ from tritile import (
 import tritile
 from tritile import cones, surface
 from tritile.cones import StdUpSet, conj_roof_generators, std_roof_generators
-from tritile.lattice import embed, q_shift
+from tritile.lattice import q_shift
 from tritile.surface import _classify_tile, _in_set, in_tiles_expanded
 from tritile.tiles import tile
 
@@ -537,30 +539,6 @@ def test_in_tiles_lie_in_the_box_of_their_points():
     assert nonempty["roof"] >= 3 and nonempty["cone"] >= 2, nonempty
 
 
-def _edge_pieces(tiles):
-    """The pieces of ``tiles``, two tiles neighbours when their projected
-    triangles share an edge."""
-    edges = {}
-    for s in tiles:
-        a, b, c = map(project, vertices(s))
-        edges[s] = [frozenset(e) for e in ((a, b), (b, c), (a, c))]
-    by_edge = {}
-    for s, es in edges.items():
-        for e in es:
-            by_edge.setdefault(e, []).append(s)
-    left, pieces = set(tiles), []
-    while left:
-        todo, piece = [left.pop()], []
-        while todo:
-            s = todo.pop()
-            piece.append(s)
-            for n in (n for e in edges[s] for n in by_edge[e] if n in left):
-                left.remove(n)
-                todo.append(n)
-        pieces.append(piece)
-    return pieces
-
-
 def test_every_in_piece_holds_a_tile_near_an_added_corner():
     # Evidence, not a proof, for seeding a flood of the In set at the
     # corners the standard roof adds: every piece of the In set holds a
@@ -578,16 +556,10 @@ def test_every_in_piece_holds_a_tile_near_an_added_corner():
         roofs.append(conj_roof_generators(pit((0, 0, 0)) + pit(far)))
     pieces = []
     for w in roofs:
-        added = set(std_roof_generators(w.generators).dgens) - set(StdUpSet.from_qpoints(w.generators).dgens)
-        # embed of a doubled l-point is a doubled q-point, so these centres
-        # are in doubled plane coordinates.
-        centres = [(q[0] - q[2], q[1] - q[2]) for q in (embed(*t) for t in added)]
-        mine = _edge_pieces(in_tiles_expanded(w))
-        for piece in mine:
-            cells = [project(flatten(s)[0]) for s in piece]
-            near = min(max(abs(2 * u - cu), abs(2 * v - cv)) for u, v in cells for cu, cv in centres)
-            assert near <= 2 * 2, (w.generators, piece[0])
-        pieces.append(len(mine))
+        added, _ = added_corners_two_ways(w.generators)
+        reach = piece_reach(in_tiles_expanded(w), added)
+        assert all(r <= 2 * 2 for r in reach), (w.generators, reach)
+        pieces.append(len(reach))
     assert sum(n > 0 for n in pieces) >= 80 and sum(n > 1 for n in pieces) >= 5, pieces
 
 
