@@ -17,7 +17,7 @@ from one table instead: every one is the height ``H(u, v)`` of some
 ``(u, v, 0)``, since adding (1,1,1) adds 1.  The table spans
 ``u_min..u_max+1`` by ``v_min-1..v_max+1``, and a row is
 ``max_g min(m_g, v-g2)`` with ``m_g = min(u-g1, -g3)`` taken once per
-row, so a table costs one line build per ``u``.  Over the flat
+row, so a table costs one row build per ``u``.  Over the flat
 ``(u, v, 0)[1 d2]`` let ``A = H(u, v)`` and ``B = H(u+1, v)``.  If
 ``B > A`` the section is ``(u+1-B, v-B, -B)[d2 d3]``.  Otherwise let
 ``C = H(u+1, v+1)`` for ``d2 = 2`` and ``C = H(u, v-1) + 1`` for
@@ -275,10 +275,10 @@ def _ramp(lo: int, n: int, cap: int) -> list[int]:
     return [*range(lo, lo + k), *[cap] * (n - k)]
 
 
-def _height_line(gens: list[Triple], x0: int, n: int, y: int) -> list[int]:
-    """``[max(min(x0 + j - gx, y - gy, gz) for gx, gy, gz in gens) for j in
-    range(n)]``: heights along a line of the table, one ramp per generator."""
-    ramps = [_ramp(x0 - gx, n, min(y - gy, gz)) for gx, gy, gz in gens]
+def _height_row(gens: tuple[Triple, ...], u: int, v0: int, n: int) -> list[int]:
+    """``[H(u, v0 + j) for j in range(n)]``: a row of the height table, one
+    ramp ``min(m_g, v - g2)`` per generator."""
+    ramps = [_ramp(v0 - b, n, min(u - a, -c)) for a, b, c in gens]
     return list(map(max, *ramps)) if len(ramps) > 1 else ramps[0]
 
 
@@ -290,9 +290,8 @@ def _sections(w: ConjUpSet, window: Window) -> Iterator[SlantTile]:
     if u_min > u_max or v_min > v_max or not gens:
         return  # no flat to scan, or no surface over it
     n = v_max - v_min + 3  # v_min-1 .. v_max+1
-    # table[i][j] = H(u_min + i, v_min - 1 + j), one line along v per u.
-    along_v = [(b, a, -c) for a, b, c in gens]
-    table = [_height_line(along_v, v_min - 1, n, u) for u in range(u_min, u_max + 2)]
+    # table[i][j] = H(u_min + i, v_min - 1 + j)
+    table = [_height_row(gens, u, v_min - 1, n) for u in range(u_min, u_max + 2)]
     for i, u in enumerate(range(u_min, u_max + 1)):
         here, east = table[i], table[i + 1]
         for j, v in enumerate(range(v_min, v_max + 1), 1):
@@ -317,7 +316,7 @@ def _sections(w: ConjUpSet, window: Window) -> Iterator[SlantTile]:
 
 def classify(w1: ConjUpSet, w2: StdUpSet, window: Window) -> Classification:
     """Partition the surface tiles of ``w1`` over the window against ``w2``;
-    unbudgeted: its height table costs one line build per ``u``."""
+    unbudgeted: its height table costs one row build per ``u``."""
     buckets: dict[str, list[SlantTile]] = {"in": [], "out": [], "bd": []}
     dgens = w2.dgens
     for s in _sections(w1, window):
@@ -412,5 +411,5 @@ def norm(w: ConjUpSet) -> tuple[FlatTile, ...]:
 
 def surface_tiles(w: ConjUpSet, window: Window) -> tuple[SlantTile, ...]:
     """The section over every flat tile of the window, in canonical order;
-    unbudgeted: its height table costs one line build per ``u``."""
+    unbudgeted: its height table costs one row build per ``u``."""
     return tuple(_sections(w, window))

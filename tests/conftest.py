@@ -23,18 +23,30 @@ section and the port rule alone.  ``reference_in_set`` and
 written, classifying a whole box three ways, kept as the oracle of the
 In scan it now shares with ``norm``.  ``box_roof_classes`` lists every
 roof of a small box once per class under the lattice symmetries that
-``permute_region`` and ``translate_region`` apply.
+``permute_region`` and ``translate_region`` apply.  ``cli`` runs the
+command line in this process and ``run_python`` runs a Python program
+in a child process, each in a fresh working directory that holds the
+call's files.
 """
 
 from __future__ import annotations
 
+import contextlib
 import functools
+import io
 import itertools
+import json
+import os
 import random
+import subprocess
 import sys
+import tempfile
+import time
 from collections import Counter
 from collections.abc import Iterator
 from fractions import Fraction
+from pathlib import Path
+from unittest import mock
 
 import pytest
 
@@ -53,10 +65,12 @@ from tritile import (
     tile_text,
     vertices,
 )
-from tritile import dynamics, surface
+from tritile import dynamics, shell, surface
 from tritile.errors import GeometryError
 from tritile.lattice import Triple
 from tritile.tiles import FlatTile, Port, gradient, port_candidates
+
+ROOT = Path(__file__).resolve().parents[1]
 
 # The six-tile closed walk around the three-peak pit, in walk order.
 HEX_GENS = ((1, 1, 0), (0, 1, 1), (1, 0, 1))
@@ -302,20 +316,22 @@ def brute_section(gens, t: SlantTile) -> list[SlantTile]:
     zero, first direction 1) whose three vertices are boundary points.
 
     Each of the three shift phases ``b[1 d2]``, ``(b+e1)[d2 d3]`` and
-    ``(b+e1+e_d2)[d3 1]`` is slid over every diagonal offset within the
-    span of the generators; a staircase keeps exactly one survivor.
+    ``(b+e1+e_d2)[d3 1]`` is moved along the diagonal by minus the brute
+    height of its base, the one offset that puts that base on the
+    boundary; a staircase keeps exactly one survivor.  Without generators
+    there is no boundary and no tile.
     """
+    if not gens:
+        return []
     b, _, d2 = t
     d3 = 5 - d2
     phases = ((b, 1, d2), (_plus(b, 1), d2, d3), (_plus(_plus(b, 1), d2), d3, 1))
-    span = _span(gens, b)
     out = []
     for base, a1, a2 in phases:
-        for k in range(-span, span + 1):
-            v0 = _diag(base, k)
-            v1 = _plus(v0, a1)
-            if all(brute_boundary(gens, v) for v in (v0, v1, _plus(v1, a2))):
-                out.append((v0, a1, a2))
+        v0 = _diag(base, -brute_height(gens, base))
+        v1 = _plus(v0, a1)
+        if all(brute_boundary(gens, v) for v in (v0, v1, _plus(v1, a2))):
+            out.append((v0, a1, a2))
     return out
 
 
@@ -557,3 +573,53 @@ def dense_ascii_picture(tiles) -> str:
         row = "".join("".join(cells.get((u, v), [" ", " "])) for u in range(min(us), max(us) + 1))
         lines.append(row.rstrip())
     return "\n".join(lines) + "\n"
+
+
+# -- running the command line -------------------------------------------------
+
+@contextlib.contextmanager
+def _workdir(files):
+    """A fresh directory holding each ``files[i]`` as ``FILE<i>``: a
+    document as JSON, or text or bytes as they are."""
+    with tempfile.TemporaryDirectory() as tmp:
+        for i, content in enumerate(files):
+            path = Path(tmp, f"FILE{i}")
+            if isinstance(content, bytes):
+                path.write_bytes(content)
+            else:
+                path.write_text(content if isinstance(content, str) else json.dumps(content), encoding="utf-8")
+        yield tmp
+
+
+def cli(argv, files=(), stdin: str = "") -> tuple[int, str, str, float]:
+    """Run ``tritile.shell.main`` on ``argv`` in this process, in a fresh
+    working directory that holds ``files`` as ``FILE0``, ``FILE1``, ...,
+    with ``stdin`` as standard input.  Returns the exit code, stdout,
+    stderr and the seconds of the call."""
+    out, err = io.StringIO(), io.StringIO()
+    here = os.getcwd()
+    with _workdir(files) as tmp, mock.patch.object(sys, "stdin", io.StringIO(stdin)):
+        os.chdir(tmp)
+        try:
+            start = time.perf_counter()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = shell.main(argv)
+            seconds = time.perf_counter() - start
+        finally:
+            os.chdir(here)
+    return code, out.getvalue(), err.getvalue(), seconds
+
+
+def run_python(args, files=(), *, timeout: float) -> tuple[int, str, str, float]:
+    """Run ``python *args`` in a child process with this checkout's
+    ``src`` first on ``PYTHONPATH``, in a fresh working directory that
+    holds ``files`` as ``cli`` writes them; a run past ``timeout``
+    seconds raises.  Returns what ``cli`` returns."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    with _workdir(files) as tmp:
+        start = time.perf_counter()
+        proc = subprocess.run(
+            [sys.executable, *args], cwd=tmp, env=env, capture_output=True, text=True, timeout=timeout
+        )
+        return proc.returncode, proc.stdout, proc.stderr, time.perf_counter() - start

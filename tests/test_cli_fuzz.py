@@ -14,21 +14,13 @@ Each draw is derandomized with a fixed example count, so every run
 feeds the same inputs.
 """
 
-import contextlib
-import io
 import json
-import os
-import sys
-import tempfile
-import time
-from unittest import mock
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import HEX_GENS, plane_peaks
+from conftest import HEX_GENS, cli, plane_peaks
 from tritile import ConjUpSet, project, section_at, shell, tile, tile_text
-from tritile.shell import main
 
 # Every document lies around an origin drawn from the full range, with a
 # spread of its own.  Small spreads give pictures that draw; the rest
@@ -70,14 +62,6 @@ def documents(draw):
     return {"in": i, "out": o, "bd": b, "counts": counts, "consistent": not b}
 
 
-def render(doc: dict, fmt: str) -> tuple[int, str, str]:
-    out, err = io.StringIO(), io.StringIO()
-    with mock.patch.object(sys, "stdin", io.StringIO(json.dumps(doc))):
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main(["render", "--format", fmt])
-    return code, out.getvalue(), err.getvalue()
-
-
 @settings(max_examples=150, derandomize=True, deadline=None)
 @given(documents(), st.sampled_from(["svg", "ascii"]))
 # Two tiles 10^15 apart: the ASCII picture would be 2 * 10^15 characters.
@@ -86,7 +70,7 @@ def render(doc: dict, fmt: str) -> tuple[int, str, str]:
 @example({"tiles": [f"{10**400},0,0:12"]}, "svg")
 @example({"in": ["1" * 5000 + ",0,0:12"], "out": [], "bd": []}, "ascii")
 def test_render_exits_0_or_1_without_a_traceback(doc, fmt):
-    code, out, err = render(doc, fmt)
+    code, out, err, _ = cli(["render", "--format", fmt], stdin=json.dumps(doc))
     assert code in (0, 1)
     assert "Traceback" not in err
     if code == 1:
@@ -131,29 +115,6 @@ def peaks_docs(draw):
     else:
         pts = [origin] * n
     return {"peaks": [list(p) for p in pts], "kind": draw(st.sampled_from(["roof", "cone"]))}
-
-
-def cli(argv: list[str], files: list) -> tuple[int, str, str, float]:
-    """Run ``main`` on ``argv`` with each ``FILE<i>`` in it naming a
-    temporary file that holds ``files[i]``: a document as JSON, or text
-    or bytes as they are.  Returns the exit code, stdout, stderr and the
-    wall time of the call."""
-    out, err = io.StringIO(), io.StringIO()
-    with tempfile.TemporaryDirectory() as tmp:
-        paths = {}
-        for i, content in enumerate(files):
-            paths[f"FILE{i}"] = path = os.path.join(tmp, f"peaks{i}.json")
-            if isinstance(content, bytes):
-                with open(path, "wb") as fh:
-                    fh.write(content)
-            else:
-                with open(path, "w", encoding="utf-8") as fh:
-                    fh.write(content if isinstance(content, str) else json.dumps(content))
-        argv = [paths.get(a, a) for a in argv]
-        start = time.perf_counter()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main(argv)
-        return code, out.getvalue(), err.getvalue(), time.perf_counter() - start
 
 
 def peaks_command(argv: list[str], docs: list[dict]) -> tuple[int, str, str, float]:

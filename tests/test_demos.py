@@ -6,18 +6,14 @@ CLI option is set by a README command or a benchmark operation."""
 
 import argparse
 import ast
-import os
 import re
 import shlex
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 
+from conftest import ROOT, run_python
 from tritile.shell import build_parser
 
-ROOT = Path(__file__).resolve().parents[1]
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
 README = (ROOT / "README.md").read_text()
 README_PYTHON = re.findall(r"^```python\n(.*?)^```$", README, re.M | re.S)
@@ -32,14 +28,10 @@ def test_demos_found():
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.name)
-def test_demo_runs(demo, tmp_path):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, str(demo)], cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout
+def test_demo_runs(demo):
+    code, out, err, _ = run_python([str(demo)], timeout=120)
+    assert code == 0, err
+    assert out
 
 
 def test_readme_quick_start_runs():

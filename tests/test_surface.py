@@ -43,7 +43,7 @@ from tritile import (
     vertices,
 )
 import tritile
-from tritile import cones, surface
+from tritile import cones, shell, surface
 from tritile.cones import StdUpSet, conj_roof_generators, std_roof_generators
 from tritile.lattice import q_shift
 from tritile.surface import _classify_tile, _in_set, in_tiles_expanded
@@ -610,11 +610,13 @@ def test_surface_tiles_against_brute_sections():
 
 
 def test_long_windows_match_the_per_flat_kernel():
-    # Windows more than 512 cells long, along v and along u, longer than
-    # the CLI's side cap allows, across the generators: each section equals
-    # the per-flat kernel's, which the brute section judges above.
+    # Windows longer than the CLI's side cap, `shell.MAX_WINDOW_SIDE`,
+    # along v, along u and along u three cells wide, across the generators:
+    # every section read from the height table equals `section_at` over its
+    # flat, which the brute section judges above.
     rng = random.Random(31)
     span = 512
+    assert span > shell.MAX_WINDOW_SIDE
     for gens in (rand_antichain(rng, 4, 6), tuple(rand_pit_gens(rng, 2))):
         w = conj_roof_generators(gens)
         for window in (Window(0, 1, -span, span + 3), Window(-span, span + 3, 0, 0), Window(-span, span, -1, 1)):
