@@ -15,7 +15,9 @@ tiles has its base in ``w`` and ``base - e_d3`` outside ``w``
 which lies in ``w``, holds each base of the segment and no such
 ``base - e_d3``.  Every tile of the segment is on its surface, no check
 of the cover fails, and ``chart_cover`` returns one chart, whose cone is
-the cone of all the bases.  ``closed_trajectory_roofs`` rebuilds a
+the cone of all the bases.  The CLI's ``trajectories --start`` writes
+that chart straight from this proof and searches no cover.
+``closed_trajectory_roofs`` rebuilds a
 closed trajectory as a difference of two inside-sets and checks itself,
 since that reconstruction is the load-bearing structural claim.
 """

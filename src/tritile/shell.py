@@ -33,6 +33,7 @@ from typing import Sequence
 from .cones import ConjUpSet, StdUpSet, conj_roof_generators, std_roof_generators
 from .dynamics import (
     MAX_STEPS,
+    Chart,
     Trajectory,
     chart_cover,
     closed_trajectories_of_roof,
@@ -65,9 +66,12 @@ MAX_PEAKS = 100
 
 # Tiles of the longest walk: the cap of --max-steps and of a `decode`
 # code's length, a little above the longest bench walk (a 3,020-symbol
-# decode).  Each walk document's chart cover also stays within
-# `dynamics.MAX_COVER_UNITS`; the slowest walk found within both takes
-# about 3.7 s (2-vCPU Xeon, Python 3.11).
+# decode).  The chart cover of a `decode`, `trajectories --all` or `norm`
+# document also stays within `dynamics.MAX_COVER_UNITS`; the slowest walk
+# found within both, a `decode` of "DDDUUU" repeated, takes about 3.7 s
+# (2-vCPU Xeon, Python 3.11) and bounds the cap.  A `--start` walk searches
+# no cover: the slowest found at the cap, 3,100 steps on the roof of the
+# 100-peak chain (i, -i, -2i), takes about 0.09 s in-process.
 MAX_WALK = 3_100
 
 
@@ -155,16 +159,13 @@ def _emit(doc: dict) -> None:
     sys.stdout.write(json.dumps(doc, sort_keys=True) + "\n")
 
 
-def _traj_doc(traj: Trajectory, code: str) -> dict:
+def _traj_doc(traj: Trajectory, code: str, charts: list[Chart]) -> dict:
     return {
         "closed": traj.closed,
         "length": len(traj.tiles),
         "tiles": tile_texts(traj.tiles),
         "code": code,
-        "charts": [
-            {"peaks": [list(g) for g in c.cone.generators], "span": [c.start, c.stop]}
-            for c in chart_cover(traj.tiles)
-        ],
+        "charts": [{"peaks": [list(g) for g in c.cone.generators], "span": [c.start, c.stop]} for c in charts],
     }
 
 
@@ -180,14 +181,20 @@ def _cmd_trajectories(args) -> int:
             raise ValueError("--max-steps applies to --start only")
         w = _conj_region(args.peaks)
         # Every document is built before any is written: a chart cover over
-        # its budget exits 1 with nothing on stdout.
-        for doc in [_traj_doc(traj, encode(traj)) for traj in closed_trajectories_of_roof(w)]:
+        # its budget exits 1 with nothing on stdout.  Each walk is one chart,
+        # as under --start; the cover is searched as in `norm`, whose 26
+        # hexagon cover checks bench/run.py HAND_COUNTS pins.
+        trajs = closed_trajectories_of_roof(w)
+        for doc in [_traj_doc(traj, encode(traj), chart_cover(traj.tiles)) for traj in trajs]:
             _emit(doc)
         return EXIT_OK
     start = parse_tile(args.start)
     steps = MAX_STEPS if args.max_steps is None else args.max_steps
     traj = trace(_conj_region(args.peaks), start, max_steps=steps)
-    _emit(_traj_doc(traj, encode(traj)))
+    # A walk traced on one region is one chart, whose cone is the cone of
+    # its bases (proved in the dynamics.py docstring): no cover is searched.
+    chart = Chart(ConjUpSet(tuple(t[0] for t in traj.tiles)), 0, len(traj) - 1)
+    _emit(_traj_doc(traj, encode(traj), [chart]))
     return EXIT_OK if traj.closed else EXIT_BUDGET
 
 
@@ -202,7 +209,7 @@ def _cmd_decode(args) -> int:
     if len(args.code) > MAX_WALK:
         raise ValueError(f"a code of {len(args.code)} symbols is longer than {MAX_WALK}")
     tiles = decode(args.code, parse_tile(args.start))
-    _emit(_traj_doc(Trajectory(tuple(tiles), closed=False), args.code))
+    _emit(_traj_doc(Trajectory(tuple(tiles), closed=False), args.code, chart_cover(tiles)))
     return EXIT_OK
 
 
@@ -224,7 +231,9 @@ def _cmd_norm(args) -> int:
     # partition that succeeded (bench/run.py HAND_COUNTS).
     trajs = closed_trajectories_of_roof(w)
     flats = norm(w)
-    docs = [_traj_doc(traj, encode(traj)) for traj in trajs]
+    # Each walk is one chart, as under `trajectories --start`; the cover is
+    # searched only for its 26 hexagon checks that HAND_COUNTS pins.
+    docs = [_traj_doc(traj, encode(traj), chart_cover(traj.tiles)) for traj in trajs]
     _emit({"norm": tile_texts(flats), "trajectories": docs})
     return EXIT_OK
 

@@ -306,9 +306,15 @@ def brute_boundary(gens, q) -> bool:
 
 
 def brute_height(gens, q) -> int:
-    """Largest k with q - k*(1,1,1) in the cone, found by scanning k."""
+    """Largest k with q - k*(1,1,1) in the cone, found by scanning k down
+    from the top of the span.  The cone is up-closed along the diagonal,
+    so the offsets in it are exactly those up to the height, and the first
+    one met is the height."""
     span = _span(gens, q)
-    return max(k for k in range(-span, span + 1) if brute_in_cone(gens, _diag(q, -k)))
+    for k in range(span, -span - 1, -1):
+        if brute_in_cone(gens, _diag(q, -k)):
+            return k
+    raise ValueError(f"no point within {span} diagonal steps of {q} is in the cone")
 
 
 def brute_section(gens, t: SlantTile) -> list[SlantTile]:
@@ -371,8 +377,8 @@ def brute_minimal(points) -> tuple[Triple, ...]:
     """Sorted points of ``points`` that no other point lies below."""
     pts = set(points)
     return tuple(sorted(
-        p for p in pts
-        if not any(o != p and all(o[t] <= p[t] for t in range(3)) for o in pts)
+        (x, y, z) for x, y, z in pts
+        if not any(a <= x and b <= y and c <= z and (a, b, c) != (x, y, z) for a, b, c in pts)
     ))
 
 

@@ -85,10 +85,12 @@ def test_render_exits_0_or_1_without_a_traceback(doc, fmt):
 # Wall bounds of one call, about twice the slowest capped input the
 # README announces for the command: 99 peaks closed three times by `norm`
 # take about 2.2 s (`shell.MAX_PEAKS`); the slowest walk within the walk
-# cap and the chart cover's budget about 3.7 s (`shell.MAX_WALK`,
-# `dynamics.MAX_COVER_UNITS`). `classify` over the square window at the
-# side cap with two 100-peak files takes about 2.7 s in-process
-# (`shell.MAX_WINDOW_SIDE`); its bound stays at 8 s, about three times.
+# cap and the chart cover's budget, a `decode`, about 3.7 s
+# (`shell.MAX_WALK`, `dynamics.MAX_COVER_UNITS`), while a `--start` walk
+# at the cap searches no cover and takes about 0.09 s. `classify` over
+# the square window at the side cap with two 100-peak files takes about
+# 2.7 s in-process (`shell.MAX_WINDOW_SIDE`); its bound stays at 8 s,
+# about three times.
 CALL_S = 5.0
 WALK_S = 8.0
 WINDOW_S = 8.0
@@ -221,12 +223,22 @@ def walks(draw):
 @example((["decode", "DDUU" * 775, "--start=0,0,0:12"], []))
 # The slowest cover found within the budget: one chart of three generators.
 @example((["decode", "DDDUUU" * 516 + "DDDU", "--start=0,0,0:12"], []))
+# A 1,000-step walk on a 73-peak chain, one chart of 73 generators, which
+# the chart cover's budget refused before `--start` stopped searching.
+@example((
+    ["trajectories", "--peaks", "FILE0", "--start=0,0,0:12"],
+    [{"peaks": [[i, -i, -2 * i] for i in range(73)], "kind": "cone"}],
+))
 def test_walk_commands_end_within_budget(walk):
     argv, files = walk
-    code, line = assert_ends_well(argv, cli(argv, files), WALK_S)
+    result = cli(argv, files)
+    code, line = assert_ends_well(argv, result, WALK_S)
     if argv[0] == "decode":
         # decode reads no surface, so no geometry error and no open walk
         assert code in (0, 1)
+    if argv[0] == "trajectories":
+        # --start searches no chart cover, so its budget cannot refuse it
+        assert "chart cover" not in result[2]
     if line is None:
         return
     if argv[0] == "encode":
@@ -237,6 +249,9 @@ def test_walk_commands_end_within_budget(walk):
     assert doc["closed"] is (code == 0 and argv[0] == "trajectories")
     if argv[0] == "decode":
         assert doc["code"] == argv[1]
+    else:
+        # the walk's one chart, traced on one region
+        assert [c["span"] for c in doc["charts"]] == [[0, doc["length"] - 1]]
 
 
 @st.composite

@@ -1,3 +1,4 @@
+import json
 import random
 from collections import Counter
 from functools import partial
@@ -18,6 +19,7 @@ from conftest import (
     brute_section,
     brute_std_roof_member,
     brute_successors,
+    cli,
     count_public_calls,
     flat_tiles_in,
     padded_box,
@@ -38,6 +40,7 @@ from conftest import (
 from tritile import (
     conj_contains,
     ConjUpSet,
+    SlantTile,
     GeometryError,
     Trajectory,
     chart_cover,
@@ -481,31 +484,76 @@ def test_first_chart_of_closed_walk_sits_inside_its_cone():
     assert done == 10
 
 
-def test_a_traced_walk_is_one_chart():
-    # The dynamics.py docstring proves it: every tile of a walk traced on
-    # w has its base in w and base - e_d3 outside w, so the cone of the
-    # walk's bases carries every tile, and the cover finds no break.  The
-    # regions are roofs and cones of 1 to 6 random points in [-4, 4]^3
-    # and pit-cluster roofs; each gives three walks with budgets 1, 2 to
-    # 299 and 300, the last from its first norm flat where it has one.
-    rng = random.Random(43)
+def traced_walk_family(rng: random.Random, n: int) -> list[tuple[dict, ConjUpSet, SlantTile, int]]:
+    """Peaks documents, their regions, starts on their surfaces and tile
+    budgets: roofs and cones of 1 to 6 random points in [-4, 4]^3 and
+    pit-cluster roofs, ``2 * n`` regions, each with three walks of budgets
+    1, 2 to 299 and 300, the last from its first norm flat where it has one."""
     regions = []
-    for i in range(30):
+    for i in range(n):
         pts = [tuple(rng.randint(-4, 4) for _ in range(3)) for _ in range(rng.randint(1, 6))]
-        regions.append(conj_roof_generators(pts) if i % 2 else ConjUpSet(pts))
-        regions.append(conj_roof_generators(rand_pit_gens(rng, i % 3)))
-    walks = Counter()
-    for w in regions:
+        regions.append((pts, "roof" if i % 2 else "cone"))
+        regions.append((rand_pit_gens(rng, i % 3), "roof"))
+    out = []
+    for pts, kind in regions:
+        w = conj_roof_generators(pts) if kind == "roof" else ConjUpSet(pts)
+        doc = {"peaks": [list(p) for p in pts], "kind": kind}
         flats = list(flat_tiles_in(padded_box(w.generators, 1)))
         core = norm(w) if is_roof(w) else ()
         starts = (rng.choice(flats), rng.choice(flats), core[0] if core else rng.choice(flats))
         for budget, t in zip((1, rng.randint(2, 299), 300), starts):
-            walk = trace(w, section_at(w, t), max_steps=budget)
-            tiles = list(walk.tiles)
-            cone = ConjUpSet(tuple(s[0] for s in tiles))
-            assert chart_cover(tiles) == [dynamics.Chart(cone, 0, len(tiles) - 1)], (w, tiles[0], budget)
-            walks["closed" if walk.closed else "open"] += 1
+            out.append((doc, w, section_at(w, t), budget))
+    return out
+
+
+def test_a_traced_walk_is_one_chart():
+    # The dynamics.py docstring proves it: every tile of a walk traced on
+    # w has its base in w and base - e_d3 outside w, so the cone of the
+    # walk's bases carries every tile, and the cover finds no break.
+    walks = Counter()
+    for _, w, start, budget in traced_walk_family(random.Random(43), 30):
+        walk = trace(w, start, max_steps=budget)
+        tiles = list(walk.tiles)
+        cone = ConjUpSet(tuple(s[0] for s in tiles))
+        assert chart_cover(tiles) == [dynamics.Chart(cone, 0, len(tiles) - 1)], (w, tiles[0], budget)
+        walks["closed" if walk.closed else "open"] += 1
     assert walks["closed"] >= 10 and walks["open"] >= 100, walks
+
+
+def brute_flips(gens, tiles) -> int:
+    """Steps of the walk ``tiles`` that flip the gradient, the step out of
+    its last tile included, each taken by the brute successor rule."""
+    port, flips = Port.UP, 0
+    for k, s in enumerate(tiles):
+        (nxt,) = brute_successors(gens, s, port)
+        assert k + 1 == len(tiles) or nxt == tiles[k + 1]
+        if gradient(nxt) != gradient(s):
+            port, flips = port.other, flips + 1
+    return flips
+
+
+def test_trajectories_start_emits_its_one_chart_without_a_cover_search(monkeypatch):
+    # `trajectories --start` writes the one chart the dynamics.py docstring
+    # proves, the cone of the walk's bases, without searching a cover: its
+    # charts are the reference cover's, and its surface checks are the
+    # trace's alone, one for the start, one per step and one more per step
+    # that flips the gradient.
+    walks = Counter()
+    for doc, w, start, budget in traced_walk_family(random.Random(44), 8):
+        argv = ["trajectories", "--peaks", "FILE0", f"--start={tile_text(start)}", f"--max-steps={budget}"]
+        with monkeypatch.context() as patch:
+            calls = count_public_calls(patch, (on_surface,))
+            code, out, err, _ = cli(argv, [doc])
+        walk = json.loads(out)
+        tiles = [parse_tile(t) for t in walk["tiles"]]
+        assert (code, err) == (0 if walk["closed"] else 3, "")
+        charts = [{"peaks": [list(g) for g in c.cone.generators], "span": [c.start, c.stop]}
+                  for c in reference_chart_cover(tiles)]
+        assert walk["charts"] == charts, (doc, argv)
+        steps = len(tiles)  # a closed walk steps back to its start, an open one past its budget
+        assert calls["on_surface"] == 1 + steps + brute_flips(w.generators, tiles), (doc, argv)
+        walks["closed" if walk["closed"] else "open"] += 1
+    assert walks["closed"] >= 3 and walks["open"] >= 30, walks
 
 
 def test_closed_trajectories_of_roof(hexcone):

@@ -36,7 +36,9 @@ from conftest import (
     HEX_GENS,
     HEX_WALK,
     ROOT,
+    brute_boundary,
     brute_conj_roof_member,
+    brute_minimal,
     cli,
     count_public_calls,
     padded_box,
@@ -46,7 +48,17 @@ from conftest import (
     run_python,
     translate_tile,
 )
-from tritile import ConjUpSet, conj_contains, conj_roof_generators, gradient, norm, parse_tile, roof_add, tile_text
+from tritile import (
+    ConjUpSet,
+    conj_contains,
+    conj_roof_generators,
+    gradient,
+    norm,
+    parse_tile,
+    roof_add,
+    tile_text,
+    vertices,
+)
 from tritile import shell, surface
 
 HEX = {"peaks": [[1, 1, 0], [0, 1, 1], [1, 0, 1]], "kind": "roof"}
@@ -466,6 +478,29 @@ def test_trajectories_start_budget_defaults_to_1000():
     code, out, _, _ = cli(["trajectories", "--peaks", "FILE0", "--start", "1,0,0:12"], [OCTANT])
     assert code == 3
     assert json.loads(out)["length"] == 1000
+
+
+@pytest.mark.parametrize(
+    "peaks, kind, start, gens",
+    [(73, "cone", "0,0,0:12", 73), (100, "cone", "49,-49,-98:31", 51), (73, "roof", "36,-36,-72:13", 37)],
+    ids=["cone_73", "cone_100", "roof_73"],
+)
+def test_peak_chain_walks_of_1000_steps_are_one_chart(peaks, kind, start, gens):
+    # Walks on the chain (i, -i, -2i) that the chart cover's budget once
+    # refused with exit 1: `--start` writes the walk's one chart, searched
+    # for nowhere.  Its cone is the cone of the walk's bases, of `gens`
+    # generators, and carries every tile.
+    doc = {"peaks": [[i, -i, -2 * i] for i in range(peaks)], "kind": kind}
+    argv = ["-m", "tritile.shell", "trajectories", "--peaks", "FILE0", f"--start={start}"]
+    code, out, err, _ = run_python(argv, [doc], timeout=10)
+    assert (code, err) == (3, "")
+    walk = json.loads(out)
+    tiles = [parse_tile(t) for t in walk["tiles"]]
+    (chart,) = walk["charts"]
+    assert (walk["closed"], walk["length"], chart["span"]) == (False, 1000, [0, 999])
+    cone = brute_minimal(t[0] for t in tiles)
+    assert chart["peaks"] == [list(g) for g in cone] and len(cone) == gens
+    assert all(brute_boundary(cone, v) for t in tiles for v in vertices(t))
 
 
 def test_decode_command():
