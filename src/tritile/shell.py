@@ -54,8 +54,8 @@ EXIT_BUDGET = 3
 
 # Cells across the widest --window, along u and along v: the slowest
 # window found at the cap is the square, over which `classify` with two
-# peaks files of 100 points spread 600 wide takes about 2.3 s and 73 MB,
-# and `surface` about 1.1 s (2-vCPU Xeon, Python 3.11).
+# peaks files of 100 points spread 600 wide takes about 1.5 s and 67 MB,
+# and `surface` about 1 s (shared 2-vCPU Xeon, Python 3.11).
 MAX_WINDOW_SIDE = 316
 
 # Peaks of one file, and of all `roof add` files together: on the slowest

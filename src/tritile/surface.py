@@ -46,7 +46,24 @@ or none of its probes are inside.  The probe coordinates are odd and
 doubled base ``b``: ``g[d1] < b[d1]``, ``g[d2] <= b[d2]``, and
 ``g[d3] <= b[d3]`` for the lower probe or ``<= b[d3]+1`` for the upper.
 One pass over the generators takes the least ``g[d3]`` among those
-meeting the first two conditions, and that one number decides.
+meeting the first two conditions, and that one number decides.  Most
+tiles of a window need no pass at all.  Let ``m`` be the componentwise
+minimum of the doubled corners, so that every corner has
+``g[x] >= m[x]`` on each axis ``x``.  Each of the lower probe's three
+conditions implies ``g[x] <= b[x]`` on its own axis ``x``, and each of
+the upper probe's implies ``g[x] <= b[x] + 1``.  So if ``b[x] < m[x]``
+on some axis, no corner meets the three conditions of the lower probe
+together and the tile is not In; if ``b[x] < m[x] - 1``, no corner
+meets those of the upper probe either and the tile is Out.
+``classify`` takes ``m`` once and sends every tile below ``m - 1`` on
+some axis to Out without calling ``_classify_tile``, and every tile
+when there is no corner; the In scan skips every section below ``m`` of
+its corners the same way.  The gate is three integer comparisons on
+``b``; the verdict of every other tile still comes from
+``_classify_tile``.  Neither bound can be raised, as any axis is the d3
+axis of some tile: one corner ``m`` cuts the tile whose ``b`` is
+``m + (1, 1, -1)`` in (d1, d2, d3) order, and holds the tile whose
+``b`` is ``m + (2, 0, 0)``.
 
 Regions are unbounded, so every enumeration runs over a plane window.
 The In-tiles of ``w`` against the standard roof of points ``P`` that lie
@@ -90,7 +107,11 @@ roof corners that are not generators of the standard cone of ``P``:
 each such generator is a point of ``P``, and a roof corner that is a
 point of ``P`` is minimal in the roof, so also in the smaller cone.  A
 tile is therefore In against the roof exactly when it is In against the
-added corners, and the In scan classifies against those alone.
+added corners, and the In scan classifies against those alone.  It
+still takes one ``section_at`` per flat, but by the floor lemma of the
+two-probe paragraph it calls ``_classify_tile`` only on the sections
+whose doubled base is at or above the componentwise minimum of the
+added corners; every other section is not In.
 
 The In scan and the height table both walk the flats of a window in
 canonical order: by ``u``, then ``v``, then ``[1 2]`` before ``[1 3]``,
@@ -316,11 +337,23 @@ def _sections(w: ConjUpSet, window: Window) -> Iterator[SlantTile]:
 
 def classify(w1: ConjUpSet, w2: StdUpSet, window: Window) -> Classification:
     """Partition the surface tiles of ``w1`` over the window against ``w2``;
-    unbudgeted: its height table costs one row build per ``u``."""
-    buckets: dict[str, list[SlantTile]] = {"in": [], "out": [], "bd": []}
+    unbudgeted: its height table costs one row build per ``u``.  A tile
+    whose doubled base lies below the componentwise minimum of the
+    doubled corners less one, on some axis, is Out without a call of
+    ``_classify_tile`` (module docstring)."""
     dgens = w2.dgens
+    if not dgens:
+        return Classification(in_tiles=(), out_tiles=tuple(_sections(w1, window)), bd_tiles=())
+    buckets: dict[str, list[SlantTile]] = {"in": [], "out": [], "bd": []}
+    out = buckets["out"]
+    # Out below the corners' floor less one, unclassified (module docstring).
+    f1, f2, f3 = (min(c) - 1 for c in zip(*dgens))
     for s in _sections(w1, window):
-        buckets[_classify_tile(s, dgens)].append(s)
+        q1, q2, q3 = s[0]
+        if q2 + q3 - q1 < f1 or q1 + q3 - q2 < f2 or q1 + q2 - q3 < f3:
+            out.append(s)
+        else:
+            buckets[_classify_tile(s, dgens)].append(s)
     return Classification(
         in_tiles=tuple(buckets["in"]),
         out_tiles=tuple(buckets["out"]),
@@ -354,12 +387,14 @@ def _in_set(w: ConjUpSet, points: Collection[Triple]) -> tuple[StdUpSet, tuple[S
     of ``points`` padded by 8 holds them all.  The added corners are the
     roof corners not among ``points``.  When there is none (no points,
     one, or two-peak roofs, for example) there is no In tile, by the
-    lemma there, and no flat is scanned.  Otherwise each flat is
-    classified against the added corners alone, which decide its In
-    verdict (module docstring).  The budget still charges each of the
-    two flats per cell the generators of ``w`` and every corner of the
-    roof, so a scan of more than ``MAX_SCAN_UNITS`` such reads is a
-    ``ValueError`` before its first section.
+    lemma there, and no flat is scanned.  Otherwise each flat's section
+    is classified against the added corners alone, which decide its In
+    verdict, unless its doubled base lies below their componentwise
+    minimum on some axis, which makes it not In (module docstring).  The
+    budget still charges each of the two flats per cell the generators of
+    ``w`` and every corner of the roof, so a scan of more than
+    ``MAX_SCAN_UNITS`` such reads is a ``ValueError`` before its first
+    section.
     """
     roof = std_roof_generators(points)
     dpoints = set(map(inverse_embed, points))
@@ -376,6 +411,8 @@ def _in_set(w: ConjUpSet, points: Collection[Triple]) -> tuple[StdUpSet, tuple[S
             f"In scan of {_count_text(cells)} cells over {gens} generators reads "
             f"{_count_text(units)} flat-generator pairs, more than {MAX_SCAN_UNITS}"
         )
+    # Not In below the added corners' floor, unclassified (module docstring).
+    m1, m2, m3 = (min(c) for c in zip(*added))
     # One section_at per flat, in canonical order: bench/run.py HAND_COUNTS.
     hits = []
     vs = range(v_min, v_max + 1)
@@ -383,6 +420,9 @@ def _in_set(w: ConjUpSet, points: Collection[Triple]) -> tuple[StdUpSet, tuple[S
         for v in vs:
             for d2 in (2, 3):
                 s = section_at(w, ((u, v, 0), 1, d2))
+                q1, q2, q3 = s[0]
+                if q2 + q3 - q1 < m1 or q1 + q3 - q2 < m2 or q1 + q2 - q3 < m3:
+                    continue
                 if _classify_tile(s, added) == "in":
                     hits.append(s)
     return roof, tuple(hits)

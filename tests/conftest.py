@@ -21,7 +21,10 @@ counts the benchmark pins are checked by its own tracer self-check.
 section and the port rule alone.  ``reference_in_set`` and
 ``reference_trajectory_roofs`` are the roof reconstruction as first
 written, classifying a whole box three ways, kept as the oracle of the
-In scan it now shares with ``norm``.  ``box_roof_classes`` lists every
+In scan it now shares with ``norm``.  ``brute_classify`` buckets the
+brute sections In, Out and Bd from samples alone, and ``doubled_base``,
+``corner_floor`` and ``below_floor`` restate the floor gate of
+``surface.py`` in their own arithmetic.  ``box_roof_classes`` lists every
 roof of a small box once per class under the lattice symmetries that
 ``permute_region`` and ``translate_region`` apply.  ``cli`` runs the
 command line in this process and ``run_python`` runs a Python program
@@ -435,6 +438,46 @@ def brute_in_tiles(w, points, window) -> list:
         if all(_doubled_roof_member(dps, p) for p in _sample_numerators(s, 4)):
             hits.append(s)
     return hits
+
+
+def brute_classify(w, dgens, window) -> dict[str, list]:
+    """The sections over the window bucketed against the union of the
+    l-octants of the doubled corners ``dgens``, from the brute section and
+    the samples of ``brute_in_tiles`` alone: In when every sample lies in
+    the closed union, Out when none lies in the open union, and Bd
+    otherwise.  Both half squares hold a sample, and a point of the tile
+    inside an open octant has a neighbourhood there that meets their
+    interiors, so the samples decide.  Buckets are in canonical order."""
+    dps = [tuple(4 * c for c in g) for g in dgens]
+    buckets: dict[str, list] = {"in": [], "out": [], "bd": []}
+    for t in flat_tiles_in(window):
+        (s,) = brute_section(w.generators, t)
+        samples = _sample_numerators(s, 4)
+        if all(sample_in_closed(dps, p) for p in samples):
+            buckets["in"].append(s)
+        elif any(sample_in_open(dps, p) for p in samples):
+            buckets["bd"].append(s)
+        else:
+            buckets["out"].append(s)
+    return buckets
+
+
+def doubled_base(s) -> Triple:
+    """The doubled l-coordinates of a tile's base, written out here rather
+    than read from the library: coordinate i is q_j + q_k - q_i."""
+    (q1, q2, q3), _, _ = s
+    return (q2 + q3 - q1, q1 + q3 - q2, q1 + q2 - q3)
+
+
+def corner_floor(dgens, less: int = 0) -> Triple:
+    """The componentwise minimum of non-empty doubled corners, less ``less``."""
+    return tuple(min(g[x] for g in dgens) - less for x in range(3))
+
+
+def below_floor(s, bound) -> bool:
+    """The doubled base of tile ``s`` lies below ``bound`` on some axis."""
+    b = doubled_base(s)
+    return b[0] < bound[0] or b[1] < bound[1] or b[2] < bound[2]
 
 
 def added_corners_two_ways(points) -> tuple[list[Triple], list[Triple]]:

@@ -1,20 +1,30 @@
 import random
+from collections import Counter
+from functools import partial
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    AXIS_PERMUTATIONS,
     HEX_GENS,
     HEX_WALK,
     added_corners_two_ways,
+    below_floor,
     brute_boundary,
+    brute_classify,
     brute_height,
+    brute_minimal,
     brute_section,
     brute_in_tiles,
+    corner_floor,
     count_public_calls,
+    doubled_base,
     flat_tiles_in,
     padded_box,
+    permute_region,
+    permute_tile,
     pit,
     piece_reach,
     plane_peaks,
@@ -23,6 +33,8 @@ from conftest import (
     sample_in_closed,
     sample_in_open,
     tile_samples,
+    translate_region,
+    translate_tile,
 )
 from tritile import (
     Classification,
@@ -348,6 +360,177 @@ def test_classification_against_dense_sampling():
                 mixed[verdict] += 1
     assert min(checked.values()) > 0, f"oracle never exercised some bucket: {checked}"
     assert min(mixed.values()) > 0, f"mixed-parity regions missed some bucket: {mixed}"
+
+
+# -- the floor gate of classify and the In scan ------------------------------
+
+@st.composite
+def floor_cases(draw):
+    """An antichain of doubled corners, a tile of one of the six
+    orientations, and its doubled base, whose coordinates lie from 3 below
+    to 2 above the corners' floor ``m``, so often at ``m - 2``, ``m - 1``
+    or ``m``.  The three coordinates of a doubled base share one parity,
+    so a coordinate of the other parity moves one up or down."""
+    coord = st.integers(min_value=-4, max_value=4)
+    dgens = brute_minimal(draw(st.lists(st.tuples(coord, coord, coord), min_size=1, max_size=5)))
+    parity = draw(st.integers(min_value=0, max_value=1))
+    b = []
+    for m in corner_floor(dgens):
+        c = m + draw(st.sampled_from((-2, -1, 0, -3, 1, 2)))
+        if (c - parity) % 2:
+            c += draw(st.sampled_from((-1, 1)))
+        b.append(c)
+    base = ((b[1] + b[2]) // 2, (b[0] + b[2]) // 2, (b[0] + b[1]) // 2)
+    return dgens, (base, *draw(st.sampled_from(DIRS))), tuple(b)
+
+
+@given(floor_cases())
+@example((((0, 0, 0),), ((0, 0, 1), 1, 2), (1, 1, -1)))  # Bd at the floor less one
+@example((((0, 0, 0),), ((-1, -1, 1), 1, 2), (1, 1, -3)))  # Out below it
+@example((((0, 0, 0),), ((0, 1, 1), 1, 2), (2, 0, 0)))  # In at the floor
+def test_the_floor_gate_passes_every_tile_it_cannot_decide(case):
+    # The lemma of the surface.py docstring, against the classifier: a
+    # tile below the floor less one on some axis is Out, and a tile below
+    # the floor is not In.
+    dgens, s, b = case
+    assert doubled_base(s) == b
+    verdict = _classify_tile(s, dgens)
+    if below_floor(s, corner_floor(dgens, 1)):
+        assert verdict == "out"
+    if below_floor(s, corner_floor(dgens)):
+        assert verdict != "in"
+
+
+def test_the_floor_bounds_are_the_tightest_per_axis():
+    # For every orientation one corner at the origin cuts a tile whose
+    # doubled base is at the floor less one on its d3 axis, and holds a
+    # tile whose base is at the floor on its d2 and d3 axes: neither gate
+    # may rise on those axes.
+    dgens = ((0, 0, 0),)
+    for d1, d2 in DIRS:
+        i, j, k = d1 - 1, d2 - 1, 5 - d1 - d2
+        for want, (bi, bj, bk) in (("bd", (1, 1, -1)), ("in", (2, 0, 0))):
+            b = [0, 0, 0]
+            b[i], b[j], b[k] = bi, bj, bk
+            s = (((b[1] + b[2]) // 2, (b[0] + b[2]) // 2, (b[0] + b[1]) // 2), d1, d2)
+            assert doubled_base(s) == tuple(b)
+            assert _classify_tile(s, dgens) == want, (d1, d2, want)
+
+
+def test_gated_scans_against_the_brute_oracles():
+    # classify and the In scan against the brute section and dense samples
+    # (conftest), in three cases: a far-off corner, below whose floor the
+    # gates leave almost every tile; a roof of three spread pits, whose
+    # added corners leave about half; and no corner at all.  The gated
+    # shares are read with this module's doubled bases.
+    hexcone = ConjUpSet(HEX_GENS)
+    cases = [
+        # classify against one corner at the window's edge
+        ("far", hexcone, StdUpSet.from_qpoints([(4, 4, -1)]), Window(-6, 6, -6, 6)),
+        # the In scan of the hexagon pit and a peak 12 away
+        ("far", conj_roof_generators([*HEX_GENS, (12, -12, 0)]), None, None),
+    ]
+    spread = conj_roof_generators([p for c in ((0, 0, 0), (5, -5, 0), (-5, 0, 5), (0, 5, -5)) for p in pit(c)])
+    cases += [
+        ("spread", spread, std_roof_generators(spread.generators), padded_box(spread.generators, 1)),
+        ("spread", spread, None, None),
+        ("none", hexcone, StdUpSet(), Window(-6, 6, -6, 6)),
+        ("none", conj_roof_generators([(0, 0, 0), (6, -6, 1)]), None, None),
+        ("none", ConjUpSet(), None, None),
+    ]
+    shares: dict[str, list[float]] = {"far": [], "spread": [], "none": []}
+    for kind, w, w2, window in cases:
+        if w2 is None:  # the In scan, over the padded box of the generators
+            gens = w.generators
+            window = padded_box(gens, 8) if gens else None
+            assert list(in_tiles_expanded(w)) == (brute_in_tiles(w, gens, window) if gens else []), kind
+            dgens, less = added_corners_two_ways(gens)[1], 0
+        else:
+            cl = classify(w, w2, window)
+            want = brute_classify(w, w2.dgens, window)
+            assert (list(cl.in_tiles), list(cl.out_tiles), list(cl.bd_tiles)) == (want["in"], want["out"], want["bd"])
+            dgens, less = w2.dgens, 1
+        tiles = surface_tiles(w, window) if dgens else ()
+        gated = sum(below_floor(s, corner_floor(dgens, less)) for s in tiles)
+        shares[kind].append(gated / len(tiles) if tiles else 1.0)
+    assert min(shares["far"]) > 0.9 and max(shares["spread"]) < 0.6 and shares["none"] == [1.0] * 3, shares
+
+
+def test_classifier_calls_are_the_tiles_at_or_above_the_corner_floor(monkeypatch, hexcone):
+    # Work counts of the floor gate: the In scan still takes one section
+    # per flat of the padded box, and classifies exactly the sections at
+    # or above the floor of the added corners; classify classifies exactly
+    # the tiles at or above the floor less one of the standard corners, and
+    # none against no corner.  Counted on the hexagon norm and on seeded
+    # windows; the expected counts read the sections from the height table
+    # and the doubled bases with this module's formula.
+    calls = count_public_calls(monkeypatch, (surface.section_at, _classify_tile))
+    box = padded_box(HEX_GENS, 8)
+    sections = surface_tiles(hexcone, box)
+    floor = corner_floor(added_corners_two_ways(HEX_GENS)[1])
+    assert norm(hexcone) == tuple(sorted(flatten(s) for s in HEX_TILES))
+    assert calls["section_at"] == len(sections) == 722
+    assert calls["_classify_tile"] == sum(not below_floor(s, floor) for s in sections) == 62
+    rng = random.Random(83)
+    classified, alone = 0, Counter()
+    for _ in range(8):
+        w1 = conj_roof_generators(rand_pit_gens(rng, rng.randint(0, 2)))
+        w2 = std_roof_generators([tuple(c + rng.randint(-6, 6) for c in p) for p in rand_antichain(rng, 3, 3)])
+        side = rng.randint(1, 30)
+        u, v = rng.randint(-side, 0), rng.randint(-side, 0)
+        window = Window(u, u + side, v, v + rng.randint(0, side))
+        calls["_classify_tile"] = 0
+        classify(w1, w2, window)
+        classify(w1, StdUpSet(), window)
+        bound = corner_floor(w2.dgens, 1)
+        tiles = surface_tiles(w1, window)
+        assert calls["_classify_tile"] == sum(not below_floor(s, bound) for s in tiles), (w1, w2, window)
+        classified += calls["_classify_tile"]
+        for s in tiles:
+            axes = [x for x, c in enumerate(doubled_base(s)) if c < bound[x]]
+            alone.update(axes if len(axes) == 1 else ())
+    # Each comparison of the gate is the only one to decide some tiles.
+    assert classified == 1357 and alone == {0: 822, 1: 143, 2: 58}, (classified, alone)
+
+
+def test_classify_commutes_with_axis_permutations_and_translations():
+    """Permuting the q-axes and translating are symmetries of ``classify``:
+    for each q-axis permutation or integer translation ``g``, classifying
+    ``g w1`` against ``g w2`` over a window that covers the flats of the
+    images of the window's tiles gives, on those flats, the images of the
+    buckets of ``w1`` against ``w2``, bucket by bucket.  Judged on seeded
+    pit clusters and random cones against the standard roofs and octants
+    of points near their generators, over windows up to 121 cells across,
+    and on one large case: the cone of 40 plane peaks against the standard
+    roof of every other peak moved one step, over an 81-cell square."""
+    rng = random.Random(97)
+    cases = []
+    for i in range(10):
+        w1 = conj_roof_generators(rand_pit_gens(rng, i % 3)) if i % 2 else ConjUpSet(rand_antichain(rng, 4, 1 + i % 4))
+        points = [tuple(c + rng.randint(-2, 2) for c in rng.choice(w1.generators)) for _ in range(1 + i % 4)]
+        w2 = std_roof_generators(points) if i % 3 else StdUpSet.from_qpoints(points)
+        side = 121 if i == 0 else rng.randint(1, 30)
+        u, v = project(rng.choice(w1.generators))
+        u, v = u - rng.randint(0, side - 1), v - rng.randint(0, side - 1)
+        cases.append((w1, w2, Window(u, u + side - 1, v, v + rng.randint(0, side - 1))))
+    peaks = [tuple(p) for p in plane_peaks(40, 5, 30)]
+    shifted = [(a + 1, b, c) for a, b, c in peaks[::2]]
+    cases.append((ConjUpSet(tuple(peaks)), std_roof_generators(shifted), Window(-40, 40, -40, 40)))
+    moves = [(partial(permute_tile, perm), partial(permute_region, perm)) for perm in AXIS_PERMUTATIONS]
+    moves += [(partial(translate_tile, d), partial(translate_region, d)) for d in ((5, -3, 2), (-40, 7, 11))]
+    names = ("in_tiles", "out_tiles", "bd_tiles")
+    checked = Counter()
+    for w1, w2, window in cases:
+        cl = classify(w1, w2, window)
+        for move_tile, move_region in moves:
+            images = {name: set(map(move_tile, getattr(cl, name))) for name in names}
+            flats = {flatten(s) for tiles in images.values() for s in tiles}
+            us, vs = [t[0][0] for t in flats], [t[0][1] for t in flats]
+            moved = classify(move_region(w1), move_region(w2), Window(min(us), max(us), min(vs), max(vs)))
+            for name in names:
+                assert {s for s in getattr(moved, name) if flatten(s) in flats} == images[name], (w1, w2, window, name)
+                checked[name] += len(images[name])
+    assert checked == {"in_tiles": 88_016, "out_tiles": 236_816, "bd_tiles": 784}, checked
 
 
 def test_norm_of_single_peaks_is_empty():
