@@ -212,10 +212,11 @@ def chart_cover(tiles: Sequence[SlantTile]) -> list[Chart]:
                 break
             cone, j = grown, j + 1
         # Kept only for its on_surface calls and its charge (bench/run.py
-        # HAND_COUNTS); it cannot fail.  For j == i the cone is the octant
-        # at the tile's own base, which carries it; for j > i it repeats the
-        # fits(grown, ...) that just returned True on the same cone and
-        # segment, and on_surface is pure.
+        # HAND_COUNTS, row test_pinned_public_call_counts of
+        # tests/test_work_counts.py); it cannot fail.  For j == i the cone
+        # is the octant at the tile's own base, which carries it; for j > i
+        # it repeats the fits(grown, ...) that just returned True on the
+        # same cone and segment, and on_surface is pure.
         fits(cone, tiles[i : j + 1])
         charts.append(Chart(cone, i, j))
         if j == len(tiles) - 1:
@@ -264,7 +265,9 @@ def closed_trajectories_of_roof(w: ConjUpSet) -> list[Trajectory]:
     T does not close inside the norm", with ``tile`` the start T and
     ``peaks`` the generators of ``w``.
     """
-    lifted = [section_at(w, t) for t in norm(w)]  # bench/run.py HAND_COUNTS
+    # A section per norm flat: bench/run.py HAND_COUNTS, row
+    # test_pinned_public_call_counts of tests/test_work_counts.py.
+    lifted = [section_at(w, t) for t in norm(w)]
     remaining = set(lifted)
     out = []
     for start in lifted:  # in flat order, the order norm returns

@@ -169,6 +169,16 @@ def _traj_doc(traj: Trajectory, code: str, charts: list[Chart]) -> dict:
     }
 
 
+def _walk_docs(trajs: list[Trajectory]) -> list[dict]:
+    """The documents of the closed walks of ``norm`` and ``trajectories
+    --all``.  Each walk is one chart, as under ``--start``; its cover is
+    searched only for the checks that bench/run.py HAND_COUNTS pins (the
+    rows ``test_pinned_public_call_counts`` and
+    ``test_command_work_counts[trajectories_all]`` of
+    tests/test_work_counts.py)."""
+    return [_traj_doc(traj, encode(traj), chart_cover(traj.tiles)) for traj in trajs]
+
+
 def _cmd_surface(args) -> int:
     tiles = surface_tiles(_conj_region(args.peaks), args.window)
     _emit({"tiles": tile_texts(tiles)})
@@ -179,13 +189,9 @@ def _cmd_trajectories(args) -> int:
     if args.all:
         if args.max_steps is not None:
             raise ValueError("--max-steps applies to --start only")
-        w = _conj_region(args.peaks)
         # Every document is built before any is written: a chart cover over
-        # its budget exits 1 with nothing on stdout.  Each walk is one chart,
-        # as under --start; the cover is searched as in `norm`, whose 26
-        # hexagon cover checks bench/run.py HAND_COUNTS pins.
-        trajs = closed_trajectories_of_roof(w)
-        for doc in [_traj_doc(traj, encode(traj), chart_cover(traj.tiles)) for traj in trajs]:
+        # its budget exits 1 with nothing on stdout.
+        for doc in _walk_docs(closed_trajectories_of_roof(_conj_region(args.peaks))):
             _emit(doc)
         return EXIT_OK
     start = parse_tile(args.start)
@@ -227,14 +233,12 @@ def _cmd_roof_add(args) -> int:
 def _cmd_norm(args) -> int:
     w = _conj_region(args.peaks)
     # The partition scans first, so a walk that does not close inside the
-    # norm fails after one scan; the norm is scanned again only after a
-    # partition that succeeded (bench/run.py HAND_COUNTS).
+    # norm fails after one scan (row test_a_failing_norm_scans_once); the
+    # norm is scanned again only after a partition that succeeded
+    # (bench/run.py HAND_COUNTS, row test_pinned_public_call_counts).
     trajs = closed_trajectories_of_roof(w)
     flats = norm(w)
-    # Each walk is one chart, as under `trajectories --start`; the cover is
-    # searched only for its 26 hexagon checks that HAND_COUNTS pins.
-    docs = [_traj_doc(traj, encode(traj), chart_cover(traj.tiles)) for traj in trajs]
-    _emit({"norm": tile_texts(flats), "trajectories": docs})
+    _emit({"norm": tile_texts(flats), "trajectories": _walk_docs(trajs)})
     return EXIT_OK
 
 

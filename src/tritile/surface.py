@@ -413,7 +413,8 @@ def _in_set(w: ConjUpSet, points: Collection[Triple]) -> tuple[StdUpSet, tuple[S
         )
     # Not In below the added corners' floor, unclassified (module docstring).
     m1, m2, m3 = (min(c) for c in zip(*added))
-    # One section_at per flat, in canonical order: bench/run.py HAND_COUNTS.
+    # One section_at per flat, in canonical order: bench/run.py HAND_COUNTS
+    # and the In-scan rows of tests/test_work_counts.py.
     hits = []
     vs = range(v_min, v_max + 1)
     for u in range(u_min, u_max + 1):

@@ -13,10 +13,13 @@ compare the implementation against these, never against itself.
 rebuilding the cone of the whole segment for every check; it is kept
 as the oracle of the incremental cover, and ``dense_ascii_picture`` is
 the ASCII picture as first written, visiting every cell of the u x v
-box.  ``count_public_calls`` counts the public calls an operation
-makes, and ``record_public_calls`` lists their arguments, so that a
-change of call path shows up in the tests; the call
-counts the benchmark pins are checked by its own tracer self-check.
+box.  ``record_public_calls`` lists the public calls an operation
+makes, by qualified name and in call order, so that a change of call
+path shows up in the tests; their counts are the ``WORK`` rows of
+``test_work_counts.py``.  ``table_tests`` turns a table of rows into
+tests, for those rows and for the command-line tables of
+``test_shell.py``.  ``brute_flips`` counts a walk's gradient flips by
+the port rule alone.
 ``brute_closed_orbits`` walks closed trajectories with the brute
 section and the port rule alone.  ``reference_in_set`` and
 ``reference_trajectory_roofs`` are the roof reconstruction as first
@@ -376,6 +379,18 @@ def brute_closed_orbits(gens, flats) -> set:
     return core
 
 
+def brute_flips(gens, tiles) -> int:
+    """Steps of the walk ``tiles`` that flip the gradient, the step out of
+    its last tile included, each taken by the brute successor rule."""
+    port, flips = Port.UP, 0
+    for k, s in enumerate(tiles):
+        (nxt,) = brute_successors(gens, s, port)
+        assert k + 1 == len(tiles) or nxt == tiles[k + 1]
+        if gradient(nxt) != gradient(s):
+            port, flips = port.other, flips + 1
+    return flips
+
+
 def brute_minimal(points) -> tuple[Triple, ...]:
     """Sorted points of ``points`` that no other point lies below."""
     pts = set(points)
@@ -529,11 +544,11 @@ def piece_reach(tiles, dcorners) -> list[int]:
     return reach
 
 
-# -- the chart cover as first written, and public call counts ---------------
+# -- the chart cover as first written, and public calls -----------------------
 
 def _reference_fits(tiles) -> bool:
     cone = ConjUpSet(brute_minimal(t[0] for t in tiles))
-    # Looked up on the module at call time, so count_public_calls sees it.
+    # Looked up on the module at call time, so record_public_calls sees it.
     return all(surface.on_surface(cone, t) for t in tiles)
 
 
@@ -575,31 +590,49 @@ def _patch_everywhere(monkeypatch, fn, replacement) -> None:
                 monkeypatch.setattr(module, attr, replacement)
 
 
-def count_public_calls(monkeypatch, funcs) -> Counter:
-    """Count calls of ``funcs`` by name until ``monkeypatch`` is undone."""
-    counts: Counter = Counter({fn.__name__: 0 for fn in funcs})
+def record_public_calls(monkeypatch, funcs) -> list[tuple[str, tuple]]:
+    """The ``(name, args)`` of every call of ``funcs``, in call order,
+    until ``monkeypatch`` is undone.  A name is qualified by the module
+    that defines the function, as ``surface.section_at``; counts are read
+    off the list."""
+    calls: list[tuple[str, tuple]] = []
     for fn in funcs:
+        name = f"{fn.__module__.rpartition('.')[2]}.{fn.__name__}"
+
         @functools.wraps(fn)
-        def counted(*args, _fn=fn, **kwargs):
-            counts[_fn.__name__] += 1
+        def recorded(*args, _fn=fn, _name=name, **kwargs):
+            calls.append((_name, args))
             return _fn(*args, **kwargs)
 
-        _patch_everywhere(monkeypatch, fn, counted)
-    return counts
-
-
-def record_public_calls(monkeypatch, fn) -> list[tuple]:
-    """The argument tuples of every call of ``fn``, in call order, until
-    ``monkeypatch`` is undone."""
-    calls: list[tuple] = []
-
-    @functools.wraps(fn)
-    def recorded(*args):
-        calls.append(args)
-        return fn(*args)
-
-    _patch_everywhere(monkeypatch, fn, recorded)
+        _patch_everywhere(monkeypatch, fn, recorded)
     return calls
+
+
+def table_tests(table, check) -> dict:
+    """The tests of a table of rows by name, each running ``check`` on
+    the rows its id names.  A row's id is ``test_name`` or
+    ``test_name[case]``; the rows that share an id run as one test, in
+    table order, parametrized by the cases, or plain where no row of the
+    name has one."""
+    cases: dict = {}
+    for row in table:
+        name, _, case = row.id.partition("[")
+        cases.setdefault(name, {}).setdefault(case.removesuffix("]"), []).append(row)
+    return {name: _table_test(check, by_case) for name, by_case in cases.items()}
+
+
+def _table_test(check, cases):
+    if list(cases) == [""]:
+        def test():
+            for row in cases[""]:
+                check(row)
+        return test
+
+    @pytest.mark.parametrize("rows", list(cases.values()), ids=list(cases))
+    def test(rows):
+        for row in rows:
+            check(row)
+    return test
 
 
 # -- the ASCII picture as first written ---------------------------------------

@@ -2,10 +2,12 @@
 README's library quick start; its command lines parse.  Every public
 name of the package has a caller outside its own unit tests, every
 optional parameter is passed by the package or the benchmark, and every
-CLI option is set by a README command or a benchmark operation."""
+CLI option is set by a README command or a benchmark operation.  Every
+test the README or the package names by its name exists."""
 
 import argparse
 import ast
+import importlib
 import re
 import shlex
 
@@ -68,6 +70,20 @@ def test_no_numbered_roadmap_references():
     numbered = re.compile(r"ROADMAP\s+items?\s+\d")
     texts = {"README.md": README, **{str(p.relative_to(ROOT)): p.read_text() for p in sorted(SRC.glob("*.py"))}}
     assert [name for name, text in texts.items() if numbered.search(text)] == []
+
+
+def test_every_cited_test_name_is_a_test():
+    # A test named in the README or the package is a test function of a
+    # tests/test_*.py module, those its tables generate included, so that
+    # a test renamed or folded into a table leaves no stale name behind.
+    # A name before ".py" is a module, and ROADMAP.md may name tests still
+    # to be written.
+    modules = [importlib.import_module(p.stem) for p in sorted((ROOT / "tests").glob("test_*.py"))]
+    tests = {name for m in modules for name, value in vars(m).items() if name.startswith("test_") and callable(value)}
+    texts = [README, *(p.read_text() for p in sorted(SRC.glob("*.py")))]
+    cited = {name for text in texts for name in re.findall(r"\btest_\w+\b(?!\.py)", text)}
+    assert "test_pinned_public_call_counts" in cited and "test_norm_contains_closed_walks" in cited
+    assert sorted(cited - tests) == []
 
 
 def _public_names(path):

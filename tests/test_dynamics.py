@@ -15,12 +15,12 @@ from conftest import (
     box_roof_classes,
     brute_boundary,
     brute_closed_orbits,
+    brute_flips,
     brute_in_tiles,
     brute_section,
     brute_std_roof_member,
     brute_successors,
     cli,
-    count_public_calls,
     flat_tiles_in,
     padded_box,
     permute_point,
@@ -37,6 +37,7 @@ from conftest import (
     translate_region,
     translate_tile,
 )
+from test_work_counts import work_tests
 from tritile import (
     conj_contains,
     ConjUpSet,
@@ -59,13 +60,16 @@ from tritile import (
     step,
     trace,
 )
-from tritile import dynamics, surface
-from tritile.cones import StdUpSet, conj_roof_generators, is_roof, std_roof_generators
+from tritile import dynamics
+from tritile.cones import StdUpSet, conj_roof_generators, is_roof
 from tritile.surface import Window, in_tiles_expanded
 from tritile.tiles import Port, port_candidates, tile, tile_text, tile_texts, vertices
 
 HEX_TILES = tuple(parse_tile(t) for t in HEX_WALK)
 OCTANT = ConjUpSet(((0, 0, 0),))
+
+# The work-count rows that took over tests of this module run here, under their ids.
+globals().update(work_tests(__name__))
 
 
 def assert_valid_trajectory(traj: Trajectory):
@@ -94,16 +98,6 @@ def test_step_on_straight_slope():
     assert nxt == tile(2, 0, 0, 2, 1)
     assert port == Port.UP  # gradient kept
     assert on_surface(OCTANT, nxt)
-
-
-def test_step_asks_about_flip_only_when_keep_is_off(monkeypatch, hexcone):
-    # At most one candidate is on the surface, so a kept gradient needs
-    # one surface check and a flip needs two.
-    calls = count_public_calls(monkeypatch, (on_surface,))
-    assert step(OCTANT, tile(1, 0, 0, 1, 2), Port.UP)[1] is Port.UP
-    assert calls["on_surface"] == 1
-    assert step(hexcone, tile(1, 1, 0, 3, 1), Port.UP)[1] is Port.DOWN
-    assert calls["on_surface"] == 3
 
 
 def test_step_off_surface_dead_ends():
@@ -266,7 +260,7 @@ starts = st.builds(lambda q1, q2, q3, d: ((q1, q2, q3), *d), coords, coords, coo
 
 
 def assert_cover_matches_reference(monkeypatch, tiles):
-    calls = record_public_calls(monkeypatch, on_surface)
+    calls = record_public_calls(monkeypatch, (on_surface,))
     charts = chart_cover(tiles)
     checks = calls[:]
     del calls[:]
@@ -359,17 +353,16 @@ def test_closed_trajectory_roofs_hexagon(hexcone):
     assert w2 == StdUpSet()
 
 
-def test_closed_trajectory_roofs_with_a_residue(monkeypatch):
+def test_closed_trajectory_roofs_with_a_residue():
     # In1 holds ten tiles off the walk here, so the second roof is not
     # empty.  The oracle finds both In-sets from the brute section and
     # sampled roof membership over a window padded past the box bound.
-    # Each roof is closed once and scanned as built.
+    # Each roof is closed once and scanned as built: a row of
+    # test_work_counts.WORK.
     w = conj_roof_generators([(-3, 2, 0), (1, -3, 2), (1, -2, -1), (1, 1, -3)])
     traj = trace(w, parse_tile("1,1,1:23"), max_steps=100)
     assert traj.closed and len(traj) == 22
-    calls = count_public_calls(monkeypatch, (std_roof_generators,))
     w1, w2 = closed_trajectory_roofs(w, traj)
-    assert calls["std_roof_generators"] == 2
     assert (w1.dgens, w2.dgens) == (((-3, -3, 1),), ((-2, -2, 2),))
     bases = sorted({s[0] for s in traj.tiles})
     in1 = brute_in_tiles(w, bases, padded_box(bases, 4))
@@ -400,42 +393,6 @@ def test_closed_trajectory_roofs_reports_a_mismatch(monkeypatch, hexcone):
     with pytest.raises(GeometryError, match=msg):
         closed_trajectory_roofs(hexcone, traj)
     assert len(scans) == 2
-
-
-def test_closed_trajectory_roofs_has_the_in_scan_budget(monkeypatch, hexcone):
-    # The hexagon walk's bases are the hexagon's generators, so its first
-    # scan is charged what the hexagon's norm is: 722 flats times 3
-    # generators and the 1 roof corner.  One pair less is refused before
-    # any section, with the In scan's message.
-    traj = trace(hexcone, HEX_TILES[0])
-    calls = count_public_calls(monkeypatch, (section_at,))
-    monkeypatch.setattr(surface, "MAX_SCAN_UNITS", 722 * 4 - 1)
-    msg = r"^In scan of 361 cells over 4 generators reads 2888 flat-generator pairs, more than 2887$"
-    with pytest.raises(ValueError, match=msg):
-        closed_trajectory_roofs(hexcone, traj)
-    assert calls["section_at"] == 0
-    monkeypatch.setattr(surface, "MAX_SCAN_UNITS", 722 * 4)
-    assert closed_trajectory_roofs(hexcone, traj)[1] == StdUpSet()
-    assert calls["section_at"] == 722
-
-
-def test_an_empty_residue_takes_no_section(monkeypatch, hexcone):
-    # The hexagon walk is its whole In set, so the residue has no base,
-    # the second roof adds no corner and its scan takes no section.
-    traj = trace(hexcone, HEX_TILES[0])
-    calls = count_public_calls(monkeypatch, (section_at,))
-    real_in_set = dynamics._in_set
-    scans = []
-
-    def counted(w, points):
-        before = calls["section_at"]
-        out = real_in_set(w, points)
-        scans.append((len(points), calls["section_at"] - before))
-        return out
-
-    monkeypatch.setattr(dynamics, "_in_set", counted)
-    assert closed_trajectory_roofs(hexcone, traj)[1] == StdUpSet()
-    assert scans == [(3, 722), (0, 0)]
 
 
 def test_closed_trajectory_roofs_requires_closed(hexcone):
@@ -520,18 +477,6 @@ def test_a_traced_walk_is_one_chart():
     assert walks["closed"] >= 10 and walks["open"] >= 100, walks
 
 
-def brute_flips(gens, tiles) -> int:
-    """Steps of the walk ``tiles`` that flip the gradient, the step out of
-    its last tile included, each taken by the brute successor rule."""
-    port, flips = Port.UP, 0
-    for k, s in enumerate(tiles):
-        (nxt,) = brute_successors(gens, s, port)
-        assert k + 1 == len(tiles) or nxt == tiles[k + 1]
-        if gradient(nxt) != gradient(s):
-            port, flips = port.other, flips + 1
-    return flips
-
-
 def test_trajectories_start_emits_its_one_chart_without_a_cover_search(monkeypatch):
     # `trajectories --start` writes the one chart the dynamics.py docstring
     # proves, the cone of the walk's bases, without searching a cover: its
@@ -542,7 +487,7 @@ def test_trajectories_start_emits_its_one_chart_without_a_cover_search(monkeypat
     for doc, w, start, budget in traced_walk_family(random.Random(44), 8):
         argv = ["trajectories", "--peaks", "FILE0", f"--start={tile_text(start)}", f"--max-steps={budget}"]
         with monkeypatch.context() as patch:
-            calls = count_public_calls(patch, (on_surface,))
+            calls = record_public_calls(patch, (on_surface,))
             code, out, err, _ = cli(argv, [doc])
         walk = json.loads(out)
         tiles = [parse_tile(t) for t in walk["tiles"]]
@@ -551,7 +496,7 @@ def test_trajectories_start_emits_its_one_chart_without_a_cover_search(monkeypat
                   for c in reference_chart_cover(tiles)]
         assert walk["charts"] == charts, (doc, argv)
         steps = len(tiles)  # a closed walk steps back to its start, an open one past its budget
-        assert calls["on_surface"] == 1 + steps + brute_flips(w.generators, tiles), (doc, argv)
+        assert len(calls) == 1 + steps + brute_flips(w.generators, tiles), (doc, argv)
         walks["closed" if walk["closed"] else "open"] += 1
     assert walks["closed"] >= 3 and walks["open"] >= 30, walks
 

@@ -110,10 +110,10 @@ def test_assert_tile_refuses_named_and_list_tiles():
 
 
 def test_in_scan_hands_section_at_exact_flats(monkeypatch):
-    calls = record_public_calls(monkeypatch, section_at)
+    calls = record_public_calls(monkeypatch, (section_at,))
     hits = [s for w in REGIONS for s in in_tiles_expanded(w)]
     assert len(calls) > 0 and len(hits) > 0
-    for _, t in calls:
+    for _, (_, t) in calls:
         assert_tile(t)
         (_, _, z), d1, _ = t
         assert z == 0 and d1 == 1  # canonical flats: section_at does not flatten them

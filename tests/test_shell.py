@@ -13,11 +13,13 @@ the expected messages name them that way.  Stdout and stderr are
 compared exactly.  An argparse error is written
 ``USAGE + "error: <message>\n"``: the usage text, then exactly that
 line.  A row's id is ``test_name`` or ``test_name[case]``, and the rows
-that share an id run as one test, so each contract keeps the test id
-it had before the tables.
+that share an id run as one test (``conftest.table_tests``), so each
+contract keeps the test id it had before the tables.  The work counts
+of CLI calls are rows of ``test_work_counts.WORK``; those that took over
+tests of this module run here.
 
 The tests after the tables check what one exact output cannot: output
-shapes, call counts, replays and determinism.
+shapes, replays and determinism.
 """
 
 import argparse
@@ -33,27 +35,21 @@ import pytest
 
 from conftest import (
     DECODE_DUDUDD,
-    HEX_GENS,
     HEX_WALK,
-    ROOT,
     brute_boundary,
     brute_conj_roof_member,
     brute_minimal,
     cli,
-    count_public_calls,
-    padded_box,
     plane_peaks,
     rand_pit_gens,
-    reference_chart_cover,
     run_python,
+    table_tests,
     translate_tile,
 )
+from test_work_counts import work_tests
 from tritile import (
-    ConjUpSet,
     conj_contains,
     conj_roof_generators,
-    gradient,
-    norm,
     parse_tile,
     roof_add,
     tile_text,
@@ -413,8 +409,11 @@ SUBPROCESS = [
 ]
 
 
-def _check(run, rows) -> None:
-    for row in rows:
+def _check(run):
+    """The check of a row run by ``run``: its exit and stdout exactly, and
+    its stderr exactly or, for an argparse error, its line after the
+    usage text."""
+    def check(row):
         code, out, err, _ = run(row)
         assert (code, out) == (row.exit, row.out)
         if row.err.startswith(USAGE):
@@ -423,35 +422,15 @@ def _check(run, rows) -> None:
             assert sep + rest == row.err.removeprefix(USAGE)
         else:
             assert err == row.err
+    return check
 
 
-def _table_test(run, cases):
-    """One test over ``cases``, rows by case id: parametrized by the ids,
-    or plain where the one id is empty."""
-    if list(cases) == [""]:
-        def test():
-            _check(run, cases[""])
-        return test
-
-    @pytest.mark.parametrize("rows", list(cases.values()), ids=list(cases))
-    def test(rows):
-        _check(run, rows)
-    return test
-
-
-def _table_tests(table, run) -> dict:
-    """The tests of a table by name, each over the cases its rows name."""
-    cases: dict = {}
-    for row in table:
-        name, _, case = row.id.partition("[")
-        cases.setdefault(name, {}).setdefault(case.removesuffix("]"), []).append(row)
-    return {name: _table_test(run, by_case) for name, by_case in cases.items()}
-
-
-globals().update(_table_tests(IN_PROCESS, lambda row: cli(row.argv, row.files, row.stdin)))
+globals().update(table_tests(IN_PROCESS, _check(lambda row: cli(row.argv, row.files, row.stdin))))
 globals().update(
-    _table_tests(SUBPROCESS, lambda row: run_python(["-m", "tritile.shell", *row.argv], row.files, timeout=10))
+    table_tests(SUBPROCESS, _check(lambda row: run_python(["-m", "tritile.shell", *row.argv], row.files, timeout=10)))
 )
+# The work-count rows that took over tests of this module run here, under their ids.
+globals().update(work_tests(__name__))
 
 
 def test_trajectories_all_hexagon():
@@ -656,17 +635,6 @@ def test_window_at_the_side_cap_is_within_budget():
         assert shell.build_parser().parse_args(argv).window == surface.Window(*window)
 
 
-def test_a_failing_norm_scans_once(monkeypatch):
-    # `norm` partitions the norm into closed walks before it scans for the
-    # norm itself, so a walk that does not close fails after one In scan.
-    # A norm that succeeds scans twice (bench/run.py HAND_COUNTS).
-    for doc, code, scans in ((REPRO, 2, 1), (HEX, 0, 2)):
-        with monkeypatch.context() as patch:
-            calls = count_public_calls(patch, (surface.in_tiles_expanded,))
-            assert cli(["norm", "--peaks", "FILE0"], [doc])[0] == code
-        assert calls["in_tiles_expanded"] == scans, doc
-
-
 @pytest.mark.parametrize("peaks, argv", [("HEX", ["trajectories", "--start", "0,0,0:12"]), ("REPRO", ["norm"])])
 def test_geometry_error_replays_from_its_stderr_line(peaks, argv):
     # The printed peaks, as a cone file, and the printed tile as the start
@@ -696,44 +664,6 @@ def test_help_exits_0_on_stdout(argv, shown):
     assert code == 0
     assert out.startswith("usage: tritile") and shown in out
     assert err == ""
-
-
-def test_pinned_public_call_counts(monkeypatch, tmp_path):
-    # The benchmark's tracer self-check pins the counts of its hexagon
-    # `norm` and `decode DUDUDD` warm-ups in `HAND_COUNTS`; this test runs
-    # that self-check, so a change of call path that moves them fails here
-    # too.  Each pinned count is a formula over oracles: `norm` scans the
-    # padded box of the peaks twice (once inside the trajectory partition,
-    # then itself after the partition succeeds) and lifts each norm flat
-    # once more, and the walk takes one start check, one check per step,
-    # one more per step that flips the gradient and the chart cover's
-    # checks.
-    monkeypatch.syspath_prepend(str(ROOT / "bench"))
-    import run as bench_run
-    import workloads
-
-    window = padded_box(HEX_GENS, 8)
-    flats = 2 * (window.u_max - window.u_min + 1) * (window.v_max - window.v_min + 1)
-    lifts = len(norm(ConjUpSet(HEX_GENS)))
-    walk = [parse_tile(t) for t in HEX_WALK]
-    flips = sum(gradient(a) != gradient(b) for a, b in zip(walk, walk[1:] + walk[:1]))
-    with monkeypatch.context() as patch:
-        counts = count_public_calls(patch, (surface.on_surface,))
-        reference_chart_cover(walk)
-        hex_cover = counts["on_surface"]
-        reference_chart_cover([parse_tile(t) for t in DECODE_DUDUDD])
-        decode_cover = counts["on_surface"] - hex_cover
-    assert (flats, lifts, len(HEX_WALK), flips, hex_cover, decode_cover) == (722, 6, 6, 6, 26, 49)
-    hand = bench_run.HAND_COUNTS
-    assert hand["norm"] == {
-        "dynamics.step": len(HEX_WALK),
-        "surface.on_surface": 1 + len(HEX_WALK) + flips + hex_cover,
-        "surface.section_at": 2 * flats + lifts,
-    }
-    assert hand["decode"] == {"dynamics.step": 0, "surface.on_surface": decode_cover, "surface.section_at": 0}
-    problems = []
-    bench_run.self_check(shell, workloads.warmup(workloads.Inputs(str(tmp_path))), problems)
-    assert problems == []
 
 
 SEQUENCE = [

@@ -19,7 +19,6 @@ from conftest import (
     brute_section,
     brute_in_tiles,
     corner_floor,
-    count_public_calls,
     doubled_base,
     flat_tiles_in,
     padded_box,
@@ -30,12 +29,14 @@ from conftest import (
     plane_peaks,
     rand_antichain,
     rand_pit_gens,
+    record_public_calls,
     sample_in_closed,
     sample_in_open,
     tile_samples,
     translate_region,
     translate_tile,
 )
+from test_work_counts import work_tests
 from tritile import (
     Classification,
     ConjUpSet,
@@ -54,8 +55,7 @@ from tritile import (
     surface_tiles,
     vertices,
 )
-import tritile
-from tritile import cones, shell, surface
+from tritile import shell, surface
 from tritile.cones import StdUpSet, conj_roof_generators, std_roof_generators
 from tritile.lattice import q_shift
 from tritile.surface import _classify_tile, _in_set, in_tiles_expanded
@@ -63,6 +63,9 @@ from tritile.tiles import tile
 
 HEX_TILES = tuple(parse_tile(t) for t in HEX_WALK)
 STD_ORIGIN = StdUpSet.from_qpoints([(0, 0, 0)])
+
+# The work-count rows that took over tests of this module run here, under their ids.
+globals().update(work_tests(__name__))
 
 
 def test_on_surface_examples(hexcone):
@@ -238,42 +241,6 @@ def test_empty_region_has_no_surface_tiles():
     assert norm(ConjUpSet()) == ()
     with pytest.raises(GeometryError, match="^empty region has no height function$"):
         section_at(ConjUpSet(), tile(0, 0, 0, 1, 2))
-
-
-def test_section_and_classify_work_counts(monkeypatch, hexcone):
-    # Work counts, not timings: a classified window and the surface of a
-    # window read one height table and take no public section, the In scan
-    # takes one section per flat tile of the peaks' box padded by 8 when
-    # their standard roof adds a corner (the hexagon pit) and none when it
-    # adds none (the two-peak wide roof), and nothing on the section path reads
-    # a height through conj_height, whose calls are counted in every
-    # tritile namespace that binds it.
-    heights = count_public_calls(monkeypatch, (cones.conj_height,))
-    assert tritile.conj_height(hexcone, (0, 0, 0)) == -1
-    assert heights["conj_height"] == 1  # the counter is live
-    heights["conj_height"] = 0
-    calls = count_public_calls(monkeypatch, (surface.section_at,))
-    wide = conj_roof_generators([(0, 0, 0), (6, -6, 1)])
-    for w in (hexcone, wide):
-        window = padded_box(w.generators, 3)
-        flats = list(flat_tiles_in(window))
-        calls["section_at"] = 0
-        for t in flats:
-            surface.section_at(w, t)
-        assert calls["section_at"] == len(flats)  # no nested sections
-        calls["section_at"] = 0
-        surface.classify(w, STD_ORIGIN, window)
-        surface.surface_tiles(w, window)
-        assert calls["section_at"] == 0
-        scanned = len(list(flat_tiles_in(padded_box(w.generators, 8)))) if w is hexcone else 0
-        calls["section_at"] = 0
-        hits = surface.in_tiles_expanded(w)
-        assert calls["section_at"] == scanned
-        assert bool(hits) == (w is hexcone)
-        calls["section_at"] = 0
-        assert surface.norm(w) == tuple(map(flatten, hits))
-        assert calls["section_at"] == scanned
-    assert heights["conj_height"] == 0
 
 
 def test_vector_field_examples(hexcone):
@@ -456,21 +423,16 @@ def test_gated_scans_against_the_brute_oracles():
     assert min(shares["far"]) > 0.9 and max(shares["spread"]) < 0.6 and shares["none"] == [1.0] * 3, shares
 
 
-def test_classifier_calls_are_the_tiles_at_or_above_the_corner_floor(monkeypatch, hexcone):
-    # Work counts of the floor gate: the In scan still takes one section
-    # per flat of the padded box, and classifies exactly the sections at
-    # or above the floor of the added corners; classify classifies exactly
-    # the tiles at or above the floor less one of the standard corners, and
-    # none against no corner.  Counted on the hexagon norm and on seeded
-    # windows; the expected counts read the sections from the height table
-    # and the doubled bases with this module's formula.
-    calls = count_public_calls(monkeypatch, (surface.section_at, _classify_tile))
-    box = padded_box(HEX_GENS, 8)
-    sections = surface_tiles(hexcone, box)
-    floor = corner_floor(added_corners_two_ways(HEX_GENS)[1])
-    assert norm(hexcone) == tuple(sorted(flatten(s) for s in HEX_TILES))
-    assert calls["section_at"] == len(sections) == 722
-    assert calls["_classify_tile"] == sum(not below_floor(s, floor) for s in sections) == 62
+def test_classifier_calls_are_the_tiles_at_or_above_the_corner_floor(monkeypatch):
+    # Work counts of the floor gate on seeded windows: classify classifies
+    # exactly the tiles at or above the floor less one of the standard
+    # corners, and none against no corner.  The expected counts read the
+    # sections from the height table and the doubled bases with this
+    # module's formula.  The In scan's share, a section per flat of the
+    # padded box and a classification per section at or above the floor of
+    # the added corners, is counted by the In-scan rows of
+    # test_work_counts.WORK, the hexagon norm's 722 and 62 among them.
+    calls = record_public_calls(monkeypatch, (_classify_tile,))
     rng = random.Random(83)
     classified, alone = 0, Counter()
     for _ in range(8):
@@ -479,13 +441,13 @@ def test_classifier_calls_are_the_tiles_at_or_above_the_corner_floor(monkeypatch
         side = rng.randint(1, 30)
         u, v = rng.randint(-side, 0), rng.randint(-side, 0)
         window = Window(u, u + side, v, v + rng.randint(0, side))
-        calls["_classify_tile"] = 0
+        del calls[:]
         classify(w1, w2, window)
         classify(w1, StdUpSet(), window)
         bound = corner_floor(w2.dgens, 1)
         tiles = surface_tiles(w1, window)
-        assert calls["_classify_tile"] == sum(not below_floor(s, bound) for s in tiles), (w1, w2, window)
-        classified += calls["_classify_tile"]
+        assert len(calls) == sum(not below_floor(s, bound) for s in tiles), (w1, w2, window)
+        classified += len(calls)
         for s in tiles:
             axes = [x for x, c in enumerate(doubled_base(s)) if c < bound[x]]
             alone.update(axes if len(axes) == 1 else ())
@@ -543,30 +505,6 @@ def test_norm_of_hex_pit(hexcone):
     assert flats == tuple(sorted(flatten(s) for s in HEX_TILES))
 
 
-def test_the_box_of_no_points_is_empty(monkeypatch, hexcone):
-    # No points, no added corner, no scan: the In scan of no points takes
-    # no section on any region, and the roof of no peaks has an empty norm
-    # instead of a height error.
-    calls = count_public_calls(monkeypatch, (surface.section_at,))
-    assert _in_set(hexcone, ()) == _in_set(ConjUpSet(), ()) == (StdUpSet(), ())
-    assert in_tiles_expanded(ConjUpSet()) == ()
-    assert norm(ConjUpSet()) == ()
-    assert calls["section_at"] == 0
-
-
-def test_in_scan_over_its_budget_raises_before_any_section(monkeypatch):
-    # The hexagon pit plus a peak 10**6 away: the roof adds the pit corner,
-    # so the shortcut does not apply, and the box has 1,000,035,000,306
-    # cells.  The scan is refused before its first section.
-    w = conj_roof_generators([*HEX_GENS, (10**6, -(10**6), 0)])
-    calls = count_public_calls(monkeypatch, (surface.section_at,))
-    with pytest.raises(ValueError, match=r"^In scan of 1000035000306 cells over 6 generators .* more than 2000000$"):
-        in_tiles_expanded(w)
-    with pytest.raises(ValueError, match="more than 2000000"):
-        norm(w)
-    assert calls["section_at"] == 0
-
-
 def test_in_scan_budget_is_flats_times_generators(monkeypatch, hexcone):
     # The hexagon scans 722 flats, each reading its 3 generators and the
     # one corner of its standard roof, the pit: a scan of exactly the cap
@@ -615,7 +553,7 @@ def test_no_new_corner_means_no_in_tile(monkeypatch):
         gens = rand_pit_gens(rng, rng.randint(0, 2))
         assert adds_corner(gens) and adds_corner(conj_roof_generators(gens).generators), gens
     units = [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)]
-    calls = count_public_calls(monkeypatch, (surface.section_at,))
+    calls = record_public_calls(monkeypatch, (surface.section_at,))
     shortcuts = {"roof": 0, "cone": 0}
     for i in range(10):
         if i % 2:
@@ -631,10 +569,10 @@ def test_no_new_corner_means_no_in_tile(monkeypatch):
         if adds_corner(points):
             continue
         if kind == "roof":
-            assert in_tiles_expanded(w) == () and calls["section_at"] == 0
+            assert in_tiles_expanded(w) == () and calls == []
         else:
             assert classify(w, std_roof_generators(points), padded_box(points, 8)).in_tiles == ()
-            assert _in_set(w, points) == (std_roof_generators(points), ()) and calls["section_at"] == 0
+            assert _in_set(w, points) == (std_roof_generators(points), ()) and calls == []
         assert brute_in_tiles(w, points, padded_box(points, 8)) == [], points
         shortcuts[kind] += 1
     assert shortcuts["roof"] >= 4 and shortcuts["cone"] >= 4, shortcuts
