@@ -20,12 +20,15 @@ before the peaks file is read.
 Exit codes: 0 success; 1 usage or malformed input; 2 geometric
 inconsistency (a ``GeometryError``); 3 a walk did not close within
 ``--max-steps`` (the truncated walk is still emitted).
+
+``main`` runs each command with the cyclic garbage collector paused.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import gc
 import json
 import sys
 from typing import Sequence
@@ -54,8 +57,9 @@ EXIT_BUDGET = 3
 
 # Cells across the widest --window, along u and along v: the slowest
 # window found at the cap is the square, over which `classify` with two
-# peaks files of 100 points spread 600 wide takes about 1.5 s and 67 MB,
-# and `surface` about 1 s (shared 2-vCPU Xeon, Python 3.11).
+# peaks files of 100 points spread 600 wide takes about 1.4 s and 84 MB
+# in a subprocess and 1.2 s in-process, and `surface` about 0.75 s in a
+# subprocess (shared 2-vCPU Xeon, Python 3.11).
 MAX_WINDOW_SIDE = 316
 
 # Peaks of one file, and of all `roof add` files together: on the slowest
@@ -373,6 +377,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
+    """Run one ``tritile`` command on ``argv`` and return its exit code.
+
+    The cyclic garbage collector is paused while the command runs and,
+    if it was enabled, enabled again on every way out.  A command builds
+    only acyclic tuples, lists, dicts and frozen dataclasses, which
+    reference counting frees as they fall out of use.  The only cycles
+    are argparse's help formatters, one for a usage line or ``--help``
+    and about thirty for the process's one parser build, which the
+    collector frees once it runs again
+    (``test_no_command_creates_cyclic_garbage``).  What the pause saves
+    is the collector's passes over the many live tiles of a window scan.
+    """
+    collecting = gc.isenabled()
+    gc.disable()
     try:
         args = build_parser().parse_args(argv)
         return args.fn(args)
@@ -392,6 +410,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
+    finally:
+        if collecting:
+            gc.enable()
 
 
 if __name__ == "__main__":

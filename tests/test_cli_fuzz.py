@@ -89,8 +89,8 @@ def test_render_exits_0_or_1_without_a_traceback(doc, fmt):
 # (`shell.MAX_WALK`, `dynamics.MAX_COVER_UNITS`), while a `--start` walk
 # at the cap searches no cover and takes about 0.09 s. `classify` over
 # the square window at the side cap with two 100-peak files takes about
-# 1.4 s in-process (`shell.MAX_WINDOW_SIDE`); its bound stays at 8 s,
-# more than five times.
+# 1.2 s in-process (1.16-1.55 s over eight calls, `shell.MAX_WINDOW_SIDE`);
+# its bound stays at 8 s, more than five times the slowest.
 CALL_S = 5.0
 WALK_S = 8.0
 WINDOW_S = 8.0

@@ -1,16 +1,24 @@
 import random
+from functools import partial
 
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
 from conftest import (
+    AXIS_PERMUTATIONS,
     HEX_GENS,
     brute_conj_roof_member,
     brute_height,
     brute_minimal,
     brute_std_roof_member,
+    permute_point,
+    permute_region,
+    plane_peaks,
     rand_antichain,
+    rand_pit_gens,
+    translate_point,
+    translate_region,
 )
 from tritile import (
     ConjUpSet,
@@ -216,6 +224,37 @@ def test_roof_add_commutes_and_associates():
         )
         assert roof_add(a, b) == roof_add(b, a)
         assert roof_add(roof_add(a, b), c) == roof_add(a, roof_add(b, c))
+
+
+def test_roof_closure_and_roof_add_commute_with_axis_permutations_and_translations():
+    """Permuting the q-axes and translating by an integer vector are
+    symmetries of roof closure and of roof addition: for each such ``g``,
+    the roof of the points ``g P`` is ``g`` of the roof of ``P``, and the
+    sum of ``g A`` and ``g B`` is ``g`` of the sum of ``A`` and ``B``.
+    Judged on seeded point sets of up to the CLI's 100 peaks: points of a
+    box, plane peaks, pit clusters and the 100-peak chain ``(i, -i, -2i)``,
+    the slowest closure of the caps, under the six permutations and two
+    translations; the sums add each set's roof to the next one's."""
+    rng = random.Random(113)
+    sets = [[tuple(rng.randint(-20, 20) for _ in range(3)) for _ in range(rng.randint(1, 100))] for _ in range(40)]
+    sets += [plane_peaks(n, seed, spread) for n, seed in ((100, 1), (60, 2), (25, 3)) for spread in (30, 300)]
+    sets += [rand_pit_gens(rng, k) for k in range(0, 12, 2)]
+    sets.append([(i, -i, -2 * i) for i in range(100)])
+    moves = [(partial(permute_point, perm), partial(permute_region, perm)) for perm in AXIS_PERMUTATIONS]
+    moves += [(partial(translate_point, d), partial(translate_region, d)) for d in ((7, -3, 12), (-1000, 999, 1))]
+    roofs = [conj_roof_generators(points) for points in sets]
+    closures = sums = 0
+    for points, roof in zip(sets, roofs):
+        for move_point, move_region in moves:
+            assert conj_roof_generators(map(move_point, points)) == move_region(roof), (points, move_point)
+            closures += 1
+    # The chain, last, is left out of the sums.
+    for a, b in zip(roofs[:-1], roofs[1:-1]):
+        total = roof_add(a, b)
+        for _, move_region in moves:
+            assert roof_add(move_region(a), move_region(b)) == move_region(total), (a, b, move_region)
+            sums += 1
+    assert (closures, sums) == (424, 408)
 
 
 def test_roof_is_extensive():

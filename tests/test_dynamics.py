@@ -27,6 +27,7 @@ from conftest import (
     permute_region,
     permute_tile,
     pit,
+    plane_peaks,
     rand_antichain,
     rand_pit_gens,
     record_public_calls,
@@ -55,12 +56,13 @@ from tritile import (
     norm,
     on_surface,
     parse_tile,
+    project,
     section_at,
     std_contains,
     step,
     trace,
 )
-from tritile import dynamics
+from tritile import dynamics, shell
 from tritile.cones import StdUpSet, conj_roof_generators, is_roof
 from tritile.surface import Window, in_tiles_expanded
 from tritile.tiles import Port, port_candidates, tile, tile_text, tile_texts, vertices
@@ -708,6 +710,47 @@ def test_encode_of_a_traced_walk_is_invariant_under_axis_permutations():
                 assert encode(moved) == code, (w, start, perm)
                 checks += 1
     assert checks == 1_200 and 0 < closed < 200
+
+
+def test_trace_commutes_with_axis_permutations_and_translations():
+    """For each q-axis permutation or integer translation ``g``, the walk
+    traced on ``g w`` from ``g s`` for ``n`` steps is ``g`` of the walk
+    traced on ``w`` from ``s``, tile by tile, and closes when it does.
+    Judged on seeded walks of up to the CLI's walk cap, under the six
+    permutations and two translations: from surface tiles near the peaks
+    of the roof of the 100-peak chain ``(i, -i, -2i)``, of the roof of 100
+    plane peaks and of the cone of 100 points of a box, and from the
+    starts of the closed walks of pit clusters."""
+    rng = random.Random(127)
+    cap = shell.MAX_WALK
+    regions = [
+        conj_roof_generators([(i, -i, -2 * i) for i in range(100)]),
+        conj_roof_generators(plane_peaks(100, 7, 30)),
+        ConjUpSet(tuple(tuple(rng.randint(-30, 30) for _ in range(3)) for _ in range(100))),
+    ]
+    walks = []
+    for w in regions:
+        for _ in range(4):
+            u, v = project(rng.choice(w.generators))
+            flat = ((u + rng.randint(-3, 3), v + rng.randint(-3, 3), 0), 1, rng.choice((2, 3)))
+            walks.append((w, section_at(w, flat), rng.choice((cap, rng.randint(1, cap)))))
+    for k in range(6):
+        w = conj_roof_generators(rand_pit_gens(rng, k % 3))
+        try:
+            walks += [(w, traj.tiles[0], cap) for traj in closed_trajectories_of_roof(w)]
+        except GeometryError:  # a norm walk that does not close: no start to take
+            pass
+    moves = [(partial(permute_tile, perm), partial(permute_region, perm)) for perm in AXIS_PERMUTATIONS]
+    moves += [(partial(translate_tile, d), partial(translate_region, d)) for d in ((3, -8, 5), (-1000, 1, 999))]
+    steps = closed = 0
+    for w, start, n in walks:
+        walk = trace(w, start, max_steps=n)
+        closed += walk.closed
+        for move_tile, move_region in moves:
+            moved = trace(move_region(w), move_tile(start), max_steps=n)
+            assert moved == Trajectory(tuple(map(move_tile, walk.tiles)), walk.closed), (w, start, n, move_tile)
+            steps += len(moved)
+    assert (len(walks), closed, steps) == (15, 3, 239_104), (len(walks), closed, steps)
 
 
 def test_lattice_symmetries_carry_in_sets_and_reconstructions():

@@ -23,7 +23,9 @@ shapes, replays and determinism.
 """
 
 import argparse
+import contextlib
 import functools
+import gc
 import json
 import random
 from collections import Counter
@@ -716,3 +718,134 @@ def test_module_entry_point_matches_main(monkeypatch, argv, rc):
     result = cli(argv, [HEX])[:3]
     assert result[0] == rc
     assert run_python(["-m", "tritile.shell", *argv], [HEX], timeout=120)[:3] == result
+
+
+# -- the paused cyclic collector ----------------------------------------------
+
+def _wrap_main(monkeypatch, wrapper) -> None:
+    """Make each ``cli`` call run ``wrapper(main, argv)`` in place of
+    ``shell.main(argv)``, so that a check covers the call alone and not
+    the files and streams ``cli`` sets up around it."""
+    main = shell.main
+    monkeypatch.setattr(shell, "main", lambda argv: wrapper(main, argv))
+
+
+# One call of each way out of `main`: exit 0 (a window scan that keeps
+# thousands of tiles alive, so the collector would run during it), 1, 2,
+# 3 and --help.
+EXIT_PATHS = {
+    "exit_0": (["classify", "--peaks", "FILE0", "--std-peaks", "FILE1", "--window=-20:20,-20:20"], (HEX, OCTANT), 0),
+    "exit_1": (["surface", "--peaks", "FILE0", "--window=5:-5,0:1"], (HEX,), 1),
+    "exit_2": (["norm", "--peaks", "FILE0"], (REPRO,), 2),
+    "exit_3": (["encode", "--peaks", "FILE0", "--start", "1,0,0:12", "--max-steps", "20"], (OCTANT,), 3),
+    "help": (["--help"], (), 0),
+}
+
+
+@pytest.fixture
+def collector_state():
+    """Restores the cyclic collector's on/off state after the test."""
+    was = gc.isenabled()
+    yield
+    (gc.enable if was else gc.disable)()
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+@pytest.mark.parametrize("argv, files, exit", EXIT_PATHS.values(), ids=EXIT_PATHS)
+def test_main_restores_the_cyclic_collector(monkeypatch, collector_state, argv, files, exit, enabled):
+    """``main`` runs its command with the cyclic collector paused, so no
+    collector pass starts during the call, and leaves the collector as it
+    found it on every way out."""
+    passes = []
+
+    def count(phase, info):
+        if phase == "start":
+            passes.append(info["generation"])
+
+    def counted(main, argv):
+        gc.callbacks.append(count)
+        try:
+            return main(argv)
+        finally:
+            gc.callbacks.remove(count)
+
+    _wrap_main(monkeypatch, counted)
+    (gc.enable if enabled else gc.disable)()
+    assert cli(argv, files)[0] == exit
+    assert gc.isenabled() is enabled
+    assert passes == []
+
+
+def test_main_restores_the_cyclic_collector_after_an_uncaught_exception(monkeypatch, collector_state):
+    def fail(doc):
+        raise RuntimeError("emit failed")
+
+    monkeypatch.setattr(shell, "_emit", fail)
+    gc.enable()
+    with pytest.raises(RuntimeError, match="^emit failed$"):
+        cli(["decode", "DUDUDD", "--start=1,1,0:31"])
+    assert gc.isenabled()
+
+
+# Every command, the exit-2 and exit-3 ones, and both kinds of usage error:
+# one found after parsing and one that argparse finds, whose usage line,
+# like --help, goes through argparse's help formatter.  That formatter
+# and its sections refer to each other, so each message leaves one cycle
+# for the collector to free once `main` has enabled it again; so does
+# each of the formatters of the one parser build of a process.
+GARBAGE = {
+    "surface": (["surface", "--peaks", "FILE0", "--window=-6:6,-6:6"], (HEX,), "", 0, 0),
+    "classify": (["classify", "--peaks", "FILE0", "--std-peaks", "FILE1", "--window=-6:6,-6:6"], (HEX, OCTANT), "", 0, 0),
+    "norm": (["norm", "--peaks", "FILE0"], (HEX,), "", 0, 0),
+    "norm_exit_2": (["norm", "--peaks", "FILE0"], (REPRO,), "", 2, 0),
+    "trajectories_all": (["trajectories", "--peaks", "FILE0", "--all"], (HEX,), "", 0, 0),
+    "trajectories_start": (["trajectories", "--peaks", "FILE0", "--start", "1,1,0:31"], (HEX,), "", 0, 0),
+    "trajectories_start_exit_3": (
+        ["trajectories", "--peaks", "FILE0", "--start", "1,0,0:12", "--max-steps", "20"], (OCTANT,), "", 3, 0,
+    ),
+    "encode": (["encode", "--peaks", "FILE0", "--start", "1,1,0:31"], (HEX,), "", 0, 0),
+    "decode": (["decode", "DUDUDD", "--start=1,1,0:31"], (), "", 0, 0),
+    "roof_add": (["roof", "add", "FILE0", "FILE1"], (HEX, OCTANT), "", 0, 0),
+    "render_svg": (["render", "--format", "svg"], (), json.dumps({"tiles": list(HEX_WALK), "code": "DUDUDU"}), 0, 0),
+    "render_ascii": (["render", "--format", "ascii"], (), json.dumps({"tiles": list(HEX_WALK)}), 0, 0),
+    "usage_error": (["decode", "DUDUDD", "--start", "bad"], (), "", 1, 0),
+    "parser_error": (["surface", "--peaks", "FILE0", "--window=bad"], (HEX,), "", 1, 1),
+    "help": (["trajectories", "--help"], (), "", 0, 1),
+}
+
+
+@pytest.mark.parametrize("argv, files, stdin, exit, formatters", GARBAGE.values(), ids=GARBAGE)
+def test_no_command_creates_cyclic_garbage(monkeypatch, argv, files, stdin, exit, formatters):
+    """What makes pausing the collector safe: a command leaves no reference
+    cycle behind, so reference counting alone frees all it built.  A full
+    collection after the ``main`` call, saving what it finds, finds
+    nothing but the help formatters of argparse's messages and what they
+    hold."""
+    found = []
+
+    def audited(main, argv):
+        gc.collect()
+        before, flags = len(gc.garbage), gc.get_debug()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        try:
+            code = main(argv)
+            gc.collect()
+        finally:
+            gc.set_debug(flags)
+            found.extend(gc.garbage[before:])
+            del gc.garbage[before:]
+        return code
+
+    # The first call of a process builds the shared parser, whose
+    # subcommands make help formatters too: build it outside the audit.
+    shell.build_parser()
+    _wrap_main(monkeypatch, audited)
+    assert cli(argv, files, stdin)[0] == exit
+    roots = [o for o in found if isinstance(o, argparse.HelpFormatter)]
+    ids, reached, todo = {id(o) for o in found}, set(), list(roots)
+    while todo:
+        o = todo.pop()
+        if id(o) not in reached:
+            reached.add(id(o))
+            todo.extend(r for r in gc.get_referents(o) if id(r) in ids)
+    assert (len(roots), len(reached)) == (formatters, len(found)), Counter(type(o).__name__ for o in found)
